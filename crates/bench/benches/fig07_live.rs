@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use koc_bench::{experiments::fig07_live, BENCH_TRACE_LEN};
-use koc_sim::{Processor, ProcessorConfig};
+use koc_sim::{Processor, ProcessorConfig, WindowStats};
 use koc_workloads::{kernels, Workload};
 
 fn bench_fig07(c: &mut Criterion) {
@@ -15,7 +15,14 @@ fn bench_fig07(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig07_live");
     group.sample_size(10);
     group.bench_function("baseline_2048_lat500", |b| {
-        b.iter(|| Processor::new(ProcessorConfig::baseline(2048, 500), &w.trace).run())
+        b.iter(|| {
+            Processor::with_observer(
+                ProcessorConfig::baseline(2048, 500),
+                &w.trace,
+                WindowStats::new(),
+            )
+            .run_observed()
+        })
     });
     group.finish();
 }

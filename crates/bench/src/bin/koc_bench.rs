@@ -147,7 +147,7 @@ fn run_harness(args: &[String]) -> ExitCode {
 
 /// `koc-bench stats`: run one (workload, engine) pair and print the full
 /// per-run statistics table — every public `SimStats` counter, one row
-/// each (see `report::stats_table`).
+/// each (see `report::stats_table`) — and the `WindowStats` distributions.
 fn run_stats(args: &[String]) -> ExitCode {
     let mut workload: Option<String> = None;
     let mut engine_name = "cooo".to_string();
@@ -211,9 +211,13 @@ fn run_stats(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let w = spec.materialize();
-    let stats = koc_sim::Processor::new(config, &w.trace).run();
+    let (stats, window) =
+        koc_sim::Processor::with_observer(config, &w.trace, koc_sim::WindowStats::new())
+            .run_observed();
     let title = format!("Run statistics — {} / {engine}", spec.name());
     println!("{}", koc_bench::report::stats_table(title, &stats));
+    let title = format!("Window distributions — {} / {engine}", spec.name());
+    println!("{}", koc_bench::report::window_table(title, &window));
     ExitCode::SUCCESS
 }
 

@@ -3,7 +3,7 @@
 //! 500-cycle memory.
 
 use crate::Report;
-use koc_sim::{SimBuilder, SimStats, Suite};
+use koc_sim::{SimBuilder, Suite, WindowStats};
 
 /// The percentiles Figure 7 reports.
 pub const PERCENTILES: &[(&str, f64)] = &[
@@ -16,12 +16,23 @@ pub const PERCENTILES: &[(&str, f64)] = &[
 
 /// Runs the Figure 7 measurement.
 pub fn run(trace_len: usize) -> Report {
-    let result = SimBuilder::baseline(2048)
+    let session = SimBuilder::baseline(2048)
         .memory_latency(500)
         .workloads(Suite::paper())
         .trace_len(trace_len)
-        .build()
-        .run();
+        .build();
+    let workloads = session.workloads();
+    // In parallel, as `Session::run` would; only these runs pay for the
+    // window walk.
+    let stats: Vec<WindowStats> = std::thread::scope(|scope| {
+        let runs: Vec<_> = workloads
+            .iter()
+            .map(|w| scope.spawn(|| session.run_one(&w.trace, WindowStats::new()).1))
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("Figure 7 run panicked"))
+            .collect()
+    });
     let mut report = Report::new(
         "Figure 7 — live instructions vs in-flight instructions (2048-entry window, 500-cycle memory)",
         &["percentile", "in-flight", "live", "blocked-long", "blocked-short"],
@@ -29,9 +40,8 @@ pub fn run(trace_len: usize) -> Report {
 
     // Average the per-workload distributions, mirroring the paper's averaging
     // over SPEC2000fp.
-    let stats: Vec<&SimStats> = result.per_workload.iter().map(|w| &w.stats).collect();
     let avg =
-        |f: &dyn Fn(&SimStats) -> f64| stats.iter().map(|s| f(s)).sum::<f64>() / stats.len() as f64;
+        |f: &dyn Fn(&WindowStats) -> f64| stats.iter().map(f).sum::<f64>() / stats.len() as f64;
     for (label, p) in PERCENTILES {
         let inflight = avg(&|s| s.inflight.percentile(*p) as f64);
         let live = avg(&|s| s.live.percentile(*p) as f64);

@@ -323,7 +323,7 @@ pub fn run_with(options: &HarnessOptions) -> Result<BenchReport, String> {
                 wall_seconds: wall,
                 mcycles_per_sec: stats.cycles as f64 / 1e6 / wall.max(1e-9),
                 mips: stats.committed_instructions as f64 / 1e6 / wall.max(1e-9),
-                peak_inflight: stats.inflight.max(),
+                peak_inflight: stats.peak_inflight,
             });
         }
     }

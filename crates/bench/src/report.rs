@@ -5,7 +5,7 @@
 //! added counter cannot silently stay invisible in bench output.
 
 use koc_core::RetireClass;
-use koc_sim::{CycleBuckets, Distribution, IntervalRecord, SimStats};
+use koc_sim::{CycleBuckets, Distribution, IntervalRecord, SimStats, WindowStats};
 
 /// A formatted experiment report: a title, column headers, data rows and
 /// free-form notes relating the result to the paper.
@@ -137,13 +137,10 @@ pub fn stats_rows(stats: &SimStats) -> Vec<(String, String)> {
     push("sliq_high_water", stats.sliq_high_water.to_string());
     push("replay_window_peak", stats.replay_window_peak.to_string());
     push("budget_exhausted", stats.budget_exhausted.to_string());
+    push("inflight_sum", stats.inflight_sum.to_string());
+    push("inflight.mean", format!("{:.2}", stats.avg_inflight()));
+    push("peak_inflight", stats.peak_inflight.to_string());
 
-    distribution_rows("inflight", &stats.inflight, &mut rows);
-    distribution_rows("live", &stats.live, &mut rows);
-    distribution_rows("live_long", &stats.live_long, &mut rows);
-    distribution_rows("live_short", &stats.live_short, &mut rows);
-
-    let mut push = |name: &str, value: String| rows.push((name.to_string(), value));
     for &class in RetireClass::all() {
         push(
             &format!("retire_breakdown.{class:?}"),
@@ -200,6 +197,31 @@ pub fn stats_rows(stats: &SimStats) -> Vec<(String, String)> {
     push("memory.prefetch_useful", m.prefetch_useful.to_string());
 
     rows
+}
+
+/// Every public field of [`WindowStats`] — Figure 7's window distributions
+/// — as mean / p50 / p90 / max rows per distribution. Anchored by the
+/// `stats-coverage` lint rule exactly like [`stats_rows`].
+pub fn window_rows(window: &WindowStats) -> Vec<(String, String)> {
+    let mut rows: Vec<(String, String)> = Vec::new();
+    distribution_rows("inflight", &window.inflight, &mut rows);
+    distribution_rows("live", &window.live, &mut rows);
+    distribution_rows("live_long", &window.live_long, &mut rows);
+    distribution_rows("live_short", &window.live_short, &mut rows);
+    rows
+}
+
+/// Figure 7's window distributions as a rendered [`Report`].
+pub fn window_table(title: impl Into<String>, window: &WindowStats) -> Report {
+    let mut report = Report::new(title, &["stat", "value"]);
+    for (name, value) in window_rows(window) {
+        report.push_row(vec![name, value]);
+    }
+    report.push_note(format!(
+        "live_long/live_short are sampled every {} cycles, the rest every cycle",
+        koc_obs::BREAKDOWN_INTERVAL
+    ));
+    report
 }
 
 /// The full per-run statistics as a rendered [`Report`].
@@ -341,10 +363,9 @@ mod tests {
             "sliq_high_water",
             "replay_window_peak",
             "budget_exhausted",
+            "inflight_sum",
             "inflight.mean",
-            "live.mean",
-            "live_long.mean",
-            "live_short.mean",
+            "peak_inflight",
             "retire_breakdown.Moved",
             "branches.predicted",
             "branches.mispredicted",
@@ -359,6 +380,27 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), names.len());
+    }
+
+    #[test]
+    fn window_rows_cover_every_distribution() {
+        let mut window = WindowStats::new();
+        window.inflight.record_n(40, 3);
+        window.live_short.record(2);
+        let rows = window_rows(&window);
+        assert_eq!(rows.len(), 16, "four rows per distribution");
+        for (name, value) in [
+            ("inflight.mean", "40.00"),
+            ("inflight.max", "40"),
+            ("live.mean", "0.00"),
+            ("live_long.p50", "0"),
+            ("live_short.p90", "2"),
+        ] {
+            assert!(
+                rows.contains(&(name.to_string(), value.to_string())),
+                "missing {name} = {value}: {rows:?}"
+            );
+        }
     }
 
     #[test]

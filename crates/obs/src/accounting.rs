@@ -127,6 +127,7 @@ mod tests {
             mshr_inflight: 0,
             pending_misses: 0,
             replay_window: 0,
+            live_breakdown: None,
             bucket,
         }
     }

@@ -16,6 +16,10 @@
 //! - [`CycleAccounting`]: top-down cycle accounting — every simulated cycle
 //!   is attributed to exactly one [`CycleBucket`], with the hard invariant
 //!   that the buckets sum to the total cycle count.
+//! - [`WindowStats`]: Figure 7's in-flight and live-instruction
+//!   [`Distribution`]s, including the blocked-long/blocked-short split the
+//!   pipeline computes only for observers that set
+//!   [`Observer::LIVE_BREAKDOWN`].
 //!
 //! # Zero perturbation
 //!
@@ -40,11 +44,13 @@
 pub mod accounting;
 pub mod format;
 pub mod observer;
+pub mod stats;
 pub mod timeline;
 pub mod trace;
 
 pub use accounting::{CycleAccounting, CycleBuckets};
 pub use format::{timeline_json, PTRACE_SCHEMA, TIMELINE_SCHEMA};
 pub use observer::{CycleBucket, CycleSample, Event, NullObserver, Observer};
+pub use stats::{breakdown_points, Distribution, WindowStats, BREAKDOWN_INTERVAL};
 pub use timeline::{IntervalRecord, TimelineRecorder};
 pub use trace::PipelineTracer;

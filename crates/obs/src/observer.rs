@@ -158,6 +158,11 @@ pub struct CycleSample {
     pub pending_misses: usize,
     /// Replay-window occupancy (streamed ingestion's fetch buffer depth).
     pub replay_window: usize,
+    /// Figure 7's split of the live instructions into (blocked-long,
+    /// blocked-short). `Some` only for observers that set
+    /// [`Observer::LIVE_BREAKDOWN`], and only when the sample covers a
+    /// multiple of [`BREAKDOWN_INTERVAL`](crate::stats::BREAKDOWN_INTERVAL).
+    pub live_breakdown: Option<(usize, usize)>,
     /// The cycle-accounting bucket this cycle was attributed to.
     pub bucket: CycleBucket,
 }
@@ -173,6 +178,11 @@ pub trait Observer {
     /// Whether the pipeline should construct samples/events at all. The
     /// pipeline reads this as a compile-time constant.
     const ENABLED: bool = true;
+
+    /// Whether samples should carry [`CycleSample::live_breakdown`], which
+    /// costs a walk over the whole in-flight window per sample point. Read
+    /// as a compile-time constant; only meaningful when `ENABLED`.
+    const LIVE_BREAKDOWN: bool = false;
 
     /// A lifecycle event at the given cycle. Events within one cycle are
     /// delivered in pipeline-stage order (deterministic across runs).
@@ -217,6 +227,7 @@ impl Observer for NullObserver {
 /// single run can, e.g., record a timeline and cycle accounting at once.
 impl<A: Observer, B: Observer> Observer for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
+    const LIVE_BREAKDOWN: bool = A::LIVE_BREAKDOWN || B::LIVE_BREAKDOWN;
 
     #[inline]
     fn event(&mut self, cycle: u64, ev: Event) {
@@ -256,6 +267,7 @@ mod tests {
             mshr_inflight: 0,
             pending_misses: 0,
             replay_window: 0,
+            live_breakdown: None,
             bucket: CycleBucket::ExecuteWait,
         };
         o.sample(&s);
@@ -270,5 +282,12 @@ mod tests {
         impl Observer for On {}
         const { assert!(<(NullObserver, On) as Observer>::ENABLED) }
         const { assert!(<(On, NullObserver) as Observer>::ENABLED) }
+        const { assert!(!<(NullObserver, On) as Observer>::LIVE_BREAKDOWN) }
+        struct Breakdown;
+        impl Observer for Breakdown {
+            const LIVE_BREAKDOWN: bool = true;
+        }
+        const { assert!(<(On, Breakdown) as Observer>::LIVE_BREAKDOWN) }
+        const { assert!(<(Breakdown, On) as Observer>::LIVE_BREAKDOWN) }
     }
 }

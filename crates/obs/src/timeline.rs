@@ -139,6 +139,7 @@ mod tests {
             mshr_inflight: 2,
             pending_misses: 0,
             replay_window: 3,
+            live_breakdown: None,
             bucket,
         }
     }

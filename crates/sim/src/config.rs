@@ -250,12 +250,6 @@ impl ProcessorConfig {
         if self.registers.rename_pool_size() < 64 {
             return Err("register pool must cover at least the 64 logical registers".into());
         }
-        if self.registers.rename_pool_size() > 65_535 {
-            // The sampling structures pack register ids into 16 bits and
-            // reserve u16::MAX as a sentinel; the paper's "pseudo-perfect"
-            // pool is 4096, so this is far above any modelled configuration.
-            return Err("register pool is limited to 65535 registers".into());
-        }
         if let CommitConfig::Checkpointed {
             checkpoint_entries,
             pseudo_rob_size,

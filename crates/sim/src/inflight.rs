@@ -1,8 +1,8 @@
 //! Bookkeeping for instructions between dispatch and commit.
 //!
 //! The in-flight window is the hottest data structure in the simulator: it
-//! is touched at dispatch, issue, write-back, commit and recovery, and
-//! sampled every cycle. [`InFlightTable`] therefore stores records in a
+//! is touched at dispatch, issue, write-back, commit and recovery.
+//! [`InFlightTable`] therefore stores records in a
 //! dense slab indexed by trace position instead of a tree map — the window
 //! is a contiguous band of trace positions (dispatch is in program order and
 //! commit/squash trim it from both ends), so slot `id - base` gives O(1)
@@ -92,51 +92,6 @@ impl InFlight {
     }
 }
 
-/// Compact per-slot mirror of exactly the fields the Figure-7 breakdown
-/// reads, so the every-32-cycles sample walks 10 bytes per window slot
-/// instead of the full ~100-byte record (the full-record walk was the
-/// largest remaining per-cycle cost that scaled with window occupancy).
-#[derive(Debug, Clone, Copy, Default)]
-struct SampleRec {
-    flags: u8,
-    nsrcs: u8,
-    /// Register ids packed to 16 bits — [`crate::ProcessorConfig::validate`]
-    /// bounds the rename pool at 65,536, so the whole record is 10 bytes
-    /// and a full-window sampling walk stays cache-resident.
-    dest: u16,
-    srcs: [u16; koc_isa::MAX_SRCS],
-}
-
-impl SampleRec {
-    const OCCUPIED: u8 = 1;
-    /// Dispatched but not yet issued (waiting in an IQ or the SLIQ).
-    const LIVE: u8 = 2;
-    /// An outstanding (not yet done) load serviced by main memory.
-    const LONG: u8 = 4;
-    const NO_DEST: u16 = u16::MAX;
-
-    fn of(fl: &InFlight) -> SampleRec {
-        let mut flags = SampleRec::OCCUPIED;
-        if fl.is_live() {
-            flags |= SampleRec::LIVE;
-        }
-        if fl.is_long_latency_load() && !fl.is_done() {
-            flags |= SampleRec::LONG;
-        }
-        let mut srcs = [0u16; koc_isa::MAX_SRCS];
-        for (i, p) in fl.src_phys.iter().enumerate() {
-            debug_assert!(p.0 < u16::MAX as u32, "register pool exceeds u16");
-            srcs[i] = p.0 as u16;
-        }
-        SampleRec {
-            flags,
-            nsrcs: fl.src_phys.len() as u8,
-            dest: fl.dest_phys.map_or(SampleRec::NO_DEST, |p| p.0 as u16),
-            srcs,
-        }
-    }
-}
-
 /// The in-flight window: a dense slab of [`InFlight`] records keyed by trace
 /// position.
 ///
@@ -149,8 +104,6 @@ pub struct InFlightTable {
     /// Trace position of slot 0.
     base: InstId,
     slots: VecDeque<Option<InFlight>>,
-    /// Parallel compact mirror of `slots` for the sampling walk.
-    sample: VecDeque<SampleRec>,
     /// Number of occupied slots.
     len: usize,
 }
@@ -185,11 +138,9 @@ impl InFlightTable {
     /// Panics if `inst` is already in flight (a trace position has at most
     /// one live instance).
     pub fn insert(&mut self, inst: InstId, fl: InFlight) {
-        let rec = SampleRec::of(&fl);
         if self.slots.is_empty() {
             self.base = inst;
             self.slots.push_back(Some(fl));
-            self.sample.push_back(rec);
             self.len = 1;
             return;
         }
@@ -198,10 +149,8 @@ impl InFlightTable {
             // live instruction): grow the front.
             for _ in 0..(self.base - inst - 1) {
                 self.slots.push_front(None);
-                self.sample.push_front(SampleRec::default());
             }
             self.slots.push_front(Some(fl));
-            self.sample.push_front(rec);
             self.base = inst;
             self.len += 1;
             return;
@@ -209,12 +158,10 @@ impl InFlightTable {
         let i = inst - self.base;
         if i >= self.slots.len() {
             self.slots.resize_with(i + 1, || None);
-            self.sample.resize(i + 1, SampleRec::default());
         }
         let slot = &mut self.slots[i];
         assert!(slot.is_none(), "instruction {inst} is already in flight");
         *slot = Some(fl);
-        self.sample[i] = rec;
         self.len += 1;
     }
 
@@ -234,42 +181,21 @@ impl InFlightTable {
     pub fn remove(&mut self, inst: InstId) -> Option<InFlight> {
         let i = self.slot_index(inst)?;
         let fl = self.slots[i].take()?;
-        self.sample[i] = SampleRec::default();
         self.len -= 1;
         self.trim();
         Some(fl)
     }
 
-    /// Records that `inst` left the issue queues for a functional unit.
-    /// `long` flags a load serviced by main memory (Figure 7's blocked-long
-    /// dependence source while it is outstanding).
-    pub fn mark_issued(&mut self, inst: InstId, long: bool) {
-        if let Some(i) = self.slot_index(inst) {
-            let rec = &mut self.sample[i];
-            rec.flags &= !SampleRec::LIVE;
-            if long {
-                rec.flags |= SampleRec::LONG;
-            }
-        }
-    }
-
-    /// Records that `inst` finished execution (its result no longer poisons
-    /// the blocked-long sample).
-    pub fn mark_done(&mut self, inst: InstId) {
-        if let Some(i) = self.slot_index(inst) {
-            self.sample[i].flags &= !(SampleRec::LIVE | SampleRec::LONG);
-        }
-    }
-
     /// Splits the live (not yet issued) instructions into blocked-long and
     /// blocked-short, following Figure 7's definition: blocked-long means
     /// the instruction is a load that missed in L2 or (transitively)
-    /// depends on one. One pass over the compact mirror in trace order
-    /// suffices — a producer always precedes its consumers — with
-    /// epoch-stamped register marks so nothing is cleared between samples.
-    pub fn sample_breakdown(&self, marks: &mut Vec<u64>, epoch: u64) -> (usize, usize) {
-        let mark = |marks: &mut Vec<u64>, r: u16| {
-            let i = r as usize;
+    /// depends on one. One pass in trace order suffices — a producer always
+    /// precedes its consumers. `marks[p] == epoch` flags physical register
+    /// `p` as long-dependent; the caller passes a fresh `epoch` per call,
+    /// so nothing is cleared between samples.
+    pub fn live_breakdown(&self, marks: &mut Vec<u64>, epoch: u64) -> (usize, usize) {
+        let mark = |marks: &mut Vec<u64>, p: PhysReg| {
+            let i = p.index();
             if i >= marks.len() {
                 marks.resize(i + 1, 0);
             }
@@ -277,62 +203,24 @@ impl InFlightTable {
         };
         let mut long = 0usize;
         let mut short = 0usize;
-        for rec in &self.sample {
-            if rec.flags & SampleRec::LONG != 0 {
-                if rec.dest != SampleRec::NO_DEST {
-                    mark(marks, rec.dest);
-                }
-                continue;
-            }
-            if rec.flags & SampleRec::LIVE == 0 {
-                continue;
-            }
-            let blocked_long = rec.srcs[..rec.nsrcs as usize]
-                .iter()
-                .any(|&r| marks.get(r as usize) == Some(&epoch));
-            if blocked_long {
-                long += 1;
-                if rec.dest != SampleRec::NO_DEST {
-                    mark(marks, rec.dest);
-                }
-            } else {
-                short += 1;
-            }
-        }
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            (long, short),
-            self.reference_breakdown(),
-            "compact sample mirror out of sync with the in-flight records"
-        );
-        (long, short)
-    }
-
-    /// The breakdown recomputed from the full records (debug verifier for
-    /// the compact mirror).
-    #[cfg(debug_assertions)]
-    fn reference_breakdown(&self) -> (usize, usize) {
-        // A set in spirit (`FlatMap<()>` keyed by physical-register index):
-        // point membership only — even this debug-only verifier stays off
-        // `std::collections::HashSet` so the no-hash-iteration invariant
-        // holds tree-wide.
-        let mut marked = koc_core::FlatMap::default();
-        let mut long = 0usize;
-        let mut short = 0usize;
         for fl in self.values() {
             if fl.is_long_latency_load() && !fl.is_done() {
                 if let Some(p) = fl.dest_phys {
-                    marked.insert(p.index(), ());
+                    mark(marks, p);
                 }
                 continue;
             }
             if !fl.is_live() {
                 continue;
             }
-            if fl.src_phys.iter().any(|p| marked.contains_key(p.index())) {
+            if fl
+                .src_phys
+                .iter()
+                .any(|p| marks.get(p.index()) == Some(&epoch))
+            {
                 long += 1;
                 if let Some(p) = fl.dest_phys {
-                    marked.insert(p.index(), ());
+                    mark(marks, p);
                 }
             } else {
                 short += 1;
@@ -346,12 +234,10 @@ impl InFlightTable {
     fn trim(&mut self) {
         while matches!(self.slots.front(), Some(None)) {
             self.slots.pop_front();
-            self.sample.pop_front();
             self.base += 1;
         }
         while matches!(self.slots.back(), Some(None)) {
             self.slots.pop_back();
-            self.sample.pop_back();
         }
     }
 
@@ -383,15 +269,11 @@ impl InFlightTable {
         while self.base < frontier {
             match self.slots.pop_front() {
                 Some(Some(_)) => {
-                    self.sample.pop_front();
                     removed += 1;
                     self.len -= 1;
                     self.base += 1;
                 }
-                Some(None) => {
-                    self.sample.pop_front();
-                    self.base += 1;
-                }
+                Some(None) => self.base += 1,
                 None => break,
             }
         }
@@ -402,13 +284,10 @@ impl InFlightTable {
     /// Keeps only the records for which `keep` returns true (the
     /// checkpointed engine drops a whole committed checkpoint this way).
     pub fn retain(&mut self, mut keep: impl FnMut(&InFlight) -> bool) {
-        for (slot, rec) in self.slots.iter_mut().zip(self.sample.iter_mut()) {
-            if let Some(fl) = slot {
-                if !keep(fl) {
-                    *slot = None;
-                    *rec = SampleRec::default();
-                    self.len -= 1;
-                }
+        for slot in self.slots.iter_mut() {
+            if slot.as_ref().is_some_and(|fl| !keep(fl)) {
+                *slot = None;
+                self.len -= 1;
             }
         }
         self.trim();
@@ -537,5 +416,43 @@ mod tests {
         t.retain(|f| f.ckpt != 0);
         assert_eq!(t.len(), 5);
         assert!(t.values().all(|f| f.ckpt == 1));
+    }
+
+    #[test]
+    fn live_breakdown_follows_long_latency_dependences() {
+        let waiting = |inst: InstId, srcs: &[u32], dest: u32| InFlight {
+            inst,
+            kind: OpKind::FpAlu,
+            src_phys: srcs.iter().map(|&p| PhysReg(p)).collect(),
+            dest_phys: Some(PhysReg(dest)),
+            ..inflight(InstState::Waiting)
+        };
+        let mut t = InFlightTable::new();
+        // An outstanding load serviced by main memory writes p5 ...
+        t.insert(
+            0,
+            InFlight {
+                mem_level: Some(MemLevel::Memory),
+                ..inflight(InstState::Executing { done_cycle: 900 })
+            },
+        );
+        // ... so its consumer, and that consumer's consumer, are blocked-long;
+        t.insert(1, waiting(1, &[5], 6));
+        t.insert(2, waiting(2, &[6], 7));
+        // an independent waiter is blocked-short; a finished one is not live.
+        t.insert(3, waiting(3, &[1], 8));
+        t.insert(
+            4,
+            InFlight {
+                inst: 4,
+                ..inflight(InstState::Done)
+            },
+        );
+        let mut marks = Vec::new();
+        assert_eq!(t.live_breakdown(&mut marks, 1), (2, 1));
+        // Once the load returns, nothing is blocked-long; the fresh epoch
+        // ignores the previous sample's marks.
+        t.get_mut(0).unwrap().state = InstState::Done;
+        assert_eq!(t.live_breakdown(&mut marks, 2), (0, 3));
     }
 }

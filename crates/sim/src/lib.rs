@@ -56,7 +56,7 @@ pub use pipeline::Processor;
 pub use session::{
     GridWorkload, Session, SimBuilder, SourceMode, SuiteResult, Sweep, WorkloadResult,
 };
-pub use stats::{Distribution, RecoveryStats, RetireBreakdown, SimStats, StallStats};
+pub use stats::{RecoveryStats, RetireBreakdown, SimStats, StallStats};
 
 // Re-exported so sessions can be configured without importing
 // `koc_workloads` directly.
@@ -70,8 +70,8 @@ pub use koc_isa::{InstructionSource, IntoInstructionSource, ReplayWindow, Source
 // the instruction source and the commit engine — can be attached without
 // importing `koc_obs` directly.
 pub use koc_obs::{
-    CycleAccounting, CycleBucket, CycleBuckets, CycleSample, Event, IntervalRecord, NullObserver,
-    Observer, PipelineTracer, TimelineRecorder,
+    CycleAccounting, CycleBucket, CycleBuckets, CycleSample, Distribution, Event, IntervalRecord,
+    NullObserver, Observer, PipelineTracer, TimelineRecorder, WindowStats,
 };
 
 // Re-exported so the memory-backend knobs (`SimBuilder::dram`,

@@ -41,10 +41,6 @@ use koc_mem::{MemLevel, MemoryHierarchy, TimedAccess};
 use koc_obs::{CycleBucket, CycleSample, Event, NullObserver, Observer};
 use std::collections::BTreeMap;
 
-/// Interval (in cycles) at which the expensive live-instruction breakdown
-/// (Figure 7) is sampled.
-const LIVE_SAMPLE_INTERVAL: u64 = 32;
-
 /// Why dispatch stopped this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StallReason {
@@ -274,9 +270,10 @@ pub struct Processor<'a, O: Observer = NullObserver> {
     /// membership tests only, never iterated (hash order must not reach
     /// simulated timing).
     handled_exceptions: koc_core::FlatMap<()>,
-    /// Scratch for the Figure-7 breakdown: `long_marks[p] == long_epoch`
-    /// means physical register `p` carries a long-latency dependence in the
-    /// current sample (epoch stamping avoids clearing between samples).
+    /// Scratch for the Figure-7 breakdown (computed only when
+    /// `O::LIVE_BREAKDOWN`): `long_marks[p] == long_epoch` means physical
+    /// register `p` carries a long-latency dependence in the current sample
+    /// (epoch stamping avoids clearing between samples). Grown on first use.
     long_marks: Vec<u64>,
     long_epoch: u64,
 
@@ -365,7 +362,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             fetch_stall_until: 0,
             live_count: 0,
             handled_exceptions: koc_core::FlatMap::default(),
-            long_marks: vec![0; rename_pool],
+            long_marks: Vec::new(),
             long_epoch: 0,
             stats: SimStats::default(),
             config,
@@ -515,26 +512,32 @@ impl<'a, O: Observer> Processor<'a, O> {
         progressed |= self.issue_stage();
         let (front_progress, stall) = self.frontend_stage();
         progressed |= front_progress;
-        self.sample_stats();
+        let inflight = self.inflight.len();
+        self.stats.inflight_sum += inflight as u64;
+        self.stats.peak_inflight = self.stats.peak_inflight.max(inflight);
         if O::ENABLED {
             let committed_delta = self.stats.committed_instructions - committed_before;
-            let sample = self.cycle_sample(self.cycle, committed_delta, stall);
+            let sample = self.cycle_sample(self.cycle, 1, committed_delta, stall);
             self.obs.sample(&sample);
         }
         CycleActivity { progressed, stall }
     }
 
-    /// Builds the per-cycle observer sample, attributing the cycle to
-    /// exactly one [`CycleBucket`]. Only called when an observer is attached
-    /// (`O::ENABLED`); a quiescent cycle classifies identically whether it is
-    /// stepped or replayed by fast-forward, because every input below is
-    /// frozen while the machine is quiescent.
+    /// Builds the observer sample for the `span` cycles starting at `cycle`
+    /// (1 when stepped, the gap length when fast-forwarded), attributing
+    /// them to exactly one [`CycleBucket`]. Only called when an observer is
+    /// attached (`O::ENABLED`); a quiescent cycle classifies identically
+    /// whether it is stepped or replayed by fast-forward, because every
+    /// input below is frozen while the machine is quiescent.
     fn cycle_sample(
         &mut self,
         cycle: u64,
+        span: u64,
         committed_delta: u64,
         stall: Option<SkipStall>,
     ) -> CycleSample {
+        let live_breakdown = (O::LIVE_BREAKDOWN && koc_obs::breakdown_points(cycle, span) > 0)
+            .then(|| self.live_breakdown());
         let bucket = if committed_delta > 0 {
             CycleBucket::Committing
         } else {
@@ -572,6 +575,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             mshr_inflight: self.mem.backend_in_flight(),
             pending_misses: self.mem.pending_demand_misses(),
             replay_window: self.fetch.occupancy(),
+            live_breakdown,
             bucket,
         }
     }
@@ -612,28 +616,19 @@ impl<'a, O: Observer> Processor<'a, O> {
         }
         let skipped = target - self.cycle;
         // Replay what `skipped` identical quiescent cycles would have
-        // recorded: the idle memory ticks, the stall counter, and the
-        // per-cycle occupancy samples.
+        // recorded: the idle memory ticks, the stall and in-flight counters,
+        // and the observer samples.
         self.mem.account_idle_ticks(skipped);
         match stall {
             Some(SkipStall::Redirect) => self.stats.stalls.redirect += skipped,
             Some(SkipStall::Dispatch(reason)) => self.record_stall_n(reason, skipped),
             None => {}
         }
-        self.stats.inflight.record_n(self.inflight.len(), skipped);
-        self.stats.live.record_n(self.live_count, skipped);
-        let samples = target / LIVE_SAMPLE_INTERVAL - self.cycle / LIVE_SAMPLE_INTERVAL;
-        if samples > 0 {
-            // The window is frozen, so every skipped sample point sees the
-            // same breakdown.
-            let (long, short) = self.live_breakdown();
-            self.stats.live_long.record_n(long, samples);
-            self.stats.live_short.record_n(short, samples);
-        }
+        self.stats.inflight_sum += self.inflight.len() as u64 * skipped;
         if O::ENABLED {
             // The machine is frozen across the gap, so one sample describes
             // every skipped cycle; observers replay it `skipped` times.
-            let sample = self.cycle_sample(self.cycle + 1, 0, stall);
+            let sample = self.cycle_sample(self.cycle + 1, skipped, 0, stall);
             self.obs.skip(&sample, skipped);
         }
         self.cycle = target;
@@ -720,7 +715,6 @@ impl<'a, O: Observer> Processor<'a, O> {
                 dest_phys: fl.dest_phys,
             };
             let mispredicted = fl.mispredicted;
-            self.inflight.mark_done(inst);
             if let Some(p) = wb.dest_phys {
                 self.regs.set_ready(p);
                 self.int_iq.wakeup(p);
@@ -827,8 +821,6 @@ impl<'a, O: Observer> Processor<'a, O> {
         if O::ENABLED {
             self.obs.event(self.cycle, Event::Issue { inst });
         }
-        let long = trace_inst.kind == OpKind::Load && level == Some(MemLevel::Memory);
-        self.inflight.mark_issued(inst, long);
         self.live_count = self.live_count.saturating_sub(1);
         if completion.is_some() {
             self.events.push(done, (inst, seq));
@@ -1038,30 +1030,13 @@ impl<'a, O: Observer> Processor<'a, O> {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Statistics sampling
-    // ------------------------------------------------------------------
-
-    fn sample_stats(&mut self) {
-        self.stats.inflight.record(self.inflight.len());
-        self.stats.live.record(self.live_count);
-        if self.cycle.is_multiple_of(LIVE_SAMPLE_INTERVAL) {
-            let (long, short) = self.live_breakdown();
-            self.stats.live_long.record(long);
-            self.stats.live_short.record(short);
-        }
-    }
-
-    /// Splits the live (not yet issued) instructions into blocked-long and
-    /// blocked-short, following Figure 7's definition: blocked-long means the
-    /// instruction is a load that missed in L2 or (transitively) depends on
-    /// one. Delegates to the in-flight table's compact sample mirror with
-    /// the epoch-stamped scratch marks, so sampling allocates nothing and
-    /// touches ~20 bytes per window slot.
+    /// Figure 7's blocked-long/blocked-short split of the live instructions
+    /// (see [`InFlightTable::live_breakdown`]), with a fresh epoch for the
+    /// scratch marks so nothing is cleared between samples.
     fn live_breakdown(&mut self) -> (usize, usize) {
         self.long_epoch += 1;
         self.inflight
-            .sample_breakdown(&mut self.long_marks, self.long_epoch)
+            .live_breakdown(&mut self.long_marks, self.long_epoch)
     }
 }
 
@@ -1159,7 +1134,17 @@ mod tests {
         let stats = Processor::new(ProcessorConfig::cooo(32, 512, 100), &trace).run();
         assert_eq!(stats.committed_instructions, 300);
         assert!(stats.dispatched_instructions >= stats.committed_instructions);
-        assert!(stats.inflight.count() as u64 == stats.cycles);
+        let (observed, window) = Processor::with_observer(
+            ProcessorConfig::cooo(32, 512, 100),
+            &trace,
+            koc_obs::WindowStats::new(),
+        )
+        .run_observed();
+        assert_eq!(observed, stats, "WindowStats must not perturb the run");
+        assert_eq!(window.inflight.count() as u64, stats.cycles);
+        assert_eq!(window.inflight.max(), stats.peak_inflight);
+        assert_eq!(window.inflight.mean(), stats.avg_inflight());
+        assert!(stats.peak_inflight as u64 * stats.cycles >= stats.inflight_sum);
     }
 
     #[test]

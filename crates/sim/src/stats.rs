@@ -5,98 +5,6 @@ use koc_frontend::BranchStats;
 use koc_mem::MemoryStats;
 use serde::{Deserialize, Serialize};
 
-/// A streaming distribution of per-cycle samples with percentile queries
-/// (used for Figure 7's live-instruction distribution and Figure 11's
-/// in-flight counts).
-///
-/// Stored as a histogram indexed by sample value — occupancy samples are
-/// small integers bounded by the window size — so memory is O(max value)
-/// instead of O(simulated cycles), recording is branch-light, and the
-/// fast-forward path can record a run of identical cycles in O(1) via
-/// [`record_n`](Distribution::record_n).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Distribution {
-    /// `counts[v]` = number of samples with value `v`.
-    counts: Vec<u64>,
-    total: u64,
-    sum: u64,
-}
-
-impl Distribution {
-    /// Creates an empty distribution.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one per-cycle sample.
-    pub fn record(&mut self, value: usize) {
-        self.record_n(value, 1);
-    }
-
-    /// Records `n` consecutive samples of the same value (the fast-forward
-    /// path records one per skipped cycle).
-    pub fn record_n(&mut self, value: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if value >= self.counts.len() {
-            self.counts.resize(value + 1, 0);
-        }
-        self.counts[value] += n;
-        self.total += n;
-        self.sum += value as u64 * n;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.total as usize
-    }
-
-    /// Arithmetic mean of the samples (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// The maximum sample (0 if empty).
-    pub fn max(&self) -> usize {
-        self.counts.iter().rposition(|&c| c > 0).unwrap_or(0)
-    }
-
-    /// The `p`-th percentile (0.0–1.0) of the samples, 0 if empty.
-    ///
-    /// Defined as element `round((count - 1) * p)` of the sorted sample
-    /// list, read off the histogram's cumulative counts.
-    pub fn percentile(&self, p: f64) -> usize {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((self.total - 1) as f64 * p.clamp(0.0, 1.0)).round() as u64;
-        let mut seen = 0u64;
-        for (value, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen > rank {
-                return value;
-            }
-        }
-        self.max()
-    }
-
-    /// The percentiles reported by Figure 7: 10 / 25 / 50 / 75 / 90.
-    pub fn figure7_percentiles(&self) -> [usize; 5] {
-        [
-            self.percentile(0.10),
-            self.percentile(0.25),
-            self.percentile(0.50),
-            self.percentile(0.75),
-            self.percentile(0.90),
-        ]
-    }
-}
-
 /// Counters for the pseudo-ROB retirement breakdown (Figure 12).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetireBreakdown {
@@ -172,14 +80,12 @@ pub struct SimStats {
     pub sliq_moved: u64,
     /// Peak SLIQ occupancy.
     pub sliq_high_water: usize,
-    /// Per-cycle number of in-flight (dispatched, not committed) instructions.
-    pub inflight: Distribution,
-    /// Per-cycle number of live (dispatched, not yet issued) instructions.
-    pub live: Distribution,
-    /// Per-cycle live instructions blocked on long-latency loads.
-    pub live_long: Distribution,
-    /// Per-cycle live instructions waiting on short-latency work.
-    pub live_short: Distribution,
+    /// In-flight (dispatched, not committed) instructions summed over every
+    /// cycle; [`avg_inflight`](Self::avg_inflight) divides it by `cycles`.
+    /// The full distributions are the `koc_obs::WindowStats` observer's.
+    pub inflight_sum: u64,
+    /// The most instructions in flight at the end of any cycle.
+    pub peak_inflight: usize,
     /// Pseudo-ROB retirement breakdown (Figure 12).
     pub retire_breakdown: RetireBreakdown,
     /// Branch-prediction statistics.
@@ -230,56 +136,17 @@ impl SimStats {
 
     /// Average number of in-flight instructions (Figure 11).
     pub fn avg_inflight(&self) -> f64 {
-        self.inflight.mean()
+        if self.cycles == 0 {
+            0.0
+        } else {
+            self.inflight_sum as f64 / self.cycles as f64
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn distribution_mean_and_percentiles() {
-        let mut d = Distribution::new();
-        for v in 1..=100 {
-            d.record(v);
-        }
-        assert_eq!(d.count(), 100);
-        assert!((d.mean() - 50.5).abs() < 1e-9);
-        assert_eq!(d.percentile(0.0), 1);
-        assert_eq!(d.percentile(1.0), 100);
-        assert_eq!(d.percentile(0.5), 51);
-        assert_eq!(d.max(), 100);
-        let p = d.figure7_percentiles();
-        assert!(p[0] < p[2] && p[2] < p[4]);
-    }
-
-    #[test]
-    fn empty_distribution_is_zero() {
-        let d = Distribution::new();
-        assert_eq!(d.mean(), 0.0);
-        assert_eq!(d.percentile(0.5), 0);
-        assert_eq!(d.max(), 0);
-    }
-
-    #[test]
-    fn record_n_equals_repeated_record() {
-        let mut bulk = Distribution::new();
-        let mut single = Distribution::new();
-        bulk.record_n(7, 120);
-        bulk.record_n(3, 5);
-        for _ in 0..120 {
-            single.record(7);
-        }
-        for _ in 0..5 {
-            single.record(3);
-        }
-        assert_eq!(bulk, single);
-        assert_eq!(bulk.count(), 125);
-        assert_eq!(bulk.max(), 7);
-        assert_eq!(bulk.percentile(0.0), 3);
-        assert_eq!(bulk.percentile(1.0), 7);
-    }
 
     #[test]
     fn stats_serialize_to_json_via_the_derive() {
@@ -317,5 +184,16 @@ mod tests {
         };
         assert!((stats.ipc() - 2.5).abs() < 1e-12);
         assert_eq!(SimStats::default().ipc(), 0.0);
+    }
+
+    #[test]
+    fn avg_inflight_divides_the_sum_by_cycles() {
+        let stats = SimStats {
+            cycles: 200,
+            inflight_sum: 700,
+            ..Default::default()
+        };
+        assert!((stats.avg_inflight() - 3.5).abs() < 1e-12);
+        assert_eq!(SimStats::default().avg_inflight(), 0.0);
     }
 }

@@ -1,8 +1,10 @@
 //! Smoke tests for the statistics the experiment harness relies on: the
 //! figure-specific outputs exist and behave sensibly on small runs.
 
+use koc_bench::experiments::{fig07_live, fig11_inflight};
 use koc_core::RetireClass;
-use koc_sim::{Processor, ProcessorConfig, RegisterModel, SimStats};
+use koc_obs::BREAKDOWN_INTERVAL;
+use koc_sim::{Processor, ProcessorConfig, RegisterModel, SimStats, WindowStats};
 use koc_workloads::{kernels, Workload};
 
 fn run_trace(config: ProcessorConfig, trace: &koc_isa::Trace) -> SimStats {
@@ -16,16 +18,40 @@ fn workload() -> Workload {
 #[test]
 fn figure7_distributions_are_recorded() {
     let w = workload();
-    let stats = run_trace(ProcessorConfig::baseline(2048, 500), &w.trace);
-    let p = stats.inflight.figure7_percentiles();
+    let config = ProcessorConfig::baseline(2048, 500);
+    let (stats, window) =
+        Processor::with_observer(config, &w.trace, WindowStats::new()).run_observed();
+    assert_eq!(
+        stats,
+        run_trace(config, &w.trace),
+        "observing must not perturb"
+    );
+    let p = window.inflight.figure7_percentiles();
     assert!(p[0] <= p[1] && p[1] <= p[2] && p[2] <= p[3] && p[3] <= p[4]);
     assert!(
-        stats.live.mean() <= stats.inflight.mean(),
+        window.live.mean() <= window.inflight.mean(),
         "live instructions are a subset of in-flight"
     );
-    assert!(
-        stats.live_long.count() > 0,
-        "the long/short breakdown is sampled"
+    assert_eq!(
+        window.live_long.count() as u64,
+        stats.cycles / BREAKDOWN_INTERVAL,
+        "the long/short breakdown is sampled once per interval"
+    );
+    assert_eq!(window.live_short.count(), window.live_long.count());
+}
+
+/// The Figure 7 and Figure 11 reports at a short trace length, pinned byte
+/// for byte so that a change in how the window statistics are gathered
+/// cannot silently alter either figure.
+#[test]
+fn figure7_and_figure11_reports_match_their_golden_text() {
+    assert_eq!(
+        fig07_live::run(2_000).render(),
+        include_str!("golden/fig07_len2000.txt")
+    );
+    assert_eq!(
+        fig11_inflight::run(2_000).render(),
+        include_str!("golden/fig11_len2000.txt")
     );
 }
 

@@ -19,6 +19,7 @@ use koc_isa::json::{parse_json, Json};
 use koc_isa::{ArchReg, TraceBuilder};
 use koc_obs::{
     timeline_json, CycleAccounting, CycleBuckets, IntervalRecord, PipelineTracer, TimelineRecorder,
+    WindowStats, BREAKDOWN_INTERVAL,
 };
 use koc_sim::{Processor, ProcessorConfig};
 use proptest::prelude::*;
@@ -78,6 +79,16 @@ fn observers_are_zero_perturbation_across_the_quick_suite() {
                 "{}/{engine}: streamed observed run must match",
                 spec.name()
             );
+            // Window statistics turn on the live breakdown walk.
+            let (windowed, window) =
+                Processor::with_observer(config, &w.trace, WindowStats::new()).run_observed();
+            assert_eq!(
+                windowed,
+                plain,
+                "{}/{engine}: the live breakdown must not perturb the run",
+                spec.name()
+            );
+            assert_eq!(window.inflight.count() as u64, plain.cycles);
         }
     }
 }
@@ -93,12 +104,15 @@ fn fast_forward_replays_observer_streams_exactly() {
         let run = |config: ProcessorConfig| {
             let obs = (
                 PipelineTracer::new(),
-                (TimelineRecorder::new(128), CycleAccounting::new()),
+                (
+                    TimelineRecorder::new(128),
+                    (CycleAccounting::new(), WindowStats::new()),
+                ),
             );
             Processor::with_observer(config, &w.trace, obs).run_observed()
         };
-        let (fast_stats, (fast_trace, (fast_timeline, fast_acct))) = run(config);
-        let (slow_stats, (slow_trace, (slow_timeline, slow_acct))) =
+        let (fast_stats, (fast_trace, (fast_timeline, (fast_acct, fast_window)))) = run(config);
+        let (slow_stats, (slow_trace, (slow_timeline, (slow_acct, slow_window)))) =
             run(config.with_fast_forward(false));
         assert_eq!(fast_stats, slow_stats, "{engine}: stats must match");
         assert_eq!(
@@ -117,6 +131,26 @@ fn fast_forward_replays_observer_streams_exactly() {
             "{engine}: bucket counts must replay exactly across gaps"
         );
         assert_eq!(fast_acct.buckets().total(), fast_stats.cycles);
+        for (name, fast, slow) in [
+            ("inflight", &fast_window.inflight, &slow_window.inflight),
+            ("live", &fast_window.live, &slow_window.live),
+            ("live_long", &fast_window.live_long, &slow_window.live_long),
+            (
+                "live_short",
+                &fast_window.live_short,
+                &slow_window.live_short,
+            ),
+        ] {
+            assert_eq!(
+                fast, slow,
+                "{engine}: the {name} histogram must replay exactly across gaps"
+            );
+        }
+        assert_eq!(
+            fast_window.live_long.count() as u64,
+            fast_stats.cycles / BREAKDOWN_INTERVAL,
+            "{engine}: one breakdown sample per interval, skipped or stepped"
+        );
     }
 }
 

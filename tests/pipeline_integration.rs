@@ -2,7 +2,7 @@
 //! every generated workload runs to completion on both commit engines and the
 //! basic accounting invariants hold.
 
-use koc_sim::{Processor, ProcessorConfig, SimStats, Suite};
+use koc_sim::{Processor, ProcessorConfig, SimStats, Suite, WindowStats};
 use koc_workloads::{kernels, Workload};
 
 const TRACE_LEN: usize = 4_000;
@@ -11,7 +11,16 @@ fn run(config: ProcessorConfig, trace: &koc_isa::Trace) -> SimStats {
     Processor::new(config, trace).run()
 }
 
-fn assert_run_invariants(stats: &SimStats, trace_len: usize, name: &str) {
+/// Runs `config` over `w` with a [`WindowStats`] attached and checks the
+/// accounting invariants; returns the statistics.
+fn run_checked(config: ProcessorConfig, w: &Workload) -> SimStats {
+    let (stats, window) =
+        Processor::with_observer(config, &w.trace, WindowStats::new()).run_observed();
+    assert_run_invariants(&stats, &window, w.trace.len(), &w.name);
+    stats
+}
+
+fn assert_run_invariants(stats: &SimStats, window: &WindowStats, trace_len: usize, name: &str) {
     assert_eq!(
         stats.committed_instructions as usize, trace_len,
         "{name}: every trace instruction must commit exactly once"
@@ -27,25 +36,28 @@ fn assert_run_invariants(stats: &SimStats, trace_len: usize, name: &str) {
         stats.ipc()
     );
     assert_eq!(
-        stats.inflight.count() as u64,
+        window.inflight.count() as u64,
         stats.cycles,
         "{name}: one in-flight sample per cycle"
+    );
+    assert_eq!(
+        (window.inflight.mean(), window.inflight.max()),
+        (stats.avg_inflight(), stats.peak_inflight),
+        "{name}: the in-flight counters agree with the per-cycle samples"
     );
 }
 
 #[test]
 fn every_suite_workload_completes_on_the_baseline() {
     for w in Suite::paper().generate(TRACE_LEN) {
-        let stats = run(ProcessorConfig::baseline(128, 500), &w.trace);
-        assert_run_invariants(&stats, w.trace.len(), &w.name);
+        run_checked(ProcessorConfig::baseline(128, 500), &w);
     }
 }
 
 #[test]
 fn every_suite_workload_completes_on_the_checkpointed_machine() {
     for w in Suite::paper().generate(TRACE_LEN) {
-        let stats = run(ProcessorConfig::cooo(64, 1024, 500), &w.trace);
-        assert_run_invariants(&stats, w.trace.len(), &w.name);
+        let stats = run_checked(ProcessorConfig::cooo(64, 1024, 500), &w);
         assert_eq!(
             stats.checkpoints_taken,
             stats.checkpoints_committed + stats.checkpoints_squashed,
