@@ -1,28 +1,24 @@
-//! Command-line driver for the performance harness.
+//! Command-line driver for the cycle-fingerprint harness and the
+//! observability subcommands.
 //!
 //! ```text
-//! koc-bench harness --quick                   # run, write BENCH_<n>.json
-//! koc-bench harness --quick --out fresh.json  # explicit output path
-//! koc-bench harness --full
+//! koc-bench harness --quick --out fresh.json  # run, write the JSON report
+//! koc-bench harness --full --out full.json
 //! koc-bench harness --list                    # canonical workload names
-//! koc-bench harness --only gather             # one workload only
-//! koc-bench harness --engine cooo             # one commit engine only
-//! koc-bench harness --source streamed         # lazy O(window) ingestion
+//! koc-bench harness --source streamed --out s.json  # lazy O(window) ingestion
+//! koc-bench stats --workload gather --engine cooo   # every SimStats counter
 //! koc-bench trace --workload gather --format kanata   # pipeline event trace
 //! koc-bench timeline --workload gather --interval 256  # interval time-series
 //! koc-bench compare --baseline bench/baseline.json --current fresh.json
-//! koc-bench compare ... --max-slowdown 0.5    # also gate wall-clock speed
-//! koc-bench compare ... --cycle-tolerance 0.001
-//! koc-bench compare ... --min-mcps cooo:1.0   # host-throughput floor
 //! ```
 //!
 //! `harness` prints the human-readable table and writes the JSON report;
-//! `compare` exits non-zero on any threshold violation (CI's regression
-//! gate: cycle drift is an accuracy bug, wall-clock drift a perf one).
-//! Streamed and materialized harness runs must agree cycle for cycle, so
-//! CI cross-compares one against the other.
+//! `compare` exits non-zero on any cycle or retired-count drift (CI's
+//! cycle gate). Streamed and materialized harness runs must agree cycle
+//! for cycle, so CI cross-compares one against the other. Host speed is
+//! measured by `perfbench/`, not here.
 
-use koc_bench::harness::{self, CompareThresholds, HarnessOptions};
+use koc_bench::harness;
 use koc_isa::json::{parse_json, Json};
 use koc_obs::{timeline_json, CycleAccounting, PipelineTracer, TimelineRecorder};
 use koc_sim::{Processor, SourceMode};
@@ -31,8 +27,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn print_usage() {
-    eprintln!("usage: koc-bench harness [--quick|--full] [--out PATH] [--list]");
-    eprintln!("                         [--only WORKLOAD] [--engine baseline|cooo]");
+    eprintln!("usage: koc-bench harness [--quick|--full] --out PATH [--list]");
     eprintln!("                         [--source streamed|materialized]");
     eprintln!("       koc-bench stats [--workload NAME] [--engine baseline|cooo] [--full]");
     eprintln!("       koc-bench trace [--workload NAME] [--engine baseline|cooo] [--len N]");
@@ -40,8 +35,6 @@ fn print_usage() {
     eprintln!("       koc-bench timeline [--workload NAME] [--engine baseline|cooo] [--len N]");
     eprintln!("                          [--interval N] [--out PATH]");
     eprintln!("       koc-bench compare --baseline PATH --current PATH");
-    eprintln!("                         [--cycle-tolerance F] [--max-slowdown F]");
-    eprintln!("                         [--min-mcps ENGINE:F]...");
 }
 
 fn main() -> ExitCode {
@@ -64,20 +57,18 @@ fn main() -> ExitCode {
 }
 
 fn run_harness(args: &[String]) -> ExitCode {
-    let mut options = HarnessOptions {
-        quick: true,
-        ..HarnessOptions::default()
-    };
+    let mut quick = true;
+    let mut source = SourceMode::Materialized;
     let mut out: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => {
-                options.quick = true;
+                quick = true;
                 i += 1;
             }
             "--full" => {
-                options.quick = false;
+                quick = false;
                 i += 1;
             }
             "--list" => {
@@ -86,24 +77,8 @@ fn run_harness(args: &[String]) -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--only" => {
-                let Some(name) = args.get(i + 1) else {
-                    eprintln!("--only requires a workload name (see --list)");
-                    return ExitCode::FAILURE;
-                };
-                options.only = Some(name.clone());
-                i += 2;
-            }
-            "--engine" => {
-                let Some(name) = args.get(i + 1) else {
-                    eprintln!("--engine requires 'baseline' or 'cooo'");
-                    return ExitCode::FAILURE;
-                };
-                options.engine = Some(name.clone());
-                i += 2;
-            }
             "--source" => {
-                options.source = match args.get(i + 1).map(String::as_str) {
+                source = match args.get(i + 1).map(String::as_str) {
                     Some("streamed") => SourceMode::Streamed,
                     Some("materialized") => SourceMode::Materialized,
                     other => {
@@ -128,15 +103,12 @@ fn run_harness(args: &[String]) -> ExitCode {
             }
         }
     }
-    let report = match harness::run_with(&options) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("harness: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(path) = out else {
+        eprintln!("harness requires --out PATH");
+        return ExitCode::FAILURE;
     };
+    let report = harness::run(quick, source);
     println!("{}", report.to_table());
-    let path = out.unwrap_or_else(|| harness::next_bench_path(std::path::Path::new(".")));
     if let Err(e) = std::fs::write(&path, report.to_json()) {
         eprintln!("failed to write {}: {e}", path.display());
         return ExitCode::FAILURE;
@@ -191,63 +163,22 @@ fn run_stats(args: &[String]) -> ExitCode {
     } else {
         harness::FULL_TRACE_LEN
     };
-    let mut specs = harness::specs(trace_len);
-    if let Some(only) = &workload {
-        specs.retain(|s| s.name() == only);
-    }
-    let Some(spec) = specs.first() else {
-        eprintln!(
-            "unknown workload {:?} (available: {})",
-            workload,
-            harness::workload_names().join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
-    let Some((engine, config)) = harness::engines()
-        .into_iter()
-        .find(|(n, _)| *n == engine_name)
-    else {
-        eprintln!("unknown engine '{engine_name}' (available: baseline, cooo)");
-        return ExitCode::FAILURE;
+    let (spec, config) = match harness::resolve(workload.as_deref(), &engine_name, trace_len) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
     let w = spec.materialize();
     let (stats, window) =
         koc_sim::Processor::with_observer(config, &w.trace, koc_sim::WindowStats::new())
             .run_observed();
-    let title = format!("Run statistics — {} / {engine}", spec.name());
+    let title = format!("Run statistics — {} / {engine_name}", spec.name());
     println!("{}", koc_bench::report::stats_table(title, &stats));
-    let title = format!("Window distributions — {} / {engine}", spec.name());
+    let title = format!("Window distributions — {} / {engine_name}", spec.name());
     println!("{}", koc_bench::report::window_table(title, &window));
     ExitCode::SUCCESS
-}
-
-/// Resolves a `(workload, engine)` selection shared by the observability
-/// subcommands. Errors are printed; `None` means exit with failure.
-fn resolve_run(
-    workload: &Option<String>,
-    engine_name: &str,
-    trace_len: usize,
-) -> Option<(koc_workloads::WorkloadSpec, koc_sim::ProcessorConfig)> {
-    let mut specs = harness::specs(trace_len);
-    if let Some(only) = workload {
-        specs.retain(|s| s.name() == only);
-    }
-    let Some(spec) = specs.into_iter().next() else {
-        eprintln!(
-            "unknown workload {:?} (available: {})",
-            workload,
-            harness::workload_names().join(", ")
-        );
-        return None;
-    };
-    let Some((_, config)) = harness::engines()
-        .into_iter()
-        .find(|(n, _)| *n == engine_name)
-    else {
-        eprintln!("unknown engine '{engine_name}' (available: baseline, cooo)");
-        return None;
-    };
-    Some((spec, config))
 }
 
 /// Writes `text` to `out` if given, otherwise prints it.
@@ -327,8 +258,12 @@ fn run_trace(args: &[String]) -> ExitCode {
             }
         }
     }
-    let Some((spec, config)) = resolve_run(&workload, &engine_name, trace_len) else {
-        return ExitCode::FAILURE;
+    let (spec, config) = match harness::resolve(workload.as_deref(), &engine_name, trace_len) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
     let w = spec.materialize();
     let (stats, tracer) =
@@ -414,8 +349,12 @@ fn run_timeline(args: &[String]) -> ExitCode {
             }
         }
     }
-    let Some((spec, config)) = resolve_run(&workload, &engine_name, trace_len) else {
-        return ExitCode::FAILURE;
+    let (spec, config) = match harness::resolve(workload.as_deref(), &engine_name, trace_len) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
     let w = spec.materialize();
     let obs = (TimelineRecorder::new(interval), CycleAccounting::new());
@@ -473,7 +412,6 @@ fn run_timeline(args: &[String]) -> ExitCode {
 fn run_compare(args: &[String]) -> ExitCode {
     let mut baseline: Option<PathBuf> = None;
     let mut current: Option<PathBuf> = None;
-    let mut thresholds = CompareThresholds::default();
     let mut i = 0;
     while i < args.len() {
         let take_value = |i: usize| -> Option<&String> { args.get(i + 1) };
@@ -494,34 +432,6 @@ fn run_compare(args: &[String]) -> ExitCode {
                 current = Some(PathBuf::from(v));
                 i += 2;
             }
-            "--cycle-tolerance" => {
-                let Some(v) = take_value(i).and_then(|v| v.parse().ok()) else {
-                    eprintln!("--cycle-tolerance requires a number");
-                    return ExitCode::FAILURE;
-                };
-                thresholds.cycle_tolerance = v;
-                i += 2;
-            }
-            "--max-slowdown" => {
-                let Some(v) = take_value(i).and_then(|v| v.parse().ok()) else {
-                    eprintln!("--max-slowdown requires a number");
-                    return ExitCode::FAILURE;
-                };
-                thresholds.max_slowdown = Some(v);
-                i += 2;
-            }
-            "--min-mcps" => {
-                let parsed = take_value(i).and_then(|v| {
-                    let (engine, floor) = v.split_once(':')?;
-                    Some((engine.to_string(), floor.parse::<f64>().ok()?))
-                });
-                let Some((engine, floor)) = parsed else {
-                    eprintln!("--min-mcps requires ENGINE:FLOOR (e.g. cooo:1.0)");
-                    return ExitCode::FAILURE;
-                };
-                thresholds.min_mcps.push((engine, floor));
-                i += 2;
-            }
             other => {
                 eprintln!("unknown compare option '{other}'");
                 print_usage();
@@ -535,22 +445,22 @@ fn run_compare(args: &[String]) -> ExitCode {
     };
     // compare_files owns the whole missing/truncated/corrupt-file surface:
     // every structural problem exits non-zero with the file path and the
-    // reason, and threshold verdicts are only ever computed from two
+    // reason, and drift verdicts are only ever computed from two
     // well-formed reports.
-    match harness::compare_files(&baseline, &current, &thresholds) {
+    match harness::compare_files(&baseline, &current) {
         Ok(outcome) => {
             for note in &outcome.notes {
                 println!("note: {note}");
             }
             if outcome.passed() {
-                println!("compare: OK ({} entries checked)", outcome.notes.len());
+                println!("compare: OK ({} entries checked)", outcome.checked);
                 ExitCode::SUCCESS
             } else {
                 for failure in &outcome.failures {
                     eprintln!("FAIL: {failure}");
                 }
                 eprintln!(
-                    "compare: {} regression(s) vs {}",
+                    "compare: {} failure(s) vs {}",
                     outcome.failures.len(),
                     baseline.display()
                 );

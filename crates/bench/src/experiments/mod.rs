@@ -1,8 +1,8 @@
 //! One module per table/figure of the paper's evaluation section.
 //!
 //! Every module exposes `run(trace_len) -> Report`; the report's rows mirror
-//! the bars/lines of the corresponding figure. The `EXPERIMENTS.md` file at
-//! the repository root records a paper-vs-measured comparison for each.
+//! the bars/lines of the corresponding figure. README "Experiments vs paper
+//! figures" maps each experiment to its figure and what it reproduces.
 
 pub mod ablation;
 pub mod fig01_inflight;

@@ -6,18 +6,16 @@
 //!
 //! * `koc-experiments <experiment> [--len N]` — the command-line driver
 //!   (`all`, `table1`, `fig1`, `fig7`, `fig9`, `fig10`, `fig11`, `fig12`,
-//!   `fig13`, `fig14`).
-//! * `koc-bench harness [--quick|--full]` — the machine-readable
-//!   performance harness (the [`harness`] module): runs the canonical
-//!   suite under both commit engines and writes `BENCH_<n>.json`;
-//!   `koc-bench compare` diffs two reports with separate cycle-accuracy
-//!   and wall-clock thresholds (CI's `bench-regression` gate).
-//! * `cargo bench` — Criterion benchmarks, one per figure, that time a
-//!   reduced version of each sweep (and print its rows once).
+//!   `fig13`, `fig14`, `ablation`, `mlp_sensitivity`).
+//! * `koc-bench harness [--quick|--full] --out PATH` — the cycle-fingerprint
+//!   harness (the [`harness`] module): runs the canonical suite under both
+//!   commit engines and writes the deterministic counts as JSON;
+//!   `koc-bench compare` diffs two reports at zero tolerance (CI's
+//!   `cycle-regression` gate against `bench/baseline.json`).
 //!
-//! `EXPERIMENTS.md` at the repository root records paper-vs-measured numbers
-//! produced by this harness; `bench/baseline.json` is the committed
-//! regression baseline.
+//! README "Experiments vs paper figures" maps each experiment to its paper
+//! figure. Host speed is not measured here: `perfbench/` times the
+//! simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,12 +24,8 @@ pub mod experiments;
 pub mod harness;
 pub mod report;
 
-pub use harness::{BenchEntry, BenchReport, CompareOutcome, CompareThresholds};
+pub use harness::{BenchEntry, BenchReport, CompareOutcome};
 pub use report::Report;
 
 /// Default dynamic trace length per workload used by the command-line driver.
 pub const DEFAULT_TRACE_LEN: usize = 20_000;
-
-/// Reduced trace length used by the Criterion benchmarks so a full
-/// `cargo bench` finishes in minutes.
-pub const BENCH_TRACE_LEN: usize = 3_000;

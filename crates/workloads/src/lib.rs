@@ -19,7 +19,7 @@
 //!   meaningful.
 //!
 //! The five kernels and the [`suite`] module are the "SPEC2000fp-like suite"
-//! referred to throughout `DESIGN.md` and `EXPERIMENTS.md`.
+//! every experiment runs on (README "Experiments vs paper figures").
 //!
 //! ```
 //! use koc_workloads::{KernelConfig, suite::spec2000fp_like_suite};
