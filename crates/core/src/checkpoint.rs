@@ -132,7 +132,8 @@ pub struct CheckpointTable {
 }
 
 impl CheckpointTable {
-    /// Creates an empty checkpoint table with room for `capacity` checkpoints.
+    /// Creates an empty checkpoint table with room for `capacity`
+    /// checkpoints (reserved up front).
     ///
     /// # Panics
     /// Panics if `capacity` is zero — the mechanism requires at least one
@@ -141,7 +142,7 @@ impl CheckpointTable {
         assert!(capacity > 0, "checkpoint table needs at least one entry");
         CheckpointTable {
             capacity,
-            entries: VecDeque::new(),
+            entries: VecDeque::with_capacity(capacity),
             next_id: 0,
         }
     }
@@ -214,11 +215,18 @@ impl CheckpointTable {
         self.entries.front()
     }
 
-    /// Position of checkpoint `id` in the (id-sorted) table. Ids are
-    /// allocated monotonically and only suffixes are ever truncated, so the
-    /// deque stays sorted and the lookup is a binary search — it runs on
-    /// every instruction completion, so it must not scan.
+    /// Position of checkpoint `id` in the (id-sorted) table. It runs on
+    /// every instruction completion, so it must not scan. Ids are allocated
+    /// consecutively, so checkpoint `id` normally sits at `id - oldest.id`.
+    /// Dropping the youngest checkpoints on a squash leaves a gap in the
+    /// ids (they are never reused), which shifts every later checkpoint to
+    /// a lower position; only suffixes are ever truncated, so the deque
+    /// stays sorted and a binary search finds those.
     fn position_of(&self, id: CheckpointId) -> Option<usize> {
+        let guess = usize::try_from(id.checked_sub(self.entries.front()?.id)?).ok()?;
+        if self.entries.get(guess).is_some_and(|c| c.id == id) {
+            return Some(guess);
+        }
         let i = self.entries.partition_point(|c| c.id < id);
         (i < self.entries.len() && self.entries[i].id == id).then_some(i)
     }
@@ -383,7 +391,6 @@ mod tests {
     fn snap() -> RenameCheckpoint {
         RenameCheckpoint {
             valid: vec![false; 8],
-            future_free: vec![false; 8],
             free_list: vec![true; 8],
         }
     }
@@ -565,6 +572,35 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_table_panics() {
         let _ = CheckpointTable::new(0);
+    }
+
+    #[test]
+    fn lookups_find_checkpoints_across_an_id_gap() {
+        let mut t = CheckpointTable::new(8);
+        let ids: Vec<_> = (0..4)
+            .map(|i| t.take(i * 10, snap(), vec![]).unwrap())
+            .collect();
+        // Dropping the two youngest leaves ids 0 and 1; the next takes get
+        // ids 4 and 5 at positions 2 and 3, below `id - oldest.id`.
+        assert_eq!(t.drop_taken_at_or_after(20), 2);
+        let after: Vec<_> = (0..2)
+            .map(|i| t.take(100 + i, snap(), vec![]).unwrap())
+            .collect();
+        assert_eq!(after, vec![4, 5]);
+        for (id, trace_index) in [(ids[0], 0), (ids[1], 10), (4, 100), (5, 101)] {
+            assert_eq!(t.get(id).map(|c| c.trace_index), Some(trace_index));
+        }
+        for gone in [ids[2], ids[3], 6, 99] {
+            assert!(t.get(gone).is_none(), "checkpoint {gone} is not live");
+        }
+        // Once the pre-gap checkpoints commit, direct indexing works again.
+        t.commit_oldest();
+        t.commit_oldest();
+        assert_eq!(t.oldest().map(|c| c.id), Some(4));
+        assert_eq!(t.get(5).map(|c| c.trace_index), Some(101));
+        t.on_dispatch(false);
+        t.on_complete(5);
+        assert_eq!(t.get(5).map(|c| c.pending), Some(0));
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! A small open-addressed map from dense integer keys to values, tuned for
 //! the simulator's hot paths.
 //!
-//! The per-cycle structures key their records by stream position or request
-//! token — monotonically increasing integers from a window-sized band. A
-//! `std` `HashMap` pays SipHash on every touch and a `BTreeMap` pays a
-//! pointer walk plus node churn; this map is a flat power-of-two table with
+//! Its users are sparse, id-keyed side tables: the pipeline's loads waiting
+//! on the timed memory backend (`mem_waiters`, keyed by request token) and
+//! exceptions already delivered (`handled_exceptions`, keyed by stream
+//! position), the hierarchy's prefetch-filled lines (`prefetched_lines`)
+//! and the stride prefetcher's in-flight requests. Their keys are mostly
+//! monotonically increasing integers from a window-sized band. A `std`
+//! `HashMap` pays SipHash on every touch and a `BTreeMap` pays a pointer
+//! walk plus node churn; this map is a flat power-of-two table with
 //! fibonacci hashing, linear probing and backward-shift deletion, so the
 //! steady state is one multiply and (almost always) one probe per
-//! operation, with zero allocation after warm-up.
+//! operation, with zero allocation after warm-up. Structures that can hand
+//! out a handle instead (the instruction queues' slot handles) index
+//! directly and need no map.
 
 /// An open-addressed `usize → V` map with linear probing.
 ///

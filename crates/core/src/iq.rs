@@ -9,20 +9,25 @@
 //!
 //! # Host cost
 //!
-//! Wake-up and select run every cycle, so the simulator-side structures are
-//! flat: entries live in an open-addressed [`FlatMap`] keyed by trace
-//! position (one multiply and usually one probe per touch — no tree walk,
-//! no node churn); the waiter table is a flat array keyed by [`PhysReg`]
-//! index whose per-register chains thread through a pooled node slab (a
-//! broadcast is one array load plus a walk of the actual waiters — no
-//! hashing, no `Vec` churn); and the ready set is partitioned by
-//! functional-unit class into lazy min-heaps, so selection is O(picked)
-//! regardless of how many ready instructions are starved of their unit
-//! (with two memory ports and a hundred ready loads, an age-ordered scan
-//! would revisit almost all of them every cycle).
+//! Wake-up and select run every cycle, so nothing on their path hashes or
+//! grows. Entries live in a dense slab addressed by the `u32` [`IqSlot`]
+//! handle that [`insert`](InstructionQueue::insert) returns; vacated slots
+//! go on a free list, so the slab never outgrows the peak occupancy (the
+//! configured size plus the SLIQ's bounded wake-up overshoot), and the slab,
+//! ready heaps and waiter pool are reserved at that size at construction.
+//! Every occupant carries a unique incarnation token, and waiter and
+//! ready-heap records name `(slot, token)`: checking one is a direct index
+//! plus a compare, and a record left behind by a stolen, squashed or issued
+//! entry goes stale the moment its slot is vacated. The waiter table is a
+//! flat array keyed by [`PhysReg`] index whose per-register chains thread
+//! through a pooled node slab (a broadcast is one array load plus a walk of
+//! the actual waiters), and the ready set is partitioned by functional-unit
+//! class into lazy min-heaps, so selection is O(picked) regardless of how
+//! many ready instructions are starved of their unit (with two memory ports
+//! and a hundred ready loads, an age-ordered scan would revisit almost all
+//! of them every cycle).
 
 use crate::checkpoint::CheckpointId;
-use crate::flatmap::FlatMap;
 use koc_isa::{FuClass, InstId, PhysReg, RegList};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -43,22 +48,37 @@ pub struct IqEntry {
     pub ckpt: CheckpointId,
 }
 
+/// Handle of the slab slot an entry occupies, returned by
+/// [`InstructionQueue::insert`] and passed back to
+/// [`InstructionQueue::remove`]. Valid until the entry leaves the queue;
+/// the slot is then recycled for a later entry.
+pub type IqSlot = u32;
+
+/// Token of a vacant slot (live tokens count up from 0 and never reach it).
+const VACANT: u64 = u64::MAX;
+
 #[derive(Debug, Clone)]
 struct Slot {
     entry: IqEntry,
+    /// Incarnation of the occupant, unique over the queue's lifetime;
+    /// [`VACANT`] while the slot is on the free list.
     token: u64,
     outstanding: usize,
 }
 
+/// A ready-heap record: oldest instruction first, then the `(token, slot)`
+/// that tells a live record from a stale one.
+type ReadyRec = Reverse<(InstId, u64, IqSlot)>;
+
 /// Sentinel index for "no node" in the waiter pool.
 const NIL: u32 = u32::MAX;
 
-/// One pooled waiter record: instruction `inst` (incarnation `token`) waits
-/// on the register whose chain this node is linked into. Freed nodes are
-/// chained through `next` onto the free list.
+/// One pooled waiter record: the occupant of `slot` (incarnation `token`)
+/// waits on the register whose chain this node is linked into. Freed nodes
+/// are chained through `next` onto the free list.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct WaiterNode {
-    inst: InstId,
+    slot: IqSlot,
     token: u64,
     next: u32,
 }
@@ -85,12 +105,17 @@ impl std::error::Error for IqFull {}
 #[derive(Debug, Clone)]
 pub struct InstructionQueue {
     capacity: usize,
-    slots: FlatMap<Slot>,
-    /// Per-class min-heaps of `(inst, token)` that became ready. Entries
-    /// whose slot has since been stolen, squashed or issued are *stale*;
-    /// they are discarded lazily when they surface at the top, so arbitrary
-    /// removal never restructures a heap.
-    ready: [BinaryHeap<Reverse<(InstId, u64)>>; FuClass::COUNT],
+    /// The entry slab, indexed by [`IqSlot`].
+    slots: Vec<Slot>,
+    /// Vacant slots, reused before the slab grows.
+    free: Vec<IqSlot>,
+    /// Occupied slots.
+    len: usize,
+    /// Per-class min-heaps of entries that became ready. Records whose slot
+    /// has since been vacated are *stale*; they are discarded lazily when
+    /// they surface at the top, so arbitrary removal never restructures a
+    /// heap.
+    ready: [BinaryHeap<ReadyRec>; FuClass::COUNT],
     /// Number of live ready entries across all classes.
     ready_total: usize,
     /// Head of each physical register's waiter chain, keyed by
@@ -103,23 +128,9 @@ pub struct InstructionQueue {
     next_token: u64,
 }
 
-impl Default for InstructionQueue {
-    fn default() -> Self {
-        InstructionQueue {
-            capacity: 0,
-            slots: FlatMap::default(),
-            ready: std::array::from_fn(|_| BinaryHeap::new()),
-            ready_total: 0,
-            waiter_heads: Vec::new(),
-            waiter_nodes: Vec::new(),
-            waiter_free: NIL,
-            next_token: 0,
-        }
-    }
-}
-
 impl InstructionQueue {
-    /// Creates an instruction queue with the given number of entries.
+    /// Creates an instruction queue with the given number of entries, with
+    /// its slab, ready heaps and waiter pool reserved at that size.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
@@ -127,7 +138,15 @@ impl InstructionQueue {
         assert!(capacity > 0, "instruction queue capacity must be non-zero");
         InstructionQueue {
             capacity,
-            ..Default::default()
+            slots: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
+            len: 0,
+            ready: std::array::from_fn(|_| BinaryHeap::with_capacity(capacity)),
+            ready_total: 0,
+            waiter_heads: Vec::new(),
+            waiter_nodes: Vec::with_capacity(capacity),
+            waiter_free: NIL,
+            next_token: 0,
         }
     }
 
@@ -138,17 +157,17 @@ impl InstructionQueue {
 
     /// Current occupancy.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// Whether the queue holds no instructions.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
     /// Whether another instruction can be inserted.
     pub fn has_space(&self) -> bool {
-        self.slots.len() < self.capacity
+        self.len < self.capacity
     }
 
     /// Number of entries currently ready to issue.
@@ -156,43 +175,58 @@ impl InstructionQueue {
         self.ready_total
     }
 
+    /// Whether `slot` still holds incarnation `token`.
+    fn is_live(&self, slot: IqSlot, token: u64) -> bool {
+        self.slots[slot as usize].token == token
+    }
+
+    /// Vacates `slot` onto the free list and returns its entry.
+    fn vacate(&mut self, slot: IqSlot) -> IqEntry {
+        let s = &mut self.slots[slot as usize];
+        s.token = VACANT;
+        if s.outstanding == 0 {
+            // Its heap record goes stale; account the live ready count now.
+            self.ready_total -= 1;
+        }
+        let entry = s.entry;
+        self.free.push(slot);
+        self.len -= 1;
+        entry
+    }
+
     /// Pushes a newly ready instruction onto its class heap.
-    fn ready_push(&mut self, fu: FuClass, inst: InstId, token: u64) {
+    fn ready_push(&mut self, fu: FuClass, inst: InstId, token: u64, slot: IqSlot) {
         let heap = &mut self.ready[fu.index()];
-        heap.push(Reverse((inst, token)));
+        heap.push(Reverse((inst, token, slot)));
         self.ready_total += 1;
-        // Stale entries are normally discarded at the top during selection;
-        // bound the heap against pathological flows where entries go stale
+        // Stale records are normally discarded at the top during selection;
+        // bound the heap against pathological flows where records go stale
         // faster than selection drains them (mass squashes, SLIQ steals).
-        if heap.len() > 64 && heap.len() > 4 * (self.slots.len() + 1) {
+        if heap.len() > 64 && heap.len() > 4 * (self.len + 1) {
             let slots = &self.slots;
-            let live: Vec<_> = std::mem::take(heap)
-                .into_iter()
-                .filter(|&Reverse((i, t))| slots.get(i).is_some_and(|s| s.token == t))
-                .collect(); // koc-lint: allow(hot-path-alloc, "amortized compaction; runs only when stale entries outnumber live 4:1")
-            *heap = BinaryHeap::from(live);
+            heap.retain(|&Reverse((_, t, s))| slots[s as usize].token == t);
         }
     }
 
-    /// The oldest live ready instruction of class `k`, discarding stale
-    /// heap tops in passing.
-    fn ready_peek(&mut self, k: usize) -> Option<InstId> {
-        while let Some(&Reverse((inst, token))) = self.ready[k].peek() {
-            if self.slots.get(inst).is_some_and(|s| s.token == token) {
-                return Some(inst);
+    /// The oldest live ready instruction of class `k` and its slot,
+    /// discarding stale heap tops in passing.
+    fn ready_peek(&mut self, k: usize) -> Option<(InstId, IqSlot)> {
+        while let Some(&Reverse((inst, token, slot))) = self.ready[k].peek() {
+            if self.is_live(slot, token) {
+                return Some((inst, slot));
             }
             self.ready[k].pop();
         }
         None
     }
 
-    fn push_waiter(&mut self, reg: PhysReg, inst: InstId, token: u64) {
+    fn push_waiter(&mut self, reg: PhysReg, slot: IqSlot, token: u64) {
         let i = reg.index();
         if i >= self.waiter_heads.len() {
             self.waiter_heads.resize(i + 1, NIL);
         }
         let node = WaiterNode {
-            inst,
+            slot,
             token,
             next: self.waiter_heads[i],
         };
@@ -209,8 +243,9 @@ impl InstructionQueue {
         self.waiter_heads[i] = idx;
     }
 
-    /// Inserts an instruction. `is_ready` reports whether a source physical
-    /// register already holds its value (the register-file scoreboard).
+    /// Inserts an instruction and returns the slot it occupies.
+    /// `is_ready` reports whether a source physical register already holds
+    /// its value (the register-file scoreboard).
     ///
     /// # Errors
     /// Returns [`IqFull`] if the queue has no free entry; the dispatch stage
@@ -218,49 +253,51 @@ impl InstructionQueue {
     pub fn insert(
         &mut self,
         entry: IqEntry,
-        mut is_ready: impl FnMut(PhysReg) -> bool,
-    ) -> Result<(), IqFull> {
+        is_ready: impl FnMut(PhysReg) -> bool,
+    ) -> Result<IqSlot, IqFull> {
         if !self.has_space() {
             return Err(IqFull);
         }
-        let token = self.next_token;
-        self.next_token += 1;
-        let inst = entry.inst;
-        let mut outstanding = 0;
-        for &s in &entry.srcs {
-            if !is_ready(s) {
-                outstanding += 1;
-                self.push_waiter(s, inst, token);
-            }
-        }
-        let fu = entry.fu;
-        let prev = self.slots.insert(
-            inst,
-            Slot {
-                entry,
-                token,
-                outstanding,
-            },
-        );
-        debug_assert!(prev.is_none(), "instruction {inst} inserted twice");
-        if outstanding == 0 {
-            self.ready_push(fu, inst, token);
-        }
-        Ok(())
+        Ok(self.insert_unbounded(entry, is_ready))
     }
 
-    /// Inserts an instruction even if the queue is at capacity.
+    /// Inserts an instruction even if the queue is at capacity and returns
+    /// the slot it occupies.
     ///
     /// Used only for SLIQ re-insertions: the wake-up path is never blocked by
     /// queue occupancy (see `DESIGN.md`), which keeps the wake-up machinery
     /// free of circular waits; dispatch still respects the capacity, so the
     /// transient overshoot is bounded by the wake-up width.
-    pub fn insert_unbounded(&mut self, entry: IqEntry, is_ready: impl FnMut(PhysReg) -> bool) {
-        let capacity = self.capacity;
-        self.capacity = usize::MAX;
-        let result = self.insert(entry, is_ready);
-        self.capacity = capacity;
-        result.expect("unbounded insert cannot fail"); // koc-lint: allow(panic, "capacity is lifted for this insert; it cannot be full")
+    pub fn insert_unbounded(
+        &mut self,
+        entry: IqEntry,
+        mut is_ready: impl FnMut(PhysReg) -> bool,
+    ) -> IqSlot {
+        let token = self.next_token;
+        self.next_token += 1;
+        // A vacant slot if there is one, else a new one past the slab's end.
+        let slot = self.free.pop().unwrap_or(self.slots.len() as IqSlot);
+        let mut outstanding = 0;
+        for &s in &entry.srcs {
+            if !is_ready(s) {
+                outstanding += 1;
+                self.push_waiter(s, slot, token);
+            }
+        }
+        let occupant = Slot {
+            entry,
+            token,
+            outstanding,
+        };
+        match self.slots.get_mut(slot as usize) {
+            Some(vacant) => *vacant = occupant,
+            None => self.slots.push(occupant),
+        }
+        self.len += 1;
+        if outstanding == 0 {
+            self.ready_push(entry.fu, entry.inst, token, slot);
+        }
+        slot
     }
 
     /// Broadcasts that `reg` now holds its value, waking dependent entries.
@@ -270,18 +307,14 @@ impl InstructionQueue {
         };
         let mut cur = std::mem::replace(head, NIL);
         while cur != NIL {
-            let WaiterNode { inst, token, next } = self.waiter_nodes[cur as usize];
-            let mut now_ready = None;
-            if let Some(slot) = self.slots.get_mut(inst) {
-                if slot.token == token && slot.outstanding > 0 {
-                    slot.outstanding -= 1;
-                    if slot.outstanding == 0 {
-                        now_ready = Some(slot.entry.fu);
-                    }
+            let WaiterNode { slot, token, next } = self.waiter_nodes[cur as usize];
+            let s = &mut self.slots[slot as usize];
+            if s.token == token && s.outstanding > 0 {
+                s.outstanding -= 1;
+                if s.outstanding == 0 {
+                    let (fu, inst) = (s.entry.fu, s.entry.inst);
+                    self.ready_push(fu, inst, token, slot);
                 }
-            }
-            if let Some(fu) = now_ready {
-                self.ready_push(fu, inst, token);
             }
             self.waiter_nodes[cur as usize].next = self.waiter_free;
             self.waiter_free = cur;
@@ -316,73 +349,64 @@ impl InstructionQueue {
     ) {
         let mut taken = 0;
         while taken < max_total && self.ready_total > 0 {
-            let mut best: Option<(InstId, usize)> = None;
+            let mut best: Option<(InstId, IqSlot, usize)> = None;
             for k in (0..FuClass::COUNT).filter(|&k| fu_available[k] > 0) {
-                if let Some(inst) = self.ready_peek(k) {
-                    if best.is_none_or(|(b, _)| inst < b) {
-                        best = Some((inst, k));
+                if let Some((inst, slot)) = self.ready_peek(k) {
+                    if best.is_none_or(|(b, _, _)| inst < b) {
+                        best = Some((inst, slot, k));
                     }
                 }
             }
-            let Some((inst, k)) = best else {
+            let Some((_, slot, k)) = best else {
                 break;
             };
             fu_available[k] -= 1;
             taken += 1;
             self.ready[k].pop();
-            self.ready_total -= 1;
-            let slot = self.slots.remove(inst).expect("ready entry exists"); // koc-lint: allow(panic, "the ready heap only lists live slots after the stale check")
-            picked.push(slot.entry);
+            picked.push(self.vacate(slot));
         }
     }
 
-    /// Removes a specific instruction (used when the SLIQ steals a
-    /// long-latency-dependent entry). Returns the entry if it was present.
-    pub fn remove(&mut self, inst: InstId) -> Option<IqEntry> {
-        let slot = self.slots.remove(inst)?;
-        if slot.outstanding == 0 {
-            // Its heap entry goes stale; account the live ready count now.
-            self.ready_total -= 1;
+    /// Removes the entry in `slot` (used when the SLIQ steals a
+    /// long-latency-dependent entry). Returns it if the slot still holds
+    /// `inst`, and `None` if the slot is vacant or has been recycled for
+    /// another instruction.
+    pub fn remove(&mut self, slot: IqSlot, inst: InstId) -> Option<IqEntry> {
+        let s = self.slots.get(slot as usize)?;
+        if s.token == VACANT || s.entry.inst != inst {
+            return None;
         }
-        Some(slot.entry)
+        Some(self.vacate(slot))
     }
 
     /// Removes every instruction at or after trace position `from`
-    /// (squash on rollback or branch recovery). Returns the removed entries.
+    /// (squash on rollback or branch recovery), returning their slots to the
+    /// free list. Returns the removed entries in program order.
     pub fn squash_from(&mut self, from: InstId) -> Vec<IqEntry> {
-        let doomed: Vec<InstId> = self
-            .slots
-            .iter()
-            .filter_map(|(inst, _)| (inst >= from).then_some(inst))
-            .collect(); // koc-lint: allow(hot-path-alloc, "branch-recovery squash, not per cycle")
-        let mut out = Vec::with_capacity(doomed.len()); // koc-lint: allow(hot-path-alloc, "branch-recovery squash, not per cycle")
-        for inst in doomed {
-            let slot = self.slots.remove(inst).expect("listed entry exists"); // koc-lint: allow(panic, "doomed ids were just listed from the slots")
-            if slot.outstanding == 0 {
-                self.ready_total -= 1;
+        let mut out = Vec::new(); // koc-lint: allow(hot-path-alloc, "branch-recovery squash, not per cycle")
+        for slot in 0..self.slots.len() {
+            let s = &self.slots[slot];
+            if s.token != VACANT && s.entry.inst >= from {
+                out.push(self.vacate(slot as IqSlot));
             }
-            out.push(slot.entry);
         }
         out.sort_unstable_by_key(|e| e.inst);
         out
     }
 
-    /// Whether the queue currently holds `inst`.
+    /// Whether the queue currently holds `inst` (a slab scan, for tests and
+    /// assertions).
     pub fn contains(&self, inst: InstId) -> bool {
-        self.slots.contains_key(inst)
-    }
-
-    /// The queued entries in program order (collected; the queue itself is
-    /// unordered flat storage).
-    pub fn iter(&self) -> impl Iterator<Item = &IqEntry> {
-        let mut entries: Vec<&IqEntry> = self.slots.iter().map(|(_, s)| &s.entry).collect(); // koc-lint: allow(hot-path-alloc, "diagnostic iteration for tests and dumps, not the cycle loop")
-        entries.sort_unstable_by_key(|e| e.inst);
-        entries.into_iter()
+        self.slots
+            .iter()
+            .any(|s| s.token != VACANT && s.entry.inst == inst)
     }
 
     /// Removes everything (full pipeline flush).
     pub fn flush(&mut self) {
         self.slots.clear();
+        self.free.clear();
+        self.len = 0;
         for heap in &mut self.ready {
             heap.clear();
         }
@@ -495,10 +519,12 @@ mod tests {
     #[test]
     fn remove_steals_an_entry_for_the_sliq() {
         let mut iq = InstructionQueue::new(4);
-        iq.insert(entry(3, &[9], FuClass::Fp), |_| false).unwrap();
-        let stolen = iq.remove(3).unwrap();
+        let slot = iq.insert(entry(3, &[9], FuClass::Fp), |_| false).unwrap();
+        assert!(iq.remove(slot, 4).is_none(), "the slot holds 3, not 4");
+        let stolen = iq.remove(slot, 3).unwrap();
         assert_eq!(stolen.inst, 3);
         assert!(iq.is_empty());
+        assert!(iq.remove(slot, 3).is_none(), "a vacant slot holds nothing");
         // A stale wake-up for the removed entry must be harmless.
         iq.wakeup(PhysReg(9));
         assert_eq!(iq.ready_count(), 0);
@@ -507,10 +533,12 @@ mod tests {
     #[test]
     fn stale_wakeups_do_not_affect_reinserted_instructions() {
         let mut iq = InstructionQueue::new(4);
-        iq.insert(entry(3, &[9], FuClass::Fp), |_| false).unwrap();
-        iq.remove(3).unwrap();
-        // Re-insert the same instruction id, now waiting on a different register.
-        iq.insert(entry(3, &[11], FuClass::Fp), |_| false).unwrap();
+        let first = iq.insert(entry(3, &[9], FuClass::Fp), |_| false).unwrap();
+        iq.remove(first, 3).unwrap();
+        // Re-insert the same instruction id, now waiting on a different
+        // register; it recycles the slot of its first incarnation.
+        let second = iq.insert(entry(3, &[11], FuClass::Fp), |_| false).unwrap();
+        assert_eq!(second, first);
         iq.wakeup(PhysReg(9)); // stale broadcast from the first incarnation
         assert_eq!(
             iq.ready_count(),
@@ -522,16 +550,67 @@ mod tests {
     }
 
     #[test]
+    fn a_recycled_slot_rejects_the_old_instruction() {
+        let mut iq = InstructionQueue::new(4);
+        let slot = iq.insert(entry(3, &[], FuClass::IntAlu), |_| true).unwrap();
+        assert_eq!(iq.select_ready(&mut all_fus(), 4).len(), 1);
+        let recycled = iq
+            .insert(entry(8, &[5], FuClass::IntAlu), |_| false)
+            .unwrap();
+        assert_eq!(recycled, slot, "the vacated slot is reused");
+        assert!(iq.remove(slot, 3).is_none(), "3 no longer lives there");
+        assert!(iq.contains(8));
+        assert_eq!(iq.remove(slot, 8).map(|e| e.inst), Some(8));
+    }
+
+    #[test]
+    fn stale_ready_records_never_issue_a_new_occupant() {
+        let mut iq = InstructionQueue::new(4);
+        // Instruction 1 becomes ready, then is stolen: its heap record stays
+        // behind, naming the slot.
+        let slot = iq.insert(entry(1, &[], FuClass::Fp), |_| true).unwrap();
+        iq.remove(slot, 1).unwrap();
+        // Instruction 2 takes over the slot but still waits on p6; a younger
+        // ready instruction keeps selection running past the stale record.
+        assert_eq!(
+            iq.insert(entry(2, &[6], FuClass::Fp), |_| false).unwrap(),
+            slot
+        );
+        iq.insert(entry(5, &[], FuClass::Fp), |_| true).unwrap();
+        assert_eq!(iq.ready_count(), 1);
+        let picked = iq.select_ready(&mut all_fus(), 4);
+        assert_eq!(
+            picked.iter().map(|e| e.inst).collect::<Vec<_>>(),
+            vec![5],
+            "the stale record must not issue the waiting occupant"
+        );
+        assert!(iq.contains(2));
+        iq.wakeup(PhysReg(6));
+        let picked = iq.select_ready(&mut all_fus(), 4);
+        assert_eq!(picked.iter().map(|e| e.inst).collect::<Vec<_>>(), vec![2]);
+    }
+
+    #[test]
     fn squash_from_removes_young_entries_only() {
         let mut iq = InstructionQueue::new(8);
         for i in 0..6 {
             iq.insert(entry(i, &[], FuClass::IntAlu), |_| true).unwrap();
         }
         let squashed = iq.squash_from(3);
-        assert_eq!(squashed.len(), 3);
+        assert_eq!(
+            squashed.iter().map(|e| e.inst).collect::<Vec<_>>(),
+            vec![3, 4, 5]
+        );
         assert!(iq.contains(2));
         assert!(!iq.contains(3));
         assert_eq!(iq.ready_count(), 3);
+        // The squashed slots are free again: refilling to capacity does not
+        // grow the slab.
+        for i in 3..8 {
+            iq.insert(entry(i, &[], FuClass::IntAlu), |_| true).unwrap();
+        }
+        assert_eq!(iq.len(), 8);
+        assert_eq!(iq.slots.len(), 8);
     }
 
     #[test]
@@ -567,6 +646,33 @@ mod tests {
             "pool must stay at peak concurrent waiters, got {}",
             iq.waiter_nodes.len()
         );
+    }
+
+    #[test]
+    fn slab_stays_within_capacity_plus_wakeup_overshoot() {
+        let (capacity, overshoot) = (8, 4);
+        let mut iq = InstructionQueue::new(capacity);
+        assert!(
+            iq.slots.capacity() >= capacity,
+            "the slab is reserved up front"
+        );
+        let mut next = 0;
+        for round in 0..500u32 {
+            // Dispatch fills the queue, then a SLIQ wake-up burst overshoots.
+            while iq.has_space() {
+                iq.insert(entry(next, &[round % 3], FuClass::IntAlu), |_| false)
+                    .unwrap();
+                next += 1;
+            }
+            for _ in 0..overshoot {
+                iq.insert_unbounded(entry(next, &[], FuClass::IntAlu), |_| true);
+                next += 1;
+            }
+            iq.wakeup(PhysReg(round % 3));
+            iq.select_ready(&mut [8, 8, 8, 8], 6);
+            iq.squash_from(next - 2);
+            assert!(iq.slots.len() <= capacity + overshoot);
+        }
     }
 
     #[test]

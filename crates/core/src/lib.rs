@@ -40,7 +40,7 @@ pub mod sliq;
 pub use checkpoint::{Checkpoint, CheckpointId, CheckpointPolicy, CheckpointTable};
 pub use depmask::DependenceMask;
 pub use flatmap::FlatMap;
-pub use iq::{InstructionQueue, IqEntry, IqFull};
+pub use iq::{InstructionQueue, IqEntry, IqFull, IqSlot};
 pub use lsq::{LoadStoreQueue, LsqEntry, LsqFull};
 pub use pseudo_rob::{PseudoRob, PseudoRobEntry, RetireClass};
 pub use regfile::{PhysRegFile, VirtualRegisterFile};

@@ -6,11 +6,12 @@
 //! mapping) and the paper's extension: a `future_free` bit marking registers
 //! that must be returned to the free list when the *next checkpoint commits*.
 //!
-//! Taking a checkpoint therefore costs two bits per physical register (the
-//! valid column and the future-free column); this module additionally
-//! snapshots the free list so the simulator can restore it on rollback
-//! without recomputation (an implementation convenience documented in
-//! `DESIGN.md`).
+//! Taking a checkpoint saves the valid column and clears the future-free
+//! column, whose marked registers become the previous checkpoint's
+//! free-on-commit set. Rollback never reads a saved future-free column (see
+//! [`CamRenameMap::restore`]), so the snapshot holds only the valid column
+//! plus the free list, which the simulator restores on rollback without
+//! recomputation (an implementation convenience documented in `DESIGN.md`).
 
 use crate::regfile::PhysRegFile;
 use koc_isa::{ArchReg, PhysReg, NUM_ARCH_REGS};
@@ -33,8 +34,6 @@ pub struct RenamedInst {
 pub struct RenameCheckpoint {
     /// The valid column at checkpoint time.
     pub valid: Vec<bool>,
-    /// The future-free column at checkpoint time (before it is cleared).
-    pub future_free: Vec<bool>,
     /// The free list at checkpoint time.
     pub free_list: Vec<bool>,
 }
@@ -51,7 +50,8 @@ pub struct CamRenameMap {
     /// marking order — the drain at every checkpoint is O(marked) instead
     /// of a scan over the whole future-free column. Entries whose bit was
     /// cleared out-of-band (walk-back undo, rollback restore) go stale and
-    /// are filtered against the column at drain time.
+    /// are filtered against the column at drain time. Reserved for the
+    /// whole register pool, and kept across drains.
     future_free_list: Vec<PhysReg>,
     /// Current mapping per logical register (the CAM lookup, kept as a
     /// direct-mapped shadow for O(1) source lookups).
@@ -66,7 +66,7 @@ impl CamRenameMap {
             logical: vec![0; num_phys],
             valid: vec![false; num_phys],
             future_free: vec![false; num_phys],
-            future_free_list: Vec::new(),
+            future_free_list: Vec::with_capacity(num_phys),
             map: vec![None; NUM_ARCH_REGS],
         }
     }
@@ -111,9 +111,9 @@ impl CamRenameMap {
         })
     }
 
-    /// Takes a checkpoint: saves the valid, future-free and free-list
-    /// columns, then clears the future-free column (the cleared column will
-    /// accumulate the registers to free when the *new* checkpoint commits).
+    /// Takes a checkpoint: saves the valid column and the free list, then
+    /// clears the future-free column (the cleared column will accumulate the
+    /// registers to free when the *new* checkpoint commits).
     ///
     /// Returns the snapshot together with the set of physical registers whose
     /// future-free bit was set — the registers to release when the checkpoint
@@ -121,7 +121,6 @@ impl CamRenameMap {
     pub fn take_checkpoint(&mut self, regs: &PhysRegFile) -> (RenameCheckpoint, Vec<PhysReg>) {
         let snapshot = RenameCheckpoint {
             valid: self.valid.clone(),
-            future_free: self.future_free.clone(),
             free_list: regs.free_list_snapshot(),
         };
         let to_free = self.drain_future_free();
@@ -131,13 +130,16 @@ impl CamRenameMap {
     /// Clears and returns the set of physical registers currently marked
     /// future-free. Used when closing a checkpoint window.
     pub fn drain_future_free(&mut self) -> Vec<PhysReg> {
-        let mut out = std::mem::take(&mut self.future_free_list);
+        let future_free = &mut self.future_free;
         // Clearing the bit as each entry is visited both performs the drain
         // and drops stale duplicates (a register un-marked by a walk-back
         // undo and marked again later appears twice in the list; only its
-        // first live occurrence may survive).
-        out.retain(|p| std::mem::replace(&mut self.future_free[p.index()], false));
-        out
+        // first live occurrence may survive). Draining (rather than taking)
+        // the list keeps its reservation for the next window.
+        self.future_free_list
+            .drain(..)
+            .filter(|p| std::mem::replace(&mut future_free[p.index()], false))
+            .collect() // koc-lint: allow(hot-path-alloc, "once per checkpoint taken: the drained set becomes the closed window's free-on-commit list")
     }
 
     /// Restores the rename state from a checkpoint snapshot (rollback), and
@@ -263,25 +265,26 @@ mod tests {
         assert_eq!(map.valid_count(), 1);
     }
 
-    /// Re-enacts Figure 6: taking a checkpoint saves valid + future-free and
-    /// clears the future-free column.
+    /// Re-enacts Figure 6: taking a checkpoint saves the valid column,
+    /// hands over the future-free registers and clears that column.
     #[test]
     fn figure6_checkpoint_saves_and_clears_future_free() {
         let (mut map, mut regs) = setup(8);
         let r1 = ArchReg::int(1);
         let r4 = ArchReg::int(4);
-        map.rename_dest(r1, &mut regs).unwrap();
+        let first_r1 = map.rename_dest(r1, &mut regs).unwrap().new_phys;
         map.rename_dest(r1, &mut regs).unwrap();
         map.rename_dest(r4, &mut regs).unwrap();
         let (snapshot, to_free) = map.take_checkpoint(&regs);
-        assert_eq!(to_free.len(), 1, "one register was redefined");
+        assert_eq!(to_free, vec![first_r1], "one register was redefined");
         assert_eq!(
             map.future_free_count(),
             0,
             "column cleared after checkpoint"
         );
-        assert_eq!(snapshot.future_free.iter().filter(|&&b| b).count(), 1);
         assert_eq!(snapshot.valid.iter().filter(|&&b| b).count(), 2);
+        assert!(snapshot.valid[map.lookup(r1).unwrap().index()]);
+        assert!(!snapshot.valid[first_r1.index()]);
     }
 
     #[test]

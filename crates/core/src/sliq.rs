@@ -21,7 +21,8 @@
 //! the entries it actually re-inserts. Squash walks an insertion-ordered
 //! age stack from the young end, with generation stamps marking records
 //! whose node has since been woken (freed), so `squash_from` is
-//! O(squashed), never O(entries).
+//! O(squashed), never O(entries). The slab and the age stack are reserved
+//! for the configured capacity at construction.
 //!
 //! [`DependenceTracker`] implements the classification: the logical-register
 //! bit mask of [`crate::depmask`] plus a per-register record of *which* load
@@ -132,7 +133,8 @@ pub struct SliqBuffer {
 }
 
 impl SliqBuffer {
-    /// Creates an empty SLIQ.
+    /// Creates an empty SLIQ, with its node slab and age stack reserved for
+    /// the configured capacity.
     ///
     /// # Panics
     /// Panics if the configured capacity or wake width is zero.
@@ -141,10 +143,10 @@ impl SliqBuffer {
         assert!(config.wake_width > 0, "SLIQ wake width must be non-zero");
         SliqBuffer {
             config,
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(config.capacity),
             free_head: NIL,
             buckets: Vec::new(),
-            age: Vec::new(),
+            age: Vec::with_capacity(config.capacity),
             pending_triggers: VecDeque::new(),
             len: 0,
             high_water: 0,

@@ -73,7 +73,6 @@ proptest! {
         let mut table = CheckpointTable::new(windows.len() + 1);
         let snap = koc_core::RenameCheckpoint {
             valid: vec![false; 64],
-            future_free: vec![false; 64],
             free_list: vec![true; 64],
         };
         let mut ids = Vec::new();
@@ -157,10 +156,16 @@ proptest! {
     }
 
     /// The instruction queue issues every inserted instruction exactly once,
-    /// once its sources are produced.
+    /// once its sources are produced — except the ones removed by slot
+    /// handle first, which never issue, and whose handles (recycled or not)
+    /// then reject a second removal.
     #[test]
-    fn iq_conserves_instructions(srcs in proptest::collection::vec(0u32..16, 1..100)) {
+    fn iq_conserves_instructions(
+        srcs in proptest::collection::vec(0u32..16, 1..100),
+        removals in proptest::collection::vec(any::<bool>(), 100..101),
+    ) {
         let mut iq = InstructionQueue::new(256);
+        let mut slots = Vec::new();
         for (i, s) in srcs.iter().enumerate() {
             let entry = IqEntry {
                 inst: i,
@@ -169,20 +174,36 @@ proptest! {
                 fu: FuClass::IntAlu,
                 ckpt: 0,
             };
-            iq.insert(entry, |_| false).unwrap();
+            slots.push(iq.insert(entry, |_| false).unwrap());
         }
-        for s in 0u32..16 {
+        // Half the wake-ups happen before the removals, so some removed
+        // entries are already ready and leave stale heap records behind.
+        for s in 0u32..8 {
             iq.wakeup(PhysReg(s));
         }
-        let mut issued = 0;
+        let mut removed = std::collections::HashSet::new();
+        for (i, &slot) in slots.iter().enumerate() {
+            if removals[i] {
+                prop_assert_eq!(iq.remove(slot, i).map(|e| e.inst), Some(i));
+                prop_assert!(iq.remove(slot, i).is_none(), "a handle removes once");
+                removed.insert(i);
+            }
+        }
+        for s in 8u32..16 {
+            iq.wakeup(PhysReg(s));
+        }
+        let mut issued = std::collections::HashSet::new();
         loop {
             let picked = iq.select_ready(&mut [4, 4, 4, 4], 4);
             if picked.is_empty() {
                 break;
             }
-            issued += picked.len();
+            for e in picked {
+                prop_assert!(!removed.contains(&e.inst), "removed entry {} issued", e.inst);
+                prop_assert!(issued.insert(e.inst), "entry {} issued twice", e.inst);
+            }
         }
-        prop_assert_eq!(issued, srcs.len());
+        prop_assert_eq!(issued.len() + removed.len(), srcs.len());
         prop_assert!(iq.is_empty());
     }
 }

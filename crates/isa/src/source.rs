@@ -162,6 +162,9 @@ impl InstructionSource for MaterializedTrace<'_> {
 /// Occupancy is O(release frontier .. fetch head) — the machine's in-flight
 /// window plus fetch lookahead — regardless of stream length;
 /// [`peak_occupancy`](Self::peak_occupancy) reports the high-water mark.
+/// The buffer is a ring that grows (by doubling) only past its reservation,
+/// so a caller that knows its window size reserves it up front with
+/// [`with_capacity`](Self::with_capacity).
 pub struct ReplayWindow<'a> {
     source: Box<dyn InstructionSource + Send + 'a>,
     name: String,
@@ -178,12 +181,18 @@ pub struct ReplayWindow<'a> {
 impl<'a> ReplayWindow<'a> {
     /// A window over any source (or `&Trace`).
     pub fn new(source: impl IntoInstructionSource<'a>) -> Self {
+        Self::with_capacity(source, 0)
+    }
+
+    /// A window over `source` that buffers `capacity` instructions before
+    /// its first growth.
+    pub fn with_capacity(source: impl IntoInstructionSource<'a>, capacity: usize) -> Self {
         let source = source.into_source();
         let name = source.name().to_string();
         ReplayWindow {
             source,
             name,
-            buf: VecDeque::new(),
+            buf: VecDeque::with_capacity(capacity),
             base: 0,
             pos: 0,
             ended: false,
@@ -217,6 +226,11 @@ impl<'a> ReplayWindow<'a> {
     /// lifetime — the run's actual replay-memory requirement.
     pub fn peak_occupancy(&self) -> usize {
         self.peak
+    }
+
+    /// How many instructions the buffer holds before it next grows.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// The underlying source's length hint, if it has one.

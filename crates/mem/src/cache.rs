@@ -1,4 +1,12 @@
 //! A set-associative cache with true-LRU replacement.
+//!
+//! Tags live in one flat `sets × ways` array: set `s` owns the `ways`
+//! entries starting at `s * ways`, ordered most-recently-used first, with
+//! `INVALID` filling the empty ways at the end. A hit rotates the tag to
+//! the front of its set; a miss rotates the whole set one way down, which
+//! drops the least-recently-used (or an empty) way, and writes the new tag
+//! at the front. The array is allocated once at construction, so accesses
+//! never allocate and every set is one contiguous run of memory.
 
 use serde::{Deserialize, Serialize};
 
@@ -75,11 +83,10 @@ impl AccessOutcome {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct CacheSet {
-    /// Tags ordered most-recently-used first.
-    lru: Vec<u64>,
-}
+/// Tag of an empty way. An access tag is the address shifted right by the
+/// line and set bits, so it reaches `u64::MAX` only for a one-byte-line,
+/// single-set cache at address `u64::MAX`.
+const INVALID: u64 = u64::MAX;
 
 /// A set-associative, true-LRU, allocate-on-miss cache.
 ///
@@ -88,7 +95,9 @@ struct CacheSet {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<CacheSet>,
+    num_sets: usize,
+    /// `num_sets × ways` tags, each set MRU first, empty ways `INVALID`.
+    tags: Vec<u64>,
     /// `log2(line_bytes)` when the line size is a power of two — the common
     /// geometry — so the per-access address split is a shift/mask instead
     /// of two 64-bit divisions.
@@ -102,15 +111,16 @@ pub struct Cache {
 impl Cache {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = vec![CacheSet::default(); config.num_sets()];
+        let num_sets = config.num_sets();
         let line_shift = config
             .line_bytes
             .is_power_of_two()
             .then(|| config.line_bytes.trailing_zeros());
-        let set_mask = sets.len().is_power_of_two().then(|| sets.len() as u64 - 1);
+        let set_mask = num_sets.is_power_of_two().then(|| num_sets as u64 - 1);
         Cache {
             config,
-            sets,
+            num_sets,
+            tags: vec![INVALID; num_sets * config.ways],
             line_shift,
             set_mask,
             hits: 0,
@@ -127,8 +137,8 @@ impl Cache {
         match self.set_mask {
             Some(mask) => ((line & mask) as usize, line >> mask.count_ones()),
             None => (
-                (line % self.sets.len() as u64) as usize,
-                line / self.sets.len() as u64,
+                (line % self.num_sets as u64) as usize,
+                line / self.num_sets as u64,
             ),
         }
     }
@@ -141,19 +151,18 @@ impl Cache {
     /// Accesses byte address `addr`, updating LRU state and fill state.
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
         let (set_idx, tag) = self.split(addr);
+        debug_assert_ne!(tag, INVALID, "address {addr:#x} maps to the empty-way tag");
         let ways = self.config.ways;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.lru.iter().position(|&t| t == tag) {
+        let set = &mut self.tags[set_idx * ways..(set_idx + 1) * ways];
+        if let Some(pos) = set.iter().position(|&t| t == tag) {
             // Move to MRU position.
-            let t = set.lru.remove(pos);
-            set.lru.insert(0, t);
+            set[..=pos].rotate_right(1);
             self.hits += 1;
             AccessOutcome::Hit
         } else {
-            set.lru.insert(0, tag);
-            if set.lru.len() > ways {
-                set.lru.pop();
-            }
+            // Shift every way down one, dropping the LRU (or an empty) way.
+            set.rotate_right(1);
+            set[0] = tag;
             self.misses += 1;
             AccessOutcome::Miss
         }
@@ -162,7 +171,8 @@ impl Cache {
     /// Probes for presence of the line containing `addr` without updating state.
     pub fn contains(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.split(addr);
-        self.sets[set_idx].lru.contains(&tag)
+        let ways = self.config.ways;
+        self.tags[set_idx * ways..(set_idx + 1) * ways].contains(&tag)
     }
 
     /// Number of hits observed so far.
@@ -187,9 +197,7 @@ impl Cache {
 
     /// Invalidates all lines and resets statistics.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.lru.clear();
-        }
+        self.tags.fill(INVALID);
         self.hits = 0;
         self.misses = 0;
     }
@@ -282,6 +290,92 @@ mod tests {
         let mut c = small_cache();
         for i in 0..64u64 {
             assert_eq!(c.access(i * 64 * 2), AccessOutcome::Miss);
+        }
+    }
+
+    /// The cache as it was before its tags were flattened: one
+    /// most-recently-used-first `Vec` per set.
+    struct ReferenceLru {
+        line_bytes: u64,
+        ways: usize,
+        sets: Vec<Vec<u64>>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ReferenceLru {
+        fn new(config: CacheConfig) -> Self {
+            ReferenceLru {
+                line_bytes: config.line_bytes,
+                ways: config.ways,
+                sets: vec![Vec::new(); config.num_sets()],
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn split(&self, addr: u64) -> (usize, u64) {
+            let line = addr / self.line_bytes;
+            let n = self.sets.len() as u64;
+            ((line % n) as usize, line / n)
+        }
+
+        fn access(&mut self, addr: u64) -> AccessOutcome {
+            let (set_idx, tag) = self.split(addr);
+            let lru = &mut self.sets[set_idx];
+            if let Some(pos) = lru.iter().position(|&t| t == tag) {
+                let t = lru.remove(pos);
+                lru.insert(0, t);
+                self.hits += 1;
+                AccessOutcome::Hit
+            } else {
+                lru.insert(0, tag);
+                if lru.len() > self.ways {
+                    lru.pop();
+                }
+                self.misses += 1;
+                AccessOutcome::Miss
+            }
+        }
+
+        fn contains(&self, addr: u64) -> bool {
+            let (set_idx, tag) = self.split(addr);
+            self.sets[set_idx].contains(&tag)
+        }
+    }
+
+    proptest::proptest! {
+        /// Random address streams over several geometries — power-of-two
+        /// and odd set counts, 1 to 8 ways — give the same outcomes,
+        /// presence answers and counters as the per-set `Vec` model.
+        #[test]
+        fn flat_tags_match_the_per_set_reference(
+            geometry in 0usize..6,
+            addrs in proptest::collection::vec(0u64..1 << 16, 1..400),
+            probes in proptest::collection::vec(0u64..1 << 16, 1..40),
+        ) {
+            // (sets, ways, line bytes)
+            let (sets, ways, line) = [
+                (4u64, 2usize, 64u64),
+                (3, 2, 64),
+                (16, 1, 32),
+                (5, 1, 32),
+                (1, 8, 64),
+                (7, 4, 128),
+            ][geometry];
+            let config = CacheConfig::new(sets * ways as u64 * line, ways, line, 1);
+            let mut cache = Cache::new(config);
+            let mut reference = ReferenceLru::new(config);
+            for (i, &a) in addrs.iter().enumerate() {
+                proptest::prop_assert_eq!(cache.access(a), reference.access(a), "access {}", i);
+                let p = probes[i % probes.len()];
+                proptest::prop_assert_eq!(cache.contains(p), reference.contains(p));
+            }
+            proptest::prop_assert_eq!(cache.hits(), reference.hits);
+            proptest::prop_assert_eq!(cache.misses(), reference.misses);
+            for &a in addrs.iter().chain(&probes) {
+                proptest::prop_assert_eq!(cache.contains(a), reference.contains(a));
+            }
         }
     }
 }

@@ -134,7 +134,7 @@ impl CheckpointedEngine {
                     } else {
                         &mut *ctx.int_iq
                     };
-                    if let Some(iq_entry) = queue.remove(entry.inst) {
+                    if let Some(iq_entry) = queue.remove(fl.iq_slot, entry.inst) {
                         if self.sliq.insert(iq_entry, trigger) {
                             fl.state = InstState::InSliq;
                             if O::ENABLED {
@@ -344,9 +344,10 @@ impl<O: Observer> CommitEngine<O> for CheckpointedEngine {
                 &mut *ctx.int_iq
             };
             let regs = &*ctx.regs;
-            queue.insert_unbounded(entry, |p| regs.is_ready(p));
+            let slot = queue.insert_unbounded(entry, |p| regs.is_ready(p));
             if let Some(fl) = ctx.inflight.get_mut(inst) {
                 fl.state = InstState::Waiting;
+                fl.iq_slot = slot;
             }
         }
         self.wake_scratch = woken;

@@ -2,14 +2,17 @@
 //!
 //! The in-flight window is the hottest data structure in the simulator: it
 //! is touched at dispatch, issue, write-back, commit and recovery.
-//! [`InFlightTable`] therefore stores records in a
-//! dense slab indexed by trace position instead of a tree map — the window
-//! is a contiguous band of trace positions (dispatch is in program order and
-//! commit/squash trim it from both ends), so slot `id - base` gives O(1)
-//! access with cache-friendly linear iteration and no per-operation
-//! rebalancing or allocation.
+//! [`InFlightTable`] therefore stores records in a dense slab indexed by
+//! trace position instead of a tree map — the window is a contiguous band
+//! of trace positions (dispatch is in program order and commit/squash trim
+//! it from both ends), so slot `id - base` gives O(1) access with
+//! cache-friendly linear iteration and no per-operation rebalancing. The
+//! slab is a ring buffer reserved at construction for the window the
+//! configuration is sized for, so a run does not regrow it. Each
+//! record also keeps the [`IqSlot`] handle of its instruction-queue entry,
+//! so moving a waiting instruction to the SLIQ indexes the queue directly.
 
-use koc_core::CheckpointId;
+use koc_core::{CheckpointId, IqSlot};
 use koc_isa::{ArchReg, InstId, OpKind, PhysReg, RegList};
 use koc_mem::MemLevel;
 use serde::{Deserialize, Serialize};
@@ -22,13 +25,10 @@ pub enum InstState {
     Waiting,
     /// Moved into the SLIQ, waiting for its triggering load.
     InSliq,
-    /// Issued to a functional unit; completes at the recorded cycle.
-    Executing {
-        /// Cycle at which the result is produced. `u64::MAX` for loads
-        /// waiting on the timed memory backend, whose completion cycle is
-        /// announced by the backend when the data returns.
-        done_cycle: u64,
-    },
+    /// Issued to a functional unit; its completion event is scheduled (or,
+    /// for a load on the timed memory backend, announced when the data
+    /// returns).
+    Executing,
     /// Execution finished; waiting for commit.
     Done,
 }
@@ -58,12 +58,11 @@ pub struct InFlight {
     pub ckpt: CheckpointId,
     /// Current state.
     pub state: InstState,
-    /// Cycle at which the instruction was dispatched.
-    pub dispatch_cycle: u64,
+    /// The instruction-queue slot holding the instruction while it waits
+    /// there (meaningful only in [`InstState::Waiting`]).
+    pub iq_slot: IqSlot,
     /// For loads: which level served the access (known once issued).
     pub mem_level: Option<MemLevel>,
-    /// For branches: the predicted direction.
-    pub predicted_taken: Option<bool>,
     /// Whether the branch was mispredicted (resolved against the trace).
     pub mispredicted: bool,
     /// Whether this instance raises an exception at execution.
@@ -78,7 +77,7 @@ impl InFlight {
 
     /// Whether the instruction has been issued (is executing or done).
     pub fn is_issued(&self) -> bool {
-        matches!(self.state, InstState::Executing { .. } | InstState::Done)
+        matches!(self.state, InstState::Executing | InstState::Done)
     }
 
     /// Whether the instruction still waits to issue (in an IQ or the SLIQ).
@@ -99,6 +98,8 @@ impl InFlight {
 /// empty slots off both ends as the window advances, so occupancy stays
 /// proportional to the configured window, not to the trace. All point
 /// operations are O(1); ordered iteration is a linear scan of the band.
+/// [`with_capacity`](Self::with_capacity) reserves the band up front; it
+/// grows (by doubling) only past that reservation.
 #[derive(Debug, Clone, Default)]
 pub struct InFlightTable {
     /// Trace position of slot 0.
@@ -112,6 +113,19 @@ impl InFlightTable {
     /// An empty table.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty table with room for a band of `capacity` trace positions.
+    pub fn with_capacity(capacity: usize) -> Self {
+        InFlightTable {
+            slots: VecDeque::with_capacity(capacity),
+            ..Self::default()
+        }
+    }
+
+    /// The band length the table holds without growing.
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
     }
 
     /// Number of in-flight instructions.
@@ -317,9 +331,8 @@ mod tests {
             src_phys: RegList::new(),
             ckpt: 0,
             state,
-            dispatch_cycle: 0,
+            iq_slot: 0,
             mem_level: None,
-            predicted_taken: None,
             mispredicted: false,
             raises_exception: false,
         }
@@ -337,14 +350,14 @@ mod tests {
         assert!(inflight(InstState::Waiting).is_live());
         assert!(inflight(InstState::InSliq).is_live());
         assert!(!inflight(InstState::Done).is_live());
-        assert!(inflight(InstState::Executing { done_cycle: 5 }).is_issued());
+        assert!(inflight(InstState::Executing).is_issued());
         assert!(inflight(InstState::Done).is_done());
         assert!(!inflight(InstState::Waiting).is_issued());
     }
 
     #[test]
     fn long_latency_requires_memory_level() {
-        let mut i = inflight(InstState::Executing { done_cycle: 100 });
+        let mut i = inflight(InstState::Executing);
         assert!(!i.is_long_latency_load());
         i.mem_level = Some(MemLevel::Memory);
         assert!(i.is_long_latency_load());
@@ -433,7 +446,7 @@ mod tests {
             0,
             InFlight {
                 mem_level: Some(MemLevel::Memory),
-                ..inflight(InstState::Executing { done_cycle: 900 })
+                ..inflight(InstState::Executing)
             },
         );
         // ... so its consumer, and that consumer's consumer, are blocked-long;

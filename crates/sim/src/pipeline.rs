@@ -25,7 +25,7 @@
 //! dead time. Results are bit-identical with
 //! [`ProcessorConfig::fast_forward`] off; only wall-clock changes.
 
-use crate::config::{BranchPredictorKind, ProcessorConfig, RegisterModel};
+use crate::config::{BranchPredictorKind, CommitConfig, ProcessorConfig, RegisterModel};
 use crate::engine::{self, CommitEngine, DispatchStall, Dispatched, EngineCtx, Writeback};
 use crate::inflight::{InFlight, InFlightTable, InstState};
 use crate::stats::SimStats;
@@ -280,6 +280,26 @@ pub struct Processor<'a, O: Observer = NullObserver> {
     stats: SimStats,
 }
 
+/// The in-flight window `config` is sized for: the ROB plus one fetch group
+/// for the baseline; for cooo, every checkpoint at its forced window size
+/// plus the pseudo-ROB. The in-flight slab and the replay window reserve
+/// this much at construction and grow (by doubling) only past it, which
+/// under cooo happens only when the youngest window keeps extending while
+/// the checkpoint table is full.
+fn window_bound(config: &ProcessorConfig) -> usize {
+    match config.commit {
+        CommitConfig::InOrderRob { rob_size } => rob_size.saturating_add(config.fetch_width),
+        CommitConfig::Checkpointed {
+            checkpoint_entries,
+            pseudo_rob_size,
+            policy,
+            ..
+        } => checkpoint_entries
+            .saturating_mul(policy.force_after_insts)
+            .saturating_add(pseudo_rob_size),
+    }
+}
+
 impl<'a> Processor<'a> {
     /// Builds a processor for one run over `source` — a `&Trace`, a
     /// streaming generator, or any other
@@ -341,8 +361,9 @@ impl<'a, O: Observer> Processor<'a, O> {
             }
             BranchPredictorKind::Perfect => PredictorImpl::Perfect(PerfectPredictor::new()),
         };
+        let window = window_bound(&config);
         Processor {
-            fetch: ReplayWindow::new(source),
+            fetch: ReplayWindow::with_capacity(source, window),
             cycle: 0,
             rename: CamRenameMap::new(rename_pool),
             regs: PhysRegFile::new(rename_pool),
@@ -353,7 +374,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             mem: MemoryHierarchy::new(config.memory),
             predictor,
             engine,
-            inflight: InFlightTable::new(),
+            inflight: InFlightTable::with_capacity(window),
             next_seq: 0,
             events: EventQueue::with_horizon(config.memory.worst_case_latency() as u64),
             mem_waiters: koc_core::FlatMap::default(),
@@ -811,19 +832,16 @@ impl<'a, O: Observer> Processor<'a, O> {
             .get_mut(inst)
             .expect("issued instruction is in flight"); // koc-lint: allow(panic, "issue operates on in-flight instructions")
         debug_assert!(fl.is_live(), "issuing an instruction that is not waiting");
-        let done = match completion {
-            Some(latency) => self.cycle + latency as u64,
-            // The backend announces the completion cycle when it arrives.
-            None => u64::MAX,
-        };
-        fl.state = InstState::Executing { done_cycle: done };
+        fl.state = InstState::Executing;
         fl.mem_level = level;
         if O::ENABLED {
             self.obs.event(self.cycle, Event::Issue { inst });
         }
         self.live_count = self.live_count.saturating_sub(1);
-        if completion.is_some() {
-            self.events.push(done, (inst, seq));
+        // A load on the timed backend completes when the backend announces
+        // it (`memory_stage`); everything else has a known latency.
+        if let Some(latency) = completion {
+            self.events.push(self.cycle + latency as u64, (inst, seq));
         }
     }
 
@@ -936,18 +954,14 @@ impl<'a, O: Observer> Processor<'a, O> {
         let dest_phys = renamed.map(|r| r.new_phys);
         let prev_phys = renamed.and_then(|r| r.prev_phys);
 
-        // --- Branch prediction ---------------------------------------------
-        let (predicted, mispredicted) = if let Some(b) = inst.branch {
-            if b.unconditional {
-                (Some(true), false)
-            } else {
-                let correct =
-                    self.predictor
-                        .predict_and_train(inst.pc, b.taken, &mut self.stats.branches);
-                (Some(if correct { b.taken } else { !b.taken }), !correct)
+        // --- Branch prediction (conditional branches only) -----------------
+        let mispredicted = match inst.branch {
+            Some(b) if !b.unconditional => {
+                !self
+                    .predictor
+                    .predict_and_train(inst.pc, b.taken, &mut self.stats.branches)
             }
-        } else {
-            (None, false)
+            _ => false,
         };
 
         // --- Structure allocation ------------------------------------------
@@ -979,7 +993,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             fu: inst.kind.fu_class(),
             ckpt,
         };
-        {
+        let iq_slot = {
             let regs = &self.regs;
             let queue = if needs_fp_queue {
                 &mut self.fp_iq
@@ -988,8 +1002,8 @@ impl<'a, O: Observer> Processor<'a, O> {
             };
             queue
                 .insert(iq_entry, |p| regs.is_ready(p))
-                .expect("queue space was checked"); // koc-lint: allow(panic, "dispatch checked queue space above")
-        }
+                .expect("queue space was checked") // koc-lint: allow(panic, "dispatch checked queue space above")
+        };
         self.engine.dispatched(&d, ckpt, &mut engine_ctx!(self));
         self.inflight.insert(
             id,
@@ -1003,9 +1017,8 @@ impl<'a, O: Observer> Processor<'a, O> {
                 src_phys,
                 ckpt,
                 state: InstState::Waiting,
-                dispatch_cycle: self.cycle,
+                iq_slot,
                 mem_level: None,
-                predicted_taken: predicted,
                 mispredicted,
                 raises_exception: inst.raises_exception
                     && !self.handled_exceptions.contains_key(id),
@@ -1163,6 +1176,44 @@ mod tests {
             let fast = Processor::new(config, &trace).run();
             let slow = Processor::new(config.with_fast_forward(false), &trace).run();
             assert_eq!(fast, slow, "fast-forward must be invisible in the stats");
+        }
+    }
+
+    #[test]
+    fn window_structures_never_outgrow_their_construction_reservation() {
+        // At the benchmark's 8k-instruction length: longer runs let the
+        // youngest checkpoint window keep extending while the table is full,
+        // past the forced window size, and the slab then doubles once.
+        let workload =
+            koc_workloads::Suite::kernel("stream_add", koc_workloads::kernels::stream_add())
+                .generate(8_000)
+                .remove(0);
+        for config in [
+            ProcessorConfig::baseline(128, 1000),
+            ProcessorConfig::cooo(128, 2048, 1000),
+        ] {
+            let mut p = Processor::new(config, &workload.trace);
+            let reserved = (p.inflight.capacity(), p.fetch.capacity());
+            assert!(reserved.0 >= window_bound(&config) && reserved.1 >= window_bound(&config));
+            while !p.is_done() {
+                p.step();
+            }
+            assert_eq!(
+                p.stats.committed_instructions as usize,
+                workload.trace.len()
+            );
+            assert!(
+                p.stats.peak_inflight > window_bound(&config) / 2,
+                "the run must fill most of the window (peak {} of {})",
+                p.stats.peak_inflight,
+                window_bound(&config)
+            );
+            assert_eq!(
+                (p.inflight.capacity(), p.fetch.capacity()),
+                reserved,
+                "{}: the in-flight slab and replay window must not regrow",
+                p.engine_name()
+            );
         }
     }
 
