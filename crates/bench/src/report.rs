@@ -193,8 +193,6 @@ pub fn stats_rows(stats: &SimStats) -> Vec<(String, String)> {
         "memory.row_buffer_conflicts",
         m.row_buffer_conflicts.to_string(),
     );
-    push("memory.prefetch_issued", m.prefetch_issued.to_string());
-    push("memory.prefetch_useful", m.prefetch_useful.to_string());
 
     rows
 }
@@ -371,7 +369,6 @@ mod tests {
             "branches.mispredicted",
             "recoveries.near_recoveries",
             "stalls.iq_full",
-            "memory.prefetch_useful",
         ] {
             assert!(names.contains(&expected), "missing row {expected}");
         }

@@ -60,6 +60,19 @@ impl DependenceMask {
         self.bits.count_ones() as usize
     }
 
+    /// The registers currently marked dependent, lowest flat index first.
+    pub fn regs(self) -> impl Iterator<Item = ArchReg> {
+        let mut bits = self.bits;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let index = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(ArchReg::from_flat_index(index))
+        })
+    }
+
     /// Classifies `inst` against the mask and updates the mask, exactly as
     /// the pseudo-ROB extraction logic does:
     ///
@@ -97,6 +110,16 @@ mod tests {
         assert!(m.contains(ArchReg::fp(3)));
         assert!(!m.contains(ArchReg::fp(4)));
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn regs_lists_the_marked_registers_in_flat_order() {
+        let mut m = DependenceMask::seeded(ArchReg::fp(31));
+        m.set(ArchReg::int(0));
+        m.set(ArchReg::fp(2));
+        let regs: Vec<ArchReg> = m.regs().collect();
+        assert_eq!(regs, vec![ArchReg::int(0), ArchReg::fp(2), ArchReg::fp(31)]);
+        assert_eq!(DependenceMask::new().regs().count(), 0);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 
 pub mod checkpoint;
 pub mod depmask;
-pub mod flatmap;
 pub mod iq;
 pub mod lsq;
 pub mod pseudo_rob;
@@ -39,7 +38,6 @@ pub mod sliq;
 
 pub use checkpoint::{Checkpoint, CheckpointId, CheckpointPolicy, CheckpointTable};
 pub use depmask::DependenceMask;
-pub use flatmap::FlatMap;
 pub use iq::{InstructionQueue, IqEntry, IqFull, IqSlot};
 pub use lsq::{LoadStoreQueue, LsqEntry, LsqFull};
 pub use pseudo_rob::{PseudoRob, PseudoRobEntry, RetireClass};

@@ -483,13 +483,21 @@ impl DependenceTracker {
         self.trigger_of[reg.flat_index()] = None;
     }
 
-    /// Clears `reg` only if it is currently triggered by `phys` — used at
+    /// Clears every register currently triggered by `phys` — used at
     /// write-back so that a completing long-latency load stops poisoning the
-    /// mask, without erasing a younger redefinition that happens to use the
-    /// same logical register.
-    pub fn clear_if_trigger(&mut self, reg: ArchReg, phys: PhysReg) {
-        if self.trigger_of[reg.flat_index()] == Some(phys) {
-            self.clear_register(reg);
+    /// mask. That covers the load's own destination and every register that
+    /// inherited the trigger through [`classify`](Self::classify); a
+    /// register triggered by another load (a younger redefinition of the
+    /// same logical register included) keeps its trigger. A stale inherited
+    /// trigger would outlive the load: once a checkpoint commit frees
+    /// `phys`, dependents classified later would be parked in the SLIQ on a
+    /// register nothing writes again.
+    pub fn clear_if_trigger(&mut self, phys: PhysReg) {
+        // Only registers in the mask carry a trigger.
+        for reg in self.mask.regs() {
+            if self.trigger_of[reg.flat_index()] == Some(phys) {
+                self.clear_register(reg);
+            }
         }
     }
 
@@ -775,15 +783,46 @@ mod tests {
         let mut t = DependenceTracker::new();
         t.add_long_latency_load(ArchReg::fp(1), PhysReg(41));
         assert_eq!(t.trigger_for(ArchReg::fp(1)), Some(PhysReg(41)));
-        t.clear_if_trigger(ArchReg::fp(1), PhysReg(99));
+        t.clear_if_trigger(PhysReg(99));
         assert_eq!(
             t.trigger_for(ArchReg::fp(1)),
             Some(PhysReg(41)),
             "mismatched trigger is ignored"
         );
-        t.clear_if_trigger(ArchReg::fp(1), PhysReg(41));
+        t.clear_if_trigger(PhysReg(41));
         assert_eq!(t.trigger_for(ArchReg::fp(1)), None);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn clear_if_trigger_clears_registers_that_inherited_the_trigger() {
+        let mut t = DependenceTracker::new();
+        t.add_long_latency_load(ArchReg::fp(1), PhysReg(41));
+        t.add_long_latency_load(ArchReg::fp(10), PhysReg(55));
+        // A loop-carried accumulator inherits the first load's trigger.
+        let acc = Instruction::op(
+            0,
+            OpKind::FpAlu,
+            Some(ArchReg::fp(28)),
+            &[ArchReg::fp(28), ArchReg::fp(1)],
+        );
+        assert_eq!(t.classify(&acc), Some(PhysReg(41)));
+        // The load's own destination is redefined before it completes.
+        let redef = Instruction::op(4, OpKind::FpAlu, Some(ArchReg::fp(1)), &[ArchReg::fp(9)]);
+        assert_eq!(t.classify(&redef), None);
+        t.clear_if_trigger(PhysReg(41));
+        assert_eq!(t.trigger_for(ArchReg::fp(28)), None);
+        let reader = Instruction::op(8, OpKind::FpAlu, Some(ArchReg::fp(2)), &[ArchReg::fp(28)]);
+        assert_eq!(
+            t.classify(&reader),
+            None,
+            "the completed load triggers nothing"
+        );
+        assert_eq!(
+            t.trigger_for(ArchReg::fp(10)),
+            Some(PhysReg(55)),
+            "another load's trigger survives"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A minimal JSON reader shared by every crate that parses the workspace's
-//! JSON artifacts (saved traces, bench reports).
+//! JSON artifacts (bench reports, timelines, pipeline traces).
 //!
 //! The workspace serde stub only *writes* JSON, so reading is hand-rolled:
 //! [`parse_json`] produces a [`Json`] tree with just enough accessors to
@@ -40,14 +40,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -97,7 +89,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 
 /// Parses a versioned workspace artifact: a JSON object whose `"schema"`
 /// field must equal `schema`. This is the shared front door for every
-/// on-disk format (`koc-trace/1`, `koc-bench-harness/1`, ...), so schema
+/// on-disk format (`koc-bench-harness/1`, ...), so schema
 /// mismatches fail uniformly and early.
 ///
 /// # Errors

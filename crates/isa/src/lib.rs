@@ -35,7 +35,6 @@
 
 pub mod builder;
 pub mod inst;
-pub mod io;
 pub mod json;
 pub mod op;
 pub mod reg;
@@ -47,7 +46,5 @@ pub use inst::MAX_SRCS;
 pub use inst::{BranchInfo, Instruction, MemAccess};
 pub use op::{FuClass, OpKind, OpLatency};
 pub use reg::{ArchReg, PhysReg, RegClass, RegList, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};
-pub use source::{
-    InstructionSource, IntoInstructionSource, MaterializedTrace, ReplayWindow, SourceExt,
-};
+pub use source::{InstructionSource, IntoInstructionSource, MaterializedTrace, ReplayWindow};
 pub use trace::{InstId, Trace, TraceCursor};

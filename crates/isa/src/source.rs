@@ -1,5 +1,5 @@
-//! Streaming instruction ingestion: [`InstructionSource`], the
-//! [`ReplayWindow`], and stream combinators.
+//! Streaming instruction ingestion: [`InstructionSource`] and the
+//! [`ReplayWindow`].
 //!
 //! The simulator used to require the whole dynamic instruction stream in
 //! memory as a [`Trace`] before a run could start, which caps run length by
@@ -15,18 +15,15 @@
 //! ```text
 //!   InstructionSource ──pull──▶ ReplayWindow ──peek/next──▶ fetch stage
 //!   (kernel generator,          (ring buffer:               ▲        │
-//!    trace adapter,              release_to ◀── commit      └rewind──┘
-//!    combinators)                trims the tail)              (rollback)
+//!    trace adapter)              release_to ◀── commit      └rewind──┘
+//!                                trims the tail)              (rollback)
 //! ```
 //!
-//! Three source families plug in:
+//! Two source families plug in:
 //!
 //! * [`MaterializedTrace`] — adapter over a pre-built [`Trace`] (or any
 //!   `&Trace`, via [`IntoInstructionSource`]): today's workloads unchanged;
-//! * streaming generators — `koc-workloads` emits every kernel lazily;
-//! * combinators — [`SourceExt::then`], [`SourceExt::interleave`],
-//!   [`SourceExt::repeat_n`] and [`SourceExt::warmup_measure`] compose
-//!   sources into richer scenarios without materializing anything.
+//! * streaming generators — `koc-workloads` emits every kernel lazily.
 //!
 //! # The replay contract
 //!
@@ -347,286 +344,10 @@ impl std::fmt::Debug for ReplayWindow<'_> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Combinators
-// ---------------------------------------------------------------------
-
-/// Stream-algebra adapters available on every [`InstructionSource`]
-/// (blanket-implemented, like [`Iterator`]'s adapters).
-pub trait SourceExt: InstructionSource + Sized {
-    /// Runs `self` to completion, then `next` — e.g. a cache-warming kernel
-    /// followed by the kernel under study. The second stream's program
-    /// counters are rebased past the first's so the branch predictor sees
-    /// two distinct code regions.
-    fn then<B: InstructionSource>(self, next: B) -> Chain<Self, B> {
-        Chain {
-            name: format!("{}+{}", self.name(), next.name()),
-            first: Some(self),
-            second: next,
-            pc_end: 0,
-        }
-    }
-
-    /// Alternates blocks of `block` instructions from `self` and `other` —
-    /// a coarse model of two co-scheduled workloads sharing the pipeline.
-    /// Both streams keep their own program counters and architectural
-    /// registers, so the interleaving also creates cross-workload (false)
-    /// register dependences; that contention is the scenario.
-    ///
-    /// # Panics
-    /// Panics if `block` is zero.
-    fn interleave<B: InstructionSource>(self, other: B, block: usize) -> Interleave<Self, B> {
-        assert!(block > 0, "interleave block must be non-zero");
-        Interleave {
-            name: format!("{}x{}", self.name(), other.name()),
-            a: self,
-            b: other,
-            block,
-            emitted_in_block: 0,
-            from_a: true,
-            a_done: false,
-            b_done: false,
-        }
-    }
-
-    /// Replays the stream `n` times end to end — the same static code
-    /// re-executed, as a real outer loop would (program counters repeat
-    /// per pass). The source must be `Clone` so each pass restarts from a
-    /// pristine copy; `n = 0` is an empty stream.
-    fn repeat_n(self, n: usize) -> Repeat<Self>
-    where
-        Self: Clone,
-    {
-        Repeat {
-            name: format!("{}*{n}", self.name()),
-            pristine: self.clone(),
-            current: (n > 0).then_some(self),
-            remaining: n,
-            passes: n,
-        }
-    }
-
-    /// Marks the first `warmup` instructions as a warm-up region and the
-    /// next `measure` as the measured region, truncating the stream after
-    /// them. The boundary is queryable via [`WarmupMeasure::region_of`],
-    /// so harnesses can attribute statistics to the region an instruction
-    /// belongs to.
-    fn warmup_measure(self, warmup: usize, measure: usize) -> WarmupMeasure<Self> {
-        WarmupMeasure {
-            inner: self,
-            warmup,
-            measure,
-            emitted: 0,
-        }
-    }
-}
-
-impl<S: InstructionSource + Sized> SourceExt for S {}
-
-/// Sequential composition: see [`SourceExt::then`].
-#[derive(Debug, Clone)]
-pub struct Chain<A, B> {
-    name: String,
-    first: Option<A>,
-    second: B,
-    /// One past the highest pc the first stream emitted, aligned up; added
-    /// to the second stream's pcs and branch targets.
-    pc_end: u64,
-}
-
-impl<A: InstructionSource, B: InstructionSource> InstructionSource for Chain<A, B> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn next_inst(&mut self) -> Option<Instruction> {
-        if let Some(first) = &mut self.first {
-            if let Some(inst) = first.next_inst() {
-                self.pc_end = self.pc_end.max(inst.pc.saturating_add(4));
-                return Some(inst);
-            }
-            self.first = None;
-        }
-        self.second.next_inst().map(|mut inst| {
-            inst.pc = inst.pc.wrapping_add(self.pc_end);
-            if let Some(b) = &mut inst.branch {
-                b.target = b.target.wrapping_add(self.pc_end);
-            }
-            inst
-        })
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        match (&self.first, self.second.len_hint()) {
-            (Some(first), Some(b)) => first.len_hint().map(|a| a + b),
-            // Once the first stream is drained the count of already-emitted
-            // instructions is unknown here; stay honest and decline.
-            _ => None,
-        }
-    }
-}
-
-/// Block interleaving: see [`SourceExt::interleave`].
-#[derive(Debug, Clone)]
-pub struct Interleave<A, B> {
-    name: String,
-    a: A,
-    b: B,
-    block: usize,
-    emitted_in_block: usize,
-    from_a: bool,
-    a_done: bool,
-    b_done: bool,
-}
-
-impl<A: InstructionSource, B: InstructionSource> InstructionSource for Interleave<A, B> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn next_inst(&mut self) -> Option<Instruction> {
-        loop {
-            if self.a_done && self.b_done {
-                return None;
-            }
-            let current_done = if self.from_a {
-                self.a_done
-            } else {
-                self.b_done
-            };
-            if current_done {
-                // Current side exhausted; drain the other without blocking.
-                self.from_a = !self.from_a;
-                self.emitted_in_block = 0;
-                continue;
-            }
-            let pulled = if self.from_a {
-                self.a.next_inst()
-            } else {
-                self.b.next_inst()
-            };
-            match pulled {
-                Some(inst) => {
-                    self.emitted_in_block += 1;
-                    if self.emitted_in_block >= self.block {
-                        self.emitted_in_block = 0;
-                        self.from_a = !self.from_a;
-                    }
-                    return Some(inst);
-                }
-                None => {
-                    if self.from_a {
-                        self.a_done = true;
-                    } else {
-                        self.b_done = true;
-                    }
-                    self.emitted_in_block = 0;
-                    self.from_a = !self.from_a;
-                }
-            }
-        }
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.a.len_hint()? + self.b.len_hint()?)
-    }
-}
-
-/// End-to-end repetition: see [`SourceExt::repeat_n`].
-#[derive(Debug, Clone)]
-pub struct Repeat<S> {
-    name: String,
-    pristine: S,
-    current: Option<S>,
-    remaining: usize,
-    /// Total passes requested at construction (for [`len_hint`], which
-    /// reports the whole stream's length, not what is left).
-    passes: usize,
-}
-
-impl<S: InstructionSource + Clone> InstructionSource for Repeat<S> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn next_inst(&mut self) -> Option<Instruction> {
-        loop {
-            let current = self.current.as_mut()?;
-            if let Some(inst) = current.next_inst() {
-                return Some(inst);
-            }
-            self.remaining -= 1;
-            self.current = (self.remaining > 0).then(|| self.pristine.clone());
-        }
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        self.pristine.len_hint().map(|l| l * self.passes)
-    }
-}
-
-/// The region an instruction of a [`WarmupMeasure`] stream belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Region {
-    /// The warm-up prefix (prime caches and predictors; exclude from
-    /// reported statistics).
-    Warmup,
-    /// The measured region.
-    Measure,
-}
-
-/// Warm-up/measure region markers: see [`SourceExt::warmup_measure`].
-#[derive(Debug, Clone)]
-pub struct WarmupMeasure<S> {
-    inner: S,
-    warmup: usize,
-    measure: usize,
-    emitted: usize,
-}
-
-impl<S> WarmupMeasure<S> {
-    /// The region the instruction at stream position `id` belongs to.
-    pub fn region_of(&self, id: InstId) -> Region {
-        if id < self.warmup {
-            Region::Warmup
-        } else {
-            Region::Measure
-        }
-    }
-
-    /// Stream position of the first measured instruction.
-    pub fn measure_start(&self) -> InstId {
-        self.warmup
-    }
-}
-
-impl<S: InstructionSource> InstructionSource for WarmupMeasure<S> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn next_inst(&mut self) -> Option<Instruction> {
-        if self.emitted >= self.warmup + self.measure {
-            return None;
-        }
-        let inst = self.inner.next_inst()?;
-        self.emitted += 1;
-        Some(inst)
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        // Without an inner hint the stream might end before the cap, so no
-        // exact length can be promised.
-        let cap = self.warmup + self.measure;
-        self.inner.len_hint().map(|l| l.min(cap))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TraceBuilder;
-    use crate::op::OpKind;
     use crate::reg::ArchReg;
 
     fn numbered(name: &str, n: usize) -> Trace {
@@ -760,85 +481,5 @@ mod tests {
         assert!(w.peek().is_none());
         assert!(w.next_inst().is_none());
         assert_eq!(w.fetched(), 0);
-    }
-
-    #[test]
-    fn chain_concatenates_and_rebases_pcs() {
-        let a = numbered("a", 3);
-        let b = {
-            let mut bld = TraceBuilder::named("b");
-            bld.int_alu(ArchReg::int(0), &[]);
-            bld.backward_branch(ArchReg::int(0), true);
-            bld.finish()
-        };
-        let chained = MaterializedTrace::new(&a).then(MaterializedTrace::new(&b));
-        assert_eq!(chained.name(), "a+b");
-        assert_eq!(chained.len_hint(), Some(5));
-        let insts = drain(chained);
-        assert_eq!(insts.len(), 5);
-        // First stream's pcs are 0,4,8; the second is rebased past them.
-        assert_eq!(insts[3].pc, 12);
-        assert_eq!(insts[4].pc, 16);
-        let br = insts[4].branch.unwrap();
-        assert!(br.target >= 12 || br.target == 0, "target rebased: {br:?}");
-    }
-
-    #[test]
-    fn interleave_alternates_blocks_and_drains_tails() {
-        let a = numbered("a", 5);
-        let b = numbered("b", 2);
-        let mixed = MaterializedTrace::new(&a).interleave(MaterializedTrace::new(&b), 2);
-        assert_eq!(mixed.len_hint(), Some(7));
-        let pcs: Vec<u64> = drain(mixed).iter().map(|i| i.pc).collect();
-        // a: 0,4,8,12,16  b: 0,4 — blocks of two, then a's tail.
-        assert_eq!(pcs, vec![0, 4, 0, 4, 8, 12, 16]);
-    }
-
-    #[test]
-    fn repeat_replays_the_stream_with_repeating_pcs() {
-        let t = numbered("t", 3);
-        let r = MaterializedTrace::new(&t).repeat_n(3);
-        assert_eq!(r.name(), "t*3");
-        assert_eq!(r.len_hint(), Some(9));
-        let insts = drain(r);
-        assert_eq!(insts.len(), 9);
-        assert_eq!(insts[0].pc, insts[3].pc);
-        assert_eq!(insts[2].pc, insts[8].pc);
-        let empty = MaterializedTrace::new(&t).repeat_n(0);
-        assert_eq!(empty.len_hint(), Some(0), "zero passes is an empty stream");
-        assert!(drain(empty).is_empty());
-    }
-
-    #[test]
-    fn warmup_measure_truncates_and_classifies() {
-        let t = numbered("t", 100);
-        let wm = MaterializedTrace::new(&t).warmup_measure(10, 20);
-        assert_eq!(wm.len_hint(), Some(30));
-        assert_eq!(wm.region_of(9), Region::Warmup);
-        assert_eq!(wm.region_of(10), Region::Measure);
-        assert_eq!(wm.measure_start(), 10);
-        assert_eq!(drain(wm).len(), 30);
-    }
-
-    #[test]
-    fn combinators_compose() {
-        let t = numbered("t", 4);
-        let s = MaterializedTrace::new(&t)
-            .repeat_n(2)
-            .then(MaterializedTrace::new(&t))
-            .warmup_measure(3, 6);
-        let insts = drain(s);
-        assert_eq!(insts.len(), 9);
-        assert!(insts.iter().all(|i| i.kind == OpKind::IntAlu));
-    }
-
-    #[test]
-    fn window_over_a_combinator_stream_rewinds_fine() {
-        let t = numbered("t", 4);
-        let mut w = ReplayWindow::new(MaterializedTrace::new(&t).repeat_n(2));
-        let first: Vec<InstId> = std::iter::from_fn(|| w.next_inst().map(|(id, _)| id)).collect();
-        assert_eq!(first.len(), 8);
-        w.rewind_to(5);
-        assert_eq!(w.next_inst().unwrap().0, 5);
     }
 }

@@ -76,41 +76,6 @@ impl Trace {
         }
     }
 
-    /// Encodes the trace in the versioned `koc-trace/1` JSON format (see
-    /// [`crate::io`]).
-    pub fn to_versioned_json(&self) -> String {
-        crate::io::trace_to_json(self)
-    }
-
-    /// Decodes a trace from the versioned `koc-trace/1` JSON format.
-    ///
-    /// # Errors
-    /// Returns a description of the first structural problem (unparseable
-    /// JSON, unsupported schema, malformed instruction).
-    pub fn from_versioned_json(text: &str) -> Result<Self, String> {
-        crate::io::trace_from_json(text)
-    }
-
-    /// Saves the trace to `path` in the versioned JSON format, so recorded
-    /// traces can be shared between runs and tools.
-    ///
-    /// # Errors
-    /// Propagates the underlying filesystem error.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_versioned_json())
-    }
-
-    /// Loads a trace previously written by [`Trace::save`].
-    ///
-    /// # Errors
-    /// Returns a description of the failure — filesystem or format.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, String> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("failed to read {}: {e}", path.display()))?;
-        Self::from_versioned_json(&text)
-    }
-
     /// Fraction of instructions of each property, handy for workload sanity checks.
     pub fn mix(&self) -> TraceMix {
         let mut mix = TraceMix::default();

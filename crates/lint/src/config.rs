@@ -34,7 +34,7 @@ pub struct Config {
     /// Crate directories where `std::time` and `rand` are forbidden.
     pub determinism_crates: Vec<String>,
     /// Crate directories where `HashMap`/`HashSet` use is policed: point
-    /// use is a warning (prefer `FlatMap`), iteration a hard error.
+    /// use is a warning (prefer a `BTreeMap`), iteration a hard error.
     pub map_crates: Vec<String>,
     /// Crate directories whose library code must justify every
     /// `unwrap`/`expect`/`panic!` with an allow marker.

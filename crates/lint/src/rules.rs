@@ -218,7 +218,7 @@ fn determinism_sources(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut V
 }
 
 /// `determinism` (maps): `HashMap`/`HashSet` presence is a warning (prefer
-/// `koc_core::FlatMap`); iterating one is a hard error, because iteration
+/// a `BTreeMap`/`BTreeSet` or a dense `Vec`); iterating one is a hard error, because iteration
 /// order depends on the hasher and breaks cycle-exact determinism. With
 /// `hot` given, only violations inside hot functions are reported (the
 /// bindings are still collected file-wide, so a hot loop over a cold-side
@@ -246,9 +246,9 @@ fn determinism_maps(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<
                 scan,
                 t.line,
                 format!(
-                    "{} in simulation code{} — point lookups should use \
-                     koc_core::FlatMap (usize keys, allocation-free steady \
-                     state); iteration over it is a hard error",
+                    "{} in simulation code{} — use a BTreeMap/BTreeSet \
+                     (ordered, no hashing) or a dense Vec indexed by \
+                     handle; iteration over it is a hard error",
                     t.text,
                     via(chain)
                 ),
@@ -295,8 +295,8 @@ fn determinism_maps(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<
                     t.line,
                     format!(
                         ".{}() iterates hash-map `{}` in storage order{} — \
-                         nondeterministic; use koc_core::FlatMap or a dense \
-                         Vec with stable indices",
+                         nondeterministic; use a BTreeMap or a dense Vec \
+                         with stable indices",
                         m.text,
                         t.text,
                         via(chain)
@@ -324,8 +324,8 @@ fn determinism_maps(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<
                     t.line,
                     format!(
                         "`for … in {}` iterates a hash map in storage \
-                         order{} — nondeterministic; use koc_core::FlatMap \
-                         or a dense Vec with stable indices",
+                         order{} — nondeterministic; use a BTreeMap or a \
+                         dense Vec with stable indices",
                         t.text,
                         via(chain)
                     ),

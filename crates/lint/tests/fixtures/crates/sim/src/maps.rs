@@ -5,7 +5,7 @@ use std::collections::HashMap; // koc-lint: allow(determinism, "re-export for do
 use std::time::Instant;
 
 pub struct Tracker {
-    // Point use: warning nudging toward FlatMap.
+    // Point use: warning nudging toward a BTreeMap.
     waiting: HashMap<u64, u64>,
 }
 

@@ -1,28 +1,24 @@
 //! The pluggable timed memory backend.
 //!
 //! Everything *beyond the L2* is modelled by an implementation of
-//! [`MemoryBackend`]: the hierarchy hands it L2 misses (demand loads,
-//! committed-store write-backs and prefetches) and consumes completions as
-//! they return. The seam mirrors the `CommitEngine` trait in `koc-sim`:
-//! the hierarchy drives whichever backend it is given without knowing the
-//! variant.
+//! [`MemoryBackend`]: the hierarchy hands it L2 misses (demand loads and
+//! committed-store write-backs) and consumes completions as they return.
+//! The seam mirrors the `CommitEngine` trait in `koc-sim`: the hierarchy
+//! drives whichever backend it is given without knowing the variant.
 //!
-//! Three implementations ship with the crate:
+//! Two implementations ship with the crate:
 //!
 //! * [`FlatLatency`] — the paper's model and the default: every request
 //!   completes a fixed `memory_latency` cycles after it arrives, with
 //!   unlimited outstanding misses.
 //! * [`crate::DramBackend`] — N banks with open-row buffers, per-bank FIFO
 //!   queues and a finite MSHR file that back-pressures the core when full.
-//! * [`crate::StridePrefetcher`] — a composable wrapper that detects strided
-//!   miss streams and issues prefetches into spare MSHR slots of whatever
-//!   backend it wraps.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Tokens with this bit set are internal to a backend (prefetches) and are
-/// never returned to the core as demand completions.
+/// Tokens with this bit set are internal to the memory system (posted
+/// writes) and are never returned to the core as demand completions.
 pub const INTERNAL_TOKEN_BIT: u64 = 1 << 63;
 
 /// One request handed to a backend: an L2 miss.
@@ -37,8 +33,6 @@ pub struct MemReq {
     /// Whether this is a write-back of a committed store (posted: it never
     /// occupies an MSHR and its completion carries no data).
     pub is_write: bool,
-    /// Whether this is a prefetch issued by a wrapper backend.
-    pub is_prefetch: bool,
 }
 
 impl MemReq {
@@ -48,7 +42,6 @@ impl MemReq {
             token,
             addr,
             is_write: false,
-            is_prefetch: false,
         }
     }
 
@@ -58,7 +51,6 @@ impl MemReq {
             token: INTERNAL_TOKEN_BIT,
             addr,
             is_write: true,
-            is_prefetch: false,
         }
     }
 }
@@ -82,16 +74,11 @@ pub enum Admit {
 pub struct Completion {
     /// The token of the originating [`MemReq`].
     pub token: u64,
-    /// The request's byte address (prefetch completions use it to fill L2).
-    pub addr: u64,
-    /// Whether the completed request was a prefetch.
-    pub is_prefetch: bool,
     /// Whether the completed request was a posted write.
     pub is_write: bool,
 }
 
-/// Counters every backend maintains. Wrappers merge their own counters with
-/// their inner backend's.
+/// Counters every backend maintains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BackendStats {
     /// Demand reads accepted.
@@ -106,10 +93,6 @@ pub struct BackendStats {
     pub row_buffer_misses: u64,
     /// DRAM accesses that had to close a different open row first.
     pub row_buffer_conflicts: u64,
-    /// Prefetches issued to the memory system.
-    pub prefetch_issued: u64,
-    /// Demand misses that merged with an in-flight prefetch of the same line.
-    pub prefetch_useful: u64,
     /// Peak simultaneous MSHR occupancy.
     pub mshr_high_water: usize,
 }
@@ -153,16 +136,10 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
     /// Whether a demand read offered now would be admitted.
     fn can_accept(&self) -> bool;
 
-    /// Whether a *prefetch* should be admitted: true only when admitting it
-    /// would still leave an MSHR free for demand traffic.
-    fn has_spare_slot(&self) -> bool {
-        self.can_accept()
-    }
-
     /// Number of reads currently occupying MSHRs.
     fn in_flight(&self) -> usize;
 
-    /// Accumulated counters (including any wrapped backend's).
+    /// Accumulated counters.
     fn stats(&self) -> BackendStats;
 
     /// Clears all queues, MSHRs and counters.
@@ -212,8 +189,6 @@ impl MemoryBackend for FlatLatency {
     fn request(&mut self, req: MemReq, at: u64) -> Admit {
         if req.is_write {
             self.stats.writes += 1;
-        } else if req.is_prefetch {
-            self.stats.prefetch_issued += 1;
         } else {
             self.stats.demand_reads += 1;
         }
@@ -246,8 +221,7 @@ impl MemoryBackend for FlatLatency {
 }
 
 /// A caller-side completion schedule for [`Admit::At`] answers that cannot
-/// be consumed immediately (used by the hierarchy's retry queue and by the
-/// prefetcher for its own prefetches under a flat inner backend).
+/// be consumed immediately (used by the hierarchy's retry queue).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SelfSchedule {
     due: BTreeMap<u64, Vec<Completion>>,
@@ -305,14 +279,8 @@ mod tests {
         let mut b = FlatLatency::new(100);
         b.request(MemReq::read(1, 0), 0);
         b.request(MemReq::write(64), 0);
-        let mut pf = MemReq::read(INTERNAL_TOKEN_BIT | 2, 128);
-        pf.is_prefetch = true;
-        b.request(pf, 0);
         let s = b.stats();
-        assert_eq!(
-            (s.demand_reads, s.writes, s.prefetch_issued, s.rejected),
-            (1, 1, 1, 0)
-        );
+        assert_eq!((s.demand_reads, s.writes, s.rejected), (1, 1, 0));
         b.reset();
         assert_eq!(b.stats(), BackendStats::default());
     }
@@ -322,8 +290,6 @@ mod tests {
         let mut s = SelfSchedule::default();
         let c = |t| Completion {
             token: t,
-            addr: 0,
-            is_prefetch: false,
             is_write: false,
         };
         s.push(20, c(2));

@@ -1,9 +1,8 @@
 //! Memory-hierarchy configuration (Table 1 plus the perfect-L2 variant),
-//! including the timed-backend and prefetcher knobs.
+//! including the timed-backend knobs.
 
 use crate::cache::CacheConfig;
 use crate::dram::DramConfig;
-use crate::prefetch::PrefetchConfig;
 use serde::{Deserialize, Serialize};
 
 /// Which timed backend models main memory (everything beyond the L2).
@@ -47,8 +46,6 @@ pub struct MemoryConfig {
     pub perfect_l2: bool,
     /// The timed backend modelling main memory.
     pub backend: BackendKind,
-    /// Prefetching into the L2 miss stream.
-    pub prefetch: PrefetchConfig,
 }
 
 impl MemoryConfig {
@@ -62,7 +59,6 @@ impl MemoryConfig {
             memory_ports: 2,
             perfect_l2: false,
             backend: BackendKind::Flat,
-            prefetch: PrefetchConfig::Off,
         }
     }
 
@@ -112,12 +108,6 @@ impl MemoryConfig {
         self
     }
 
-    /// Sets the prefetching configuration (builder style).
-    pub fn with_prefetch(mut self, prefetch: PrefetchConfig) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
-
     /// The worst-case latency of a single data access under this
     /// configuration, excluding queueing behind other requests (used for
     /// deadlock bounds, not for timing).
@@ -139,11 +129,6 @@ impl MemoryConfig {
     pub fn validate(&self) -> Result<(), String> {
         if let BackendKind::Dram(d) = self.backend {
             d.validate()?;
-        }
-        if let crate::prefetch::PrefetchConfig::Stride { degree, streams } = self.prefetch {
-            if degree == 0 || streams == 0 {
-                return Err("prefetch degree and stream count must be non-zero".into());
-            }
         }
         Ok(())
     }
@@ -195,10 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn backend_defaults_to_flat_with_no_prefetch() {
+    fn backend_defaults_to_flat() {
         let m = MemoryConfig::table1(1000);
         assert_eq!(m.backend, BackendKind::Flat);
-        assert_eq!(m.prefetch, PrefetchConfig::Off);
         assert!(m.validate().is_ok());
     }
 
@@ -242,10 +226,5 @@ mod tests {
             ..DramConfig::table1_like()
         });
         assert!(bad.validate().is_err());
-        let bad_pf = MemoryConfig::table1(100).with_prefetch(PrefetchConfig::Stride {
-            degree: 0,
-            streams: 4,
-        });
-        assert!(bad_pf.validate().is_err());
     }
 }

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, VecDeque};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramConfig {
     /// Miss-status-holding registers: the maximum number of outstanding
-    /// reads (demand + prefetch). Use [`DramConfig::UNLIMITED_MSHRS`] for an
+    /// reads. Use [`DramConfig::UNLIMITED_MSHRS`] for an
     /// unbounded file. Posted writes bypass the MSHR file.
     pub mshr_entries: usize,
     /// Number of independent DRAM banks.
@@ -227,11 +227,7 @@ impl MemoryBackend for DramBackend {
             }
             self.reads_in_flight += 1;
             self.stats.mshr_high_water = self.stats.mshr_high_water.max(self.reads_in_flight);
-            if req.is_prefetch {
-                self.stats.prefetch_issued += 1;
-            } else {
-                self.stats.demand_reads += 1;
-            }
+            self.stats.demand_reads += 1;
         } else {
             self.stats.writes += 1;
         }
@@ -262,8 +258,6 @@ impl MemoryBackend for DramBackend {
                     .or_default()
                     .push(Completion {
                         token: p.req.token,
-                        addr: p.req.addr,
-                        is_prefetch: p.req.is_prefetch,
                         is_write: p.req.is_write,
                     });
                 if self.config.bank_busy > 0 {
@@ -307,12 +301,6 @@ impl MemoryBackend for DramBackend {
 
     fn can_accept(&self) -> bool {
         self.reads_in_flight < self.config.mshr_entries
-    }
-
-    fn has_spare_slot(&self) -> bool {
-        // Leave at least one MSHR free for demand traffic.
-        self.config.mshr_entries == DramConfig::UNLIMITED_MSHRS
-            || self.reads_in_flight + 1 < self.config.mshr_entries
     }
 
     fn in_flight(&self) -> usize {
@@ -488,18 +476,6 @@ mod tests {
         assert!(out.is_empty(), "nothing completes before 10 + 250");
         drive(&mut b, 260..=260, &mut out);
         assert_eq!(out.len(), 50, "all 50 overlap fully and complete at 260");
-        assert!(b.has_spare_slot());
-    }
-
-    #[test]
-    fn has_spare_slot_reserves_one_mshr_for_demands() {
-        let mut b = one_bank(); // 4 MSHRs
-        b.request(MemReq::read(1, 0), 0);
-        b.request(MemReq::read(2, 64), 0);
-        assert!(b.has_spare_slot(), "2 of 4 in flight");
-        b.request(MemReq::read(3, 128), 0);
-        assert!(!b.has_spare_slot(), "3 of 4: prefetching would leave none");
-        assert!(b.can_accept(), "a demand still fits");
     }
 
     #[test]

@@ -5,9 +5,7 @@ use crate::backend::{Admit, Completion, FlatLatency, MemReq, MemoryBackend, Self
 use crate::cache::{Cache, CacheConfig};
 use crate::config::{BackendKind, MemoryConfig};
 use crate::dram::DramBackend;
-use crate::prefetch::StridePrefetcher;
 use crate::stats::MemoryStats;
-use koc_core::FlatMap;
 use koc_obs::{Event, NullObserver, Observer};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -78,33 +76,16 @@ pub struct MemoryHierarchy {
     /// Completions the hierarchy must deliver itself (an [`Admit::At`]
     /// answer to a retried request).
     self_scheduled: SelfSchedule,
-    /// L2 lines filled by a completed prefetch, for usefulness accounting.
-    /// A set in spirit (`FlatMap<()>`): point inserts/removes only, keyed by
-    /// line number — never iterated, so it cannot leak hash order into
-    /// simulated timing.
-    prefetched_lines: FlatMap<()>,
-    /// Demand L2 hits on prefetched lines.
-    prefetched_hits: u64,
     /// Scratch buffer for backend completions.
     drained: Vec<Completion>,
     stats: MemoryStats,
 }
 
-/// Builds the backend stack a [`MemoryConfig`] describes: the base model,
-/// optionally wrapped by a prefetcher.
+/// Builds the backend a [`MemoryConfig`] describes.
 fn backend_from_config(config: &MemoryConfig) -> Box<dyn MemoryBackend> {
-    let base: Box<dyn MemoryBackend> = match config.backend {
+    match config.backend {
         BackendKind::Flat => Box::new(FlatLatency::new(config.memory_latency)),
         BackendKind::Dram(d) => Box::new(DramBackend::new(d, config.memory_latency)),
-    };
-    if config.prefetch.is_enabled() {
-        Box::new(StridePrefetcher::new(
-            base,
-            config.prefetch,
-            config.l2.line_bytes,
-        ))
-    } else {
-        base
     }
 }
 
@@ -124,8 +105,6 @@ impl MemoryHierarchy {
             backend: backend_from_config(&config),
             waiting: VecDeque::new(),
             self_scheduled: SelfSchedule::default(),
-            prefetched_lines: FlatMap::default(),
-            prefetched_hits: 0,
             drained: Vec::new(),
             config,
             stats: MemoryStats::default(),
@@ -284,24 +263,10 @@ impl MemoryHierarchy {
             if c.is_write {
                 continue;
             }
-            if c.is_prefetch {
-                // Fill the prefetched line into L2 and remember it for the
-                // usefulness statistic. The tracking set is bounded by the
-                // L2's line capacity: anything beyond that has certainly
-                // been evicted, so the marker would be stale anyway.
-                self.l2.access(c.addr);
-                let cap = (self.config.l2.size_bytes / self.config.l2.line_bytes) as usize;
-                if self.prefetched_lines.len() >= cap {
-                    self.prefetched_lines.clear();
-                }
-                self.prefetched_lines
-                    .insert((c.addr / self.config.l2.line_bytes) as usize, ());
-            } else {
-                if O::ENABLED {
-                    obs.event(now, Event::MshrFill { token: c.token });
-                }
-                completed.push(c.token);
+            if O::ENABLED {
+                obs.event(now, Event::MshrFill { token: c.token });
             }
+            completed.push(c.token);
         }
         drained.clear();
         self.drained = drained;
@@ -314,8 +279,6 @@ impl MemoryHierarchy {
                         done.max(now),
                         Completion {
                             token: req.token,
-                            addr: req.addr,
-                            is_prefetch: false,
                             is_write: false,
                         },
                     );
@@ -369,8 +332,6 @@ impl MemoryHierarchy {
         self.stats.row_buffer_hits = b.row_buffer_hits;
         self.stats.row_buffer_misses = b.row_buffer_misses;
         self.stats.row_buffer_conflicts = b.row_buffer_conflicts;
-        self.stats.prefetch_issued = b.prefetch_issued;
-        self.stats.prefetch_useful = b.prefetch_useful + self.prefetched_hits;
     }
 
     /// The shared L1/L2 lookup: updates cache state and statistics and
@@ -390,23 +351,15 @@ impl MemoryHierarchy {
             });
         }
         self.stats.dl1_misses += 1;
-        let line = addr / self.config.l2.line_bytes;
         let l2 = self.l2.access(addr);
         if self.config.perfect_l2 || l2.is_hit() {
             self.stats.l2_hits += 1;
-            if self.prefetched_lines.remove(line as usize).is_some() {
-                self.prefetched_hits += 1;
-                self.sync_backend_stats();
-            }
             return Some(DataAccessResult {
                 level: MemLevel::L2,
                 latency: self.config.dl1.latency + self.config.l2.latency,
             });
         }
         self.stats.l2_misses += 1;
-        // The line was re-fetched from memory: a stale prefetch marker must
-        // not count a later hit as prefetch success.
-        let _ = self.prefetched_lines.remove(line as usize);
         None
     }
 
@@ -461,8 +414,6 @@ impl MemoryHierarchy {
         self.backend.reset();
         self.waiting.clear();
         self.self_scheduled.clear();
-        self.prefetched_lines.clear();
-        self.prefetched_hits = 0;
         self.stats = MemoryStats::default();
     }
 }
@@ -471,7 +422,6 @@ impl MemoryHierarchy {
 mod tests {
     use super::*;
     use crate::dram::DramConfig;
-    use crate::prefetch::PrefetchConfig;
 
     #[test]
     fn cold_access_goes_to_memory_then_warms_up() {
@@ -682,22 +632,5 @@ mod tests {
         let before = m.stats().mshr_full_stalls;
         m.account_idle_ticks(10);
         assert_eq!(m.stats().mshr_full_stalls, before + 10);
-    }
-
-    #[test]
-    fn prefetched_l2_hits_count_as_useful() {
-        let config = MemoryConfig::table1(100).with_prefetch(PrefetchConfig::stride());
-        let mut m = MemoryHierarchy::new(config);
-        let base = 0x400_0000u64;
-        let mut done = Vec::new();
-        // A unit-stride (one L2 line per step) miss stream.
-        for i in 0..20u64 {
-            m.tick(i * 200, &mut done);
-            m.access_data_timed(base + i * 64, i, i * 200);
-        }
-        m.tick(10_000, &mut done);
-        let s = *m.stats();
-        assert!(s.prefetch_issued > 0, "{s:?}");
-        assert!(s.prefetch_useful > 0, "{s:?}");
     }
 }

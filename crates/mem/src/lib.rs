@@ -19,15 +19,12 @@
 //!   conflict timing), per-bank FIFO queues, and a finite MSHR file that
 //!   back-pressures the core when it fills. This bounds the MLP a
 //!   kilo-instruction window can actually expose.
-//! * [`StridePrefetcher`] — a composable wrapper over either backend that
-//!   detects strided miss streams and prefetches into spare MSHR slots.
 //!
-//! The backend is selected by [`MemoryConfig`] knobs (`backend`,
-//! `prefetch`); the default configuration is `FlatLatency` with prefetching
-//! off, which reproduces the paper's figures cycle for cycle.
+//! The backend is selected by [`MemoryConfig::backend`]; the default is
+//! `FlatLatency`, which reproduces the paper's figures cycle for cycle.
 //!
 //! ```
-//! use koc_mem::{DramConfig, MemoryConfig, MemoryHierarchy, PrefetchConfig};
+//! use koc_mem::{DramConfig, MemoryConfig, MemoryHierarchy};
 //!
 //! // The paper's model:
 //! let mut mem = MemoryHierarchy::new(MemoryConfig::table1(1000));
@@ -35,10 +32,9 @@
 //! let second = mem.access_data(0x4_0000, false);
 //! assert!(first.latency > second.latency); // second hits in L1
 //!
-//! // A bandwidth-limited machine: 8 MSHRs, 4 banks, stride prefetching.
+//! // A bandwidth-limited machine: 8 MSHRs, 4 banks.
 //! let limited = MemoryConfig::table1(1000)
-//!     .with_dram(DramConfig::table1_like().with_mshr_entries(8).with_banks(4))
-//!     .with_prefetch(PrefetchConfig::stride());
+//!     .with_dram(DramConfig::table1_like().with_mshr_entries(8).with_banks(4));
 //! assert!(limited.validate().is_ok());
 //! ```
 
@@ -50,7 +46,6 @@ pub mod cache;
 pub mod config;
 pub mod dram;
 pub mod hierarchy;
-pub mod prefetch;
 pub mod stats;
 
 pub use backend::{Admit, BackendStats, Completion, FlatLatency, MemReq, MemoryBackend};
@@ -58,5 +53,4 @@ pub use cache::{AccessOutcome, Cache, CacheConfig};
 pub use config::{BackendKind, MemoryConfig};
 pub use dram::{DramBackend, DramConfig};
 pub use hierarchy::{DataAccessResult, MemLevel, MemoryHierarchy, TimedAccess};
-pub use prefetch::{PrefetchConfig, StridePrefetcher};
 pub use stats::MemoryStats;

@@ -28,11 +28,6 @@ pub struct MemoryStats {
     pub row_buffer_misses: u64,
     /// Main-memory accesses that had to close a conflicting open row.
     pub row_buffer_conflicts: u64,
-    /// Prefetches issued into the memory system.
-    pub prefetch_issued: u64,
-    /// Prefetches that were useful: a demand miss merged with the prefetch
-    /// in flight, or a demand access hit a prefetched line in L2.
-    pub prefetch_useful: u64,
 }
 
 impl MemoryStats {
@@ -58,11 +53,6 @@ impl MemoryStats {
             self.row_buffer_hits,
             self.row_buffer_hits + self.row_buffer_misses + self.row_buffer_conflicts,
         )
-    }
-
-    /// Fraction of issued prefetches that proved useful.
-    pub fn prefetch_accuracy(&self) -> f64 {
-        ratio(self.prefetch_useful, self.prefetch_issued)
     }
 }
 

@@ -370,9 +370,7 @@ impl<O: Observer> CommitEngine<O> for CheckpointedEngine {
                 self.sliq.on_trigger_ready(p, ctx.cycle);
             }
             if wb.kind == OpKind::Load {
-                if let Some(a) = wb.dest_arch {
-                    self.dep.clear_if_trigger(a, p);
-                }
+                self.dep.clear_if_trigger(p);
             }
         }
     }

@@ -72,8 +72,6 @@ pub struct Writeback {
     pub ckpt: CheckpointId,
     /// Operation kind.
     pub kind: OpKind,
-    /// Architectural destination, if any.
-    pub dest_arch: Option<ArchReg>,
     /// Renamed destination, if any.
     pub dest_phys: Option<PhysReg>,
 }

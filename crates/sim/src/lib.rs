@@ -64,7 +64,7 @@ pub use koc_workloads::Suite;
 
 // Re-exported so streaming runs (`Session::run_one`, `Processor::new`
 // over a generator) can be written without importing `koc_isa` directly.
-pub use koc_isa::{InstructionSource, IntoInstructionSource, ReplayWindow, SourceExt};
+pub use koc_isa::{InstructionSource, IntoInstructionSource, ReplayWindow};
 
 // Re-exported so observers — the fourth seam, next to the configuration,
 // the instruction source and the commit engine — can be attached without
@@ -75,5 +75,5 @@ pub use koc_obs::{
 };
 
 // Re-exported so the memory-backend knobs (`SimBuilder::dram`,
-// `mshr_entries`, `prefetch`, …) can be used without importing `koc_mem`.
-pub use koc_mem::{BackendKind, DramConfig, MemoryConfig, PrefetchConfig};
+// `mshr_entries`, …) can be used without importing `koc_mem`.
+pub use koc_mem::{BackendKind, DramConfig, MemoryConfig};

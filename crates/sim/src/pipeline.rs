@@ -39,7 +39,7 @@ use koc_isa::{
 };
 use koc_mem::{MemLevel, MemoryHierarchy, TimedAccess};
 use koc_obs::{CycleBucket, CycleSample, Event, NullObserver, Observer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Why dispatch stopped this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,9 +254,11 @@ pub struct Processor<'a, O: Observer = NullObserver> {
     next_seq: u64,
     /// Completion events: cycle -> [(inst, seq)].
     events: EventQueue,
-    /// Loads waiting on the timed memory backend, by request token (the
-    /// instance's `seq`). Completions surface from the hierarchy's tick.
-    mem_waiters: koc_core::FlatMap<InstId>,
+    /// Loads waiting on the timed memory backend as `(token, inst)`, sorted
+    /// by request token (the instance's `seq`). Loads mostly issue and
+    /// complete in age order, so inserts land near the back and removals
+    /// near the front. Completions surface from the hierarchy's tick.
+    mem_waiters: VecDeque<(u64, InstId)>,
     /// Scratch buffer for completed memory tokens.
     mem_completed: Vec<u64>,
     /// Scratch buffer for issue selection.
@@ -266,10 +268,7 @@ pub struct Processor<'a, O: Observer = NullObserver> {
     /// Number of dispatched-but-not-issued instructions (incremental).
     live_count: usize,
     /// Exceptions already delivered (so re-execution does not re-raise).
-    /// A set in spirit (`FlatMap<()>` keyed by [`InstId`]): point
-    /// membership tests only, never iterated (hash order must not reach
-    /// simulated timing).
-    handled_exceptions: koc_core::FlatMap<()>,
+    handled_exceptions: BTreeSet<InstId>,
     /// Scratch for the Figure-7 breakdown (computed only when
     /// `O::LIVE_BREAKDOWN`): `long_marks[p] == long_epoch` means physical
     /// register `p` carries a long-latency dependence in the current sample
@@ -377,12 +376,12 @@ impl<'a, O: Observer> Processor<'a, O> {
             inflight: InFlightTable::with_capacity(window),
             next_seq: 0,
             events: EventQueue::with_horizon(config.memory.worst_case_latency() as u64),
-            mem_waiters: koc_core::FlatMap::default(),
+            mem_waiters: VecDeque::new(),
             mem_completed: Vec::new(),
             issue_picked: Vec::new(),
             fetch_stall_until: 0,
             live_count: 0,
-            handled_exceptions: koc_core::FlatMap::default(),
+            handled_exceptions: BTreeSet::new(),
             long_marks: Vec::new(),
             long_epoch: 0,
             stats: SimStats::default(),
@@ -492,12 +491,11 @@ impl<'a, O: Observer> Processor<'a, O> {
 
     fn cycle_bound(&self) -> u64 {
         let worst_inst = self.config.memory.worst_case_latency() as u64 + 64;
-        // A finite MSHR file can serialise misses behind one another, and
-        // prefetch traffic competes for bank bandwidth: scale the deadlock
-        // bound (it remains a bound, not an estimate).
+        // A finite MSHR file can serialise misses behind one another: scale
+        // the deadlock bound (it remains a bound, not an estimate).
         let backpressure = match self.config.memory.backend {
             koc_mem::BackendKind::Flat => 1,
-            koc_mem::BackendKind::Dram(_) => 2 + self.config.memory.prefetch.degree() as u64,
+            koc_mem::BackendKind::Dram(_) => 2,
         };
         1_000_000 + self.fetch.fetched() as u64 * worst_inst * backpressure
     }
@@ -668,7 +666,8 @@ impl<'a, O: Observer> Processor<'a, O> {
             // The token is the load instance's `seq`; stale tokens (the
             // instance was squashed) simply no longer map to a waiter, and
             // the write-back stage re-checks `seq` anyway.
-            if let Some(inst) = self.mem_waiters.remove(token as usize) {
+            let found = self.mem_waiters.binary_search_by_key(&token, |&(t, _)| t);
+            if let Some((_, inst)) = found.ok().and_then(|at| self.mem_waiters.remove(at)) {
                 self.events.push(self.cycle, (inst, token));
             }
         }
@@ -694,7 +693,7 @@ impl<'a, O: Observer> Processor<'a, O> {
                 continue;
             }
             // Exceptions are delivered at completion.
-            if fl.raises_exception && !self.handled_exceptions.contains_key(inst) {
+            if fl.raises_exception && !self.handled_exceptions.contains(&inst) {
                 progressed = true;
                 let squashed = self.handle_exception(inst);
                 if squashed {
@@ -732,7 +731,6 @@ impl<'a, O: Observer> Processor<'a, O> {
                 inst,
                 ckpt: fl.ckpt,
                 kind: fl.kind,
-                dest_arch: fl.dest_arch,
                 dest_phys: fl.dest_phys,
             };
             let mispredicted = fl.mispredicted;
@@ -756,7 +754,7 @@ impl<'a, O: Observer> Processor<'a, O> {
     /// a recovery point) and `false` if it survives and should complete
     /// normally.
     fn handle_exception(&mut self, inst: InstId) -> bool {
-        self.handled_exceptions.insert(inst, ());
+        self.handled_exceptions.insert(inst);
         self.stats.recoveries.exceptions += 1;
         self.fetch_stall_until = self.cycle + self.config.mispredict_penalty as u64;
         self.engine.recover_exception(inst, &mut engine_ctx!(self))
@@ -819,7 +817,8 @@ impl<'a, O: Observer> Processor<'a, O> {
                 {
                     TimedAccess::Ready { level, latency } => (Some(latency), Some(level)),
                     TimedAccess::InFlight => {
-                        self.mem_waiters.insert(seq as usize, inst);
+                        let at = self.mem_waiters.partition_point(|&(t, _)| t < seq);
+                        self.mem_waiters.insert(at, (seq, inst));
                         (None, Some(MemLevel::Memory))
                     }
                 }
@@ -1020,8 +1019,7 @@ impl<'a, O: Observer> Processor<'a, O> {
                 iq_slot,
                 mem_level: None,
                 mispredicted,
-                raises_exception: inst.raises_exception
-                    && !self.handled_exceptions.contains_key(id),
+                raises_exception: inst.raises_exception && !self.handled_exceptions.contains(&id),
             },
         );
         self.live_count += 1;

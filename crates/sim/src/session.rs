@@ -21,7 +21,7 @@ use crate::pipeline::Processor;
 use crate::stats::SimStats;
 use koc_core::CheckpointPolicy;
 use koc_isa::{InstructionSource, IntoInstructionSource};
-use koc_mem::{BackendKind, DramConfig, PrefetchConfig};
+use koc_mem::{BackendKind, DramConfig};
 use koc_obs::Observer;
 use koc_workloads::{suite::suite_average, Suite, Workload, WorkloadSpec};
 use rayon::prelude::*;
@@ -298,12 +298,6 @@ impl SimBuilder {
     /// to the default DRAM part first.
     pub fn row_buffer(mut self, bytes: u64) -> Self {
         self.config.memory = self.config.memory.with_row_buffer(bytes);
-        self
-    }
-
-    /// Configures prefetching into the L2 miss stream.
-    pub fn prefetch(mut self, prefetch: PrefetchConfig) -> Self {
-        self.config.memory = self.config.memory.with_prefetch(prefetch);
         self
     }
 

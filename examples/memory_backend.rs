@@ -4,14 +4,13 @@
 //! The paper models main memory as a flat latency with unlimited
 //! outstanding misses, so a large window always finds memory-level
 //! parallelism. This example swaps in the banked DRAM backend and sweeps
-//! the MSHR file on the two MLP-contrast workloads, then shows the stride
-//! prefetcher clawing some of the loss back.
+//! the MSHR file on the two MLP-contrast workloads.
 //!
 //! ```text
 //! cargo run --release --example memory_backend
 //! ```
 
-use koc_sim::{DramConfig, PrefetchConfig, SimBuilder, Suite};
+use koc_sim::{DramConfig, SimBuilder, Suite};
 
 fn main() {
     let mshr_counts = [1usize, 2, 4, 8, 16, 32];
@@ -59,27 +58,6 @@ fn main() {
         "-",
         "-"
     );
-
-    println!();
-    println!("stride prefetching on the paper's stream_add kernel (flat backend)");
-    for (label, prefetch) in [
-        ("off", PrefetchConfig::Off),
-        ("stride x4", PrefetchConfig::stride()),
-    ] {
-        let result = SimBuilder::cooo()
-            .prefetch(prefetch)
-            .workloads(Suite::paper())
-            .trace_len(8_000)
-            .build()
-            .run();
-        let s = &result.per_workload[0].stats;
-        println!(
-            "  {label:>10}: {:.3} IPC  (prefetches issued {}, useful {})",
-            s.ipc(),
-            s.memory.prefetch_issued,
-            s.memory.prefetch_useful,
-        );
-    }
 
     println!();
     println!("Reading: stream_mlp scales with the MSHR count — the window exposes the");

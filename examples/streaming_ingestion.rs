@@ -11,10 +11,9 @@
 //! recovery point and the fetch head (the `ReplayWindow`), and replayed
 //! from that buffer on checkpoint rollback. This example drives a
 //! 5-million-instruction run and prints the replay window's high-water
-//! mark — thousands of entries, not millions — then composes a scenario
-//! from combinators.
+//! mark — thousands of entries, not millions.
 
-use koc::isa::{InstructionSource, SourceExt};
+use koc::isa::InstructionSource;
 use koc::sim::{NullObserver, SimBuilder, Suite};
 use koc::workloads::{kernels, KernelSource};
 
@@ -42,22 +41,6 @@ fn main() {
         "  replay-window peak: {} instructions ({}x smaller than the stream)\n",
         stats.replay_window_peak,
         stats.committed_instructions as usize / stats.replay_window_peak.max(1)
-    );
-
-    // Combinators compose scenarios without materializing anything: warm
-    // the caches with a resident kernel, then measure an irregular one,
-    // twice end to end.
-    let warm = KernelSource::new(
-        "dense_blocked",
-        kernels::dense_blocked().with_target_len(5_000),
-    );
-    let hot = KernelSource::new("gather", kernels::gather().with_target_len(20_000));
-    let scenario = warm.then(hot.repeat_n(2)).warmup_measure(5_000, 30_000);
-    let stats = session.run_one(scenario, NullObserver).0;
-    println!(
-        "combinator scenario (warmup+measure): {} retired, IPC {:.2}",
-        stats.committed_instructions,
-        stats.ipc()
     );
 
     // The streamed suite: same cycle counts as the materialized suite,

@@ -14,26 +14,23 @@
 //!    counters, matches the per-cycle-stepping run exactly.
 
 use koc_sim::{
-    CycleSample, DramConfig, Observer, PrefetchConfig, Processor, ProcessorConfig, SimBuilder,
-    SourceMode, Suite, Sweep,
+    CycleSample, DramConfig, Observer, Processor, ProcessorConfig, SimBuilder, SourceMode, Suite,
+    Sweep,
 };
 use koc_workloads::kernels;
 
-/// Configurations chosen to cover both engines and all three memory
-/// backends (flat, banked DRAM, DRAM behind the stride prefetcher).
+/// Configurations chosen to cover both engines on both memory backends
+/// (flat and banked DRAM).
 fn coverage_configs() -> Vec<ProcessorConfig> {
     let mut dram = ProcessorConfig::cooo(32, 512, 800);
     dram.memory = dram.memory.with_dram(DramConfig::table1_like());
-    let mut prefetching = ProcessorConfig::baseline(64, 800);
-    prefetching.memory = prefetching
-        .memory
-        .with_dram(DramConfig::table1_like())
-        .with_prefetch(PrefetchConfig::stride());
+    let mut dram_baseline = ProcessorConfig::baseline(64, 800);
+    dram_baseline.memory = dram_baseline.memory.with_dram(DramConfig::table1_like());
     vec![
         ProcessorConfig::baseline(64, 800),
         ProcessorConfig::cooo(32, 512, 800),
         dram,
-        prefetching,
+        dram_baseline,
     ]
 }
 

@@ -1,7 +1,7 @@
 //! Smoke tests for the statistics the experiment harness relies on: the
 //! figure-specific outputs exist and behave sensibly on small runs.
 
-use koc_bench::experiments::{fig07_live, fig11_inflight};
+use koc_bench::experiments::{fig07_live, fig11_inflight, fig13_checkpoints};
 use koc_core::RetireClass;
 use koc_obs::BREAKDOWN_INTERVAL;
 use koc_sim::{Processor, ProcessorConfig, RegisterModel, SimStats, WindowStats};
@@ -55,6 +55,15 @@ fn figure7_and_figure11_reports_match_their_golden_text() {
     );
 }
 
+/// The Figure 13 report at a short trace length, pinned byte for byte.
+#[test]
+fn figure13_report_matches_its_golden_text() {
+    assert_eq!(
+        fig13_checkpoints::run(2_000).render(),
+        include_str!("golden/fig13_len2000.txt")
+    );
+}
+
 #[test]
 fn figure11_inflight_average_tracks_window_size() {
     let w = workload();
@@ -90,6 +99,27 @@ fn figure13_checkpoint_sweep_is_monotonicish() {
         &w.trace,
     );
     assert!(many.ipc() >= few.ipc() * 0.9);
+}
+
+/// `reduction`'s loop-carried accumulators inherit a load's SLIQ trigger.
+/// Completing the load must clear the inherited triggers too: left stale,
+/// a checkpoint commit frees the trigger register and later dependents are
+/// parked in the SLIQ on a register nothing writes again, so the run
+/// deadlocks (it did at 4 and 16 checkpoints on the Figure 13 grid).
+#[test]
+fn reduction_completes_on_the_figure13_grid_with_few_checkpoints() {
+    let w = Workload::generate("reduction", kernels::reduction(), 8_000);
+    for checkpoints in [4, 16] {
+        let config = ProcessorConfig::cooo(2048, 2048, 1000)
+            .with_checkpoints(checkpoints)
+            .with_registers(RegisterModel::Conventional { phys_regs: 2048 });
+        let stats = run_trace(config, &w.trace);
+        assert_eq!(
+            stats.committed_instructions as usize,
+            w.trace.len(),
+            "{checkpoints} checkpoints"
+        );
+    }
 }
 
 #[test]

@@ -1,11 +1,8 @@
 //! Integration tests for the pluggable timed memory backend: parity with
-//! the paper's flat model, the DRAM/MSHR back-pressure axis, prefetching,
-//! and the configuration plumbing through the session API.
+//! the paper's flat model, the DRAM/MSHR back-pressure axis, and the
+//! configuration plumbing through the session API.
 
-use koc_sim::{
-    BackendKind, CommitConfig, DramConfig, PrefetchConfig, ProcessorConfig, SimBuilder, Suite,
-    Sweep,
-};
+use koc_sim::{BackendKind, CommitConfig, DramConfig, ProcessorConfig, SimBuilder, Suite, Sweep};
 use koc_workloads::kernels;
 
 /// Cycle counts recorded from the pre-backend hierarchy (the seed code) on
@@ -135,47 +132,11 @@ fn pointer_chase_gains_nothing_from_mshrs() {
 }
 
 #[test]
-fn stride_prefetching_helps_the_streaming_workload() {
-    let run = |prefetch: PrefetchConfig| {
-        SimBuilder::cooo()
-            .memory_latency(1000)
-            .prefetch(prefetch)
-            .workloads(Suite::kernel("stream_add", kernels::stream_add()))
-            .trace_len(3_000)
-            .build()
-            .run()
-    };
-    let off = run(PrefetchConfig::Off);
-    let on = run(PrefetchConfig::stride());
-    let stats = &on.per_workload[0].stats;
-    assert!(
-        stats.memory.prefetch_issued > 0,
-        "the unit-stride stream must trigger prefetches: {:?}",
-        stats.memory
-    );
-    assert!(
-        stats.memory.prefetch_useful > 0,
-        "prefetched lines must get used: {:?}",
-        stats.memory
-    );
-    assert!(
-        on.mean_ipc() >= off.mean_ipc(),
-        "prefetching a perfect stream must not hurt: {:.3} vs {:.3}",
-        on.mean_ipc(),
-        off.mean_ipc()
-    );
-}
-
-#[test]
 fn backend_knobs_flow_through_the_builder() {
     let builder = SimBuilder::cooo()
         .mshr_entries(8)
         .dram_banks(4)
-        .row_buffer(8 * 1024)
-        .prefetch(PrefetchConfig::Stride {
-            degree: 2,
-            streams: 4,
-        });
+        .row_buffer(8 * 1024);
     let mem = builder.config().memory;
     match mem.backend {
         BackendKind::Dram(d) => {
@@ -183,34 +144,7 @@ fn backend_knobs_flow_through_the_builder() {
         }
         BackendKind::Flat => panic!("knobs must upgrade the backend to DRAM"),
     }
-    assert_eq!(
-        mem.prefetch,
-        PrefetchConfig::Stride {
-            degree: 2,
-            streams: 4
-        }
-    );
     // The whole-backend override wins over per-knob upgrades.
     let flat_again = builder.memory_backend(BackendKind::Flat);
     assert_eq!(flat_again.config().memory.backend, BackendKind::Flat);
-}
-
-#[test]
-fn prefetching_composes_with_dram_and_still_commits_everything() {
-    let result = SimBuilder::baseline(128)
-        .memory_latency(500)
-        .dram(DramConfig::table1_like())
-        .prefetch(PrefetchConfig::stride())
-        .workloads(Suite::mlp_contrast())
-        .trace_len(1_500)
-        .build()
-        .run();
-    assert_eq!(result.per_workload.len(), 2);
-    for w in &result.per_workload {
-        assert!(
-            w.stats.committed_instructions >= 1_500,
-            "{} must commit its whole trace under back-pressure",
-            w.workload
-        );
-    }
 }

@@ -1,6 +1,6 @@
 //! Integration gates for the streaming `InstructionSource` ingestion path.
 //!
-//! Three properties the API redesign promises:
+//! Two properties the API redesign promises:
 //!
 //! 1. **Bit-identical timing** — the full paper suite produces the same
 //!    cycle counts (indeed the same `SimStats`) whether workloads are
@@ -10,12 +10,9 @@
 //!    completes with a replay-window peak bounded by the machine's
 //!    recovery depth (ROB / checkpoint span), independent of stream
 //!    length.
-//! 3. **Composability** — combinator pipelines (`then`, `repeat_n`,
-//!    `warmup_measure`) and reloaded trace files run end to end.
 
-use koc::isa::{InstructionSource, SourceExt, Trace};
 use koc::sim::{NullObserver, ProcessorConfig, SimBuilder, SourceMode, Suite};
-use koc::workloads::{generate_kernel, kernels, KernelSource, Workload};
+use koc::workloads::{kernels, KernelSource, Workload};
 
 /// Stream length for the long-run memory guard: ten million instructions
 /// in release builds (the acceptance target), scaled down for debug test
@@ -101,42 +98,6 @@ fn checkpointed_replay_window_is_bounded_by_checkpoint_depth_not_length() {
         long.replay_window_peak <= 8_192,
         "peak {} should track checkpoint depth",
         long.replay_window_peak
-    );
-}
-
-#[test]
-fn combinator_streams_run_end_to_end() {
-    let warm = KernelSource::new(
-        "dense_blocked",
-        kernels::dense_blocked().with_target_len(800),
-    );
-    let measured = KernelSource::new("gather", kernels::gather().with_target_len(1_200));
-    let stream = warm.then(measured.repeat_n(2)).warmup_measure(500, 2_000);
-    // gather places irregular branches randomly, so no exact length can be
-    // promised up front — the hint must decline rather than guess the cap.
-    assert_eq!(stream.len_hint(), None);
-    let stats = SimBuilder::baseline(64)
-        .memory_latency(200)
-        .build()
-        .run_one(stream, NullObserver)
-        .0;
-    assert_eq!(stats.committed_instructions as usize, 2_500);
-    assert!(stats.cycles > 0);
-}
-
-#[test]
-fn saved_traces_reload_and_replay_identically() {
-    let trace = generate_kernel("gather", &kernels::gather().with_target_len(2_000));
-    let path = std::env::temp_dir().join(format!("koc-streaming-{}.json", std::process::id()));
-    trace.save(&path).expect("save");
-    let reloaded = Trace::load(&path).expect("load");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(reloaded, trace);
-    let session = SimBuilder::cooo().build();
-    assert_eq!(
-        session.run_one(&trace, NullObserver).0,
-        session.run_one(&reloaded, NullObserver).0,
-        "a reloaded trace must time identically"
     );
 }
 
