@@ -21,7 +21,7 @@
 use koc_bench::harness;
 use koc_isa::json::{parse_json, Json};
 use koc_obs::{timeline_json, CycleAccounting, PipelineTracer, TimelineRecorder};
-use koc_sim::{Processor, SourceMode};
+use koc_sim::Processor;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -58,7 +58,7 @@ fn main() -> ExitCode {
 
 fn run_harness(args: &[String]) -> ExitCode {
     let mut quick = true;
-    let mut source = SourceMode::Materialized;
+    let mut source = harness::Source::Materialized;
     let mut out: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
@@ -79,8 +79,8 @@ fn run_harness(args: &[String]) -> ExitCode {
             }
             "--source" => {
                 source = match args.get(i + 1).map(String::as_str) {
-                    Some("streamed") => SourceMode::Streamed,
-                    Some("materialized") => SourceMode::Materialized,
+                    Some("streamed") => harness::Source::Streamed,
+                    Some("materialized") => harness::Source::Materialized,
                     other => {
                         eprintln!("--source requires 'streamed' or 'materialized', got {other:?}");
                         return ExitCode::FAILURE;

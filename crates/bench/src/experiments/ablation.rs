@@ -13,20 +13,23 @@
 
 use crate::Report;
 use koc_core::CheckpointPolicy;
-use koc_sim::{CommitConfig, ProcessorConfig, SimBuilder, Suite, Sweep};
+use koc_sim::{sweep, CommitConfig, ProcessorConfig, Suite};
 
 /// Memory latency used by the study.
 pub const MEMORY_LATENCY: u32 = 1000;
 
 /// Runs the ablation study.
 pub fn run(trace_len: usize) -> Report {
-    let reference = SimBuilder::cooo().memory_latency(MEMORY_LATENCY);
+    let reference = ProcessorConfig::cooo(128, 2048, MEMORY_LATENCY);
 
     // A crippled SLIQ (capacity 1) approximates removing the mechanism: the
     // small instruction queues must then hold every waiting instruction.
-    let no_sliq = reference.clone().sliq(1);
+    let mut no_sliq = reference;
+    if let CommitConfig::Checkpointed { sliq, .. } = &mut no_sliq.commit {
+        sliq.capacity = 1;
+    }
     // Pseudo-ROB size ablation: shrink it to 16 while keeping the IQ at 128.
-    let mut small_prob = *reference.config();
+    let mut small_prob = reference;
     if let CommitConfig::Checkpointed {
         pseudo_rob_size, ..
     } = &mut small_prob.commit
@@ -35,30 +38,24 @@ pub fn run(trace_len: usize) -> Report {
     }
 
     let variants: Vec<(&str, ProcessorConfig)> = vec![
-        ("reference (paper policy)", *reference.config()),
+        ("reference (paper policy)", reference),
         (
             "checkpoint every 64 insns",
-            *reference
-                .clone()
-                .checkpoint_policy(CheckpointPolicy::every_n(64))
-                .config(),
+            reference.with_checkpoint_policy(CheckpointPolicy::every_n(64)),
         ),
         (
             "checkpoint every 512 insns",
-            *reference
-                .clone()
-                .checkpoint_policy(CheckpointPolicy::every_n(512))
-                .config(),
+            reference.with_checkpoint_policy(CheckpointPolicy::every_n(512)),
         ),
-        ("SLIQ disabled (capacity 1)", *no_sliq.config()),
+        ("SLIQ disabled (capacity 1)", no_sliq),
         ("pseudo-ROB shrunk to 16", small_prob),
-        ("4 checkpoints", *reference.clone().checkpoints(4).config()),
+        ("4 checkpoints", reference.with_checkpoints(4)),
     ];
 
-    let results = Sweep::over(variants.iter().map(|(_, c)| *c))
-        .workloads(Suite::paper())
-        .trace_len(trace_len)
-        .run();
+    let results = sweep(
+        variants.iter().map(|(_, c)| *c),
+        &Suite::paper().generate(trace_len),
+    );
     let reference_ipc = results[0].mean_ipc();
 
     let mut report = Report::new(

@@ -3,7 +3,7 @@
 //! for perfect L2 and 100/500/1000-cycle main-memory latencies.
 
 use crate::Report;
-use koc_sim::{ProcessorConfig, Suite, Sweep};
+use koc_sim::{sweep, ProcessorConfig, Suite};
 
 /// Window sizes swept by the figure.
 pub const WINDOWS: &[usize] = &[128, 256, 512, 1024, 2048, 4096];
@@ -13,7 +13,7 @@ pub const LATENCIES: &[u32] = &[100, 500, 1000];
 /// Runs the Figure 1 sweep.
 pub fn run(trace_len: usize) -> Report {
     // One flat grid: per window, the perfect-L2 machine followed by one
-    // machine per memory latency. `Sweep` preserves input order.
+    // machine per memory latency. `sweep` preserves input order.
     let configs = WINDOWS.iter().flat_map(|&window| {
         std::iter::once(ProcessorConfig::baseline_perfect_l2(window)).chain(
             LATENCIES
@@ -21,10 +21,7 @@ pub fn run(trace_len: usize) -> Report {
                 .map(move |&lat| ProcessorConfig::baseline(window, lat)),
         )
     });
-    let results = Sweep::over(configs)
-        .workloads(Suite::paper())
-        .trace_len(trace_len)
-        .run();
+    let results = sweep(configs, &Suite::paper().generate(trace_len));
 
     let mut report = Report::new(
         "Figure 1 — IPC vs in-flight instructions and memory latency (suite average)",

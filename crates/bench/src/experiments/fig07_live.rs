@@ -3,7 +3,7 @@
 //! 500-cycle memory.
 
 use crate::Report;
-use koc_sim::{SimBuilder, Suite, WindowStats};
+use koc_sim::{Processor, ProcessorConfig, Suite, WindowStats};
 
 /// The percentiles Figure 7 reports.
 pub const PERCENTILES: &[(&str, f64)] = &[
@@ -16,18 +16,20 @@ pub const PERCENTILES: &[(&str, f64)] = &[
 
 /// Runs the Figure 7 measurement.
 pub fn run(trace_len: usize) -> Report {
-    let session = SimBuilder::baseline(2048)
-        .memory_latency(500)
-        .workloads(Suite::paper())
-        .trace_len(trace_len)
-        .build();
-    let workloads = session.workloads();
-    // In parallel, as `Session::run` would; only these runs pay for the
-    // window walk.
+    let config = ProcessorConfig::baseline(2048, 500);
+    let workloads = Suite::paper().generate(trace_len);
+    // One thread per workload, since each run hands back its own observer;
+    // only these runs pay for the window walk.
     let stats: Vec<WindowStats> = std::thread::scope(|scope| {
         let runs: Vec<_> = workloads
             .iter()
-            .map(|w| scope.spawn(|| session.run_one(&w.trace, WindowStats::new()).1))
+            .map(|w| {
+                scope.spawn(|| {
+                    Processor::with_observer(config, &w.trace, WindowStats::new())
+                        .run_observed()
+                        .1
+                })
+            })
             .collect();
         runs.into_iter()
             .map(|run| run.join().expect("Figure 7 run panicked"))

@@ -3,8 +3,8 @@
 //! SLIQ entries, against the 128- and 4096-entry conventional baselines.
 
 use crate::Report;
-use koc_sim::{ProcessorConfig, SuiteResult, Sweep};
-use koc_workloads::{spec2000fp_like_suite, Workload};
+use koc_sim::{sweep, ProcessorConfig, Suite, SuiteResult};
+use koc_workloads::Workload;
 
 /// Instruction-queue (and pseudo-ROB) sizes swept.
 pub const IQ_SIZES: &[usize] = &[32, 64, 128];
@@ -35,7 +35,7 @@ pub fn collect(workloads: &[Workload]) -> Fig9Data {
             .iter()
             .map(move |&iq| ProcessorConfig::cooo(iq, sliq, MEMORY_LATENCY))
     }));
-    let mut results = Sweep::over(configs).run_on(workloads).into_iter();
+    let mut results = sweep(configs, workloads).into_iter();
     let baseline_128 = results.next().expect("baseline-128 result");
     let baseline_4096 = results.next().expect("baseline-4096 result");
     let cooo = SLIQ_SIZES
@@ -56,7 +56,7 @@ pub fn collect(workloads: &[Workload]) -> Fig9Data {
 
 /// Runs the Figure 9 sweep and formats it.
 pub fn run(trace_len: usize) -> Report {
-    let workloads = spec2000fp_like_suite(trace_len);
+    let workloads = Suite::paper().generate(trace_len);
     let data = collect(&workloads);
     let mut report = Report::new(
         "Figure 9 — main performance results (suite-average IPC, 1000-cycle memory)",
@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn collect_labels_results_with_their_configs() {
-        let workloads = spec2000fp_like_suite(600);
+        let workloads = Suite::paper().generate(600);
         let data = collect(&workloads);
         assert_eq!(data.baseline_128.config.iq_size, 128);
         assert_eq!(data.baseline_4096.config.iq_size, 4096);

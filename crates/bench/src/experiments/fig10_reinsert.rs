@@ -3,7 +3,7 @@
 //! pseudo-ROB and instruction queues.
 
 use crate::Report;
-use koc_sim::{ProcessorConfig, Suite, Sweep};
+use koc_sim::{sweep, ProcessorConfig, Suite};
 
 /// Re-insertion delays swept (cycles).
 pub const DELAYS: &[u32] = &[1, 4, 8, 12];
@@ -21,10 +21,7 @@ pub fn run(trace_len: usize) -> Report {
             ProcessorConfig::cooo(iq, SLIQ_SIZE, MEMORY_LATENCY).with_reinsert_delay(delay)
         })
     });
-    let results = Sweep::over(configs)
-        .workloads(Suite::paper())
-        .trace_len(trace_len)
-        .run();
+    let results = sweep(configs, &Suite::paper().generate(trace_len));
 
     let mut report = Report::new(
         "Figure 10 — sensitivity to the SLIQ re-insertion delay (1024-entry SLIQ)",

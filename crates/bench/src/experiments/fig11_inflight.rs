@@ -3,11 +3,11 @@
 
 use crate::experiments::fig09_main::{collect, IQ_SIZES, SLIQ_SIZES};
 use crate::Report;
-use koc_workloads::spec2000fp_like_suite;
+use koc_sim::Suite;
 
 /// Runs the Figure 11 measurement.
 pub fn run(trace_len: usize) -> Report {
-    let workloads = spec2000fp_like_suite(trace_len);
+    let workloads = Suite::paper().generate(trace_len);
     let data = collect(&workloads);
     let mut report = Report::new(
         "Figure 11 — average in-flight instructions (same configurations as Figure 9)",

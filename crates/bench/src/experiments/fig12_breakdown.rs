@@ -3,7 +3,7 @@
 
 use crate::Report;
 use koc_core::RetireClass;
-use koc_sim::{ProcessorConfig, Suite, Sweep};
+use koc_sim::{sweep, ProcessorConfig, Suite};
 
 /// Instruction-queue sizes swept.
 pub const IQ_SIZES: &[usize] = &[32, 64, 128];
@@ -19,10 +19,7 @@ pub fn run(trace_len: usize) -> Report {
             .iter()
             .map(move |&iq| ProcessorConfig::cooo(iq, sliq, MEMORY_LATENCY))
     });
-    let results = Sweep::over(configs)
-        .workloads(Suite::paper())
-        .trace_len(trace_len)
-        .run();
+    let results = sweep(configs, &Suite::paper().generate(trace_len));
 
     let mut report = Report::new(
         "Figure 12 — breakdown of instructions retired from the pseudo-ROB (percent)",

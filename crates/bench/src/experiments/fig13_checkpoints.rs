@@ -3,7 +3,7 @@
 //! registers, against the 4096-entry ROB limit.
 
 use crate::Report;
-use koc_sim::{ProcessorConfig, RegisterModel, Suite, Sweep};
+use koc_sim::{sweep, ProcessorConfig, RegisterModel, Suite};
 
 /// Checkpoint counts swept by the figure.
 pub const CHECKPOINTS: &[usize] = &[4, 8, 16, 32, 64, 128];
@@ -28,10 +28,7 @@ pub fn run(trace_len: usize) -> Report {
                 phys_regs: PHYS_REGS,
             })
     }));
-    let results = Sweep::over(configs)
-        .workloads(Suite::paper())
-        .trace_len(trace_len)
-        .run();
+    let results = sweep(configs, &Suite::paper().generate(trace_len));
     let limit = &results[0];
 
     let mut report = Report::new(

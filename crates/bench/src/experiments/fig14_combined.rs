@@ -4,7 +4,7 @@
 //! baseline and the fully up-sized limit.
 
 use crate::Report;
-use koc_sim::{ProcessorConfig, RegisterModel, Suite, Sweep};
+use koc_sim::{sweep, ProcessorConfig, RegisterModel, Suite};
 
 /// Virtual-tag counts swept.
 pub const VIRTUAL_TAGS: &[usize] = &[512, 1024, 2048];
@@ -32,10 +32,7 @@ pub fn run(trace_len: usize) -> Report {
             })
         }))
     });
-    let results = Sweep::over(configs)
-        .workloads(Suite::paper())
-        .trace_len(trace_len)
-        .run();
+    let results = sweep(configs, &Suite::paper().generate(trace_len));
 
     let mut report = Report::new(
         "Figure 14 — out-of-order commit + SLIQ + virtual (ephemeral) registers",

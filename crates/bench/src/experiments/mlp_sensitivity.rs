@@ -12,8 +12,7 @@
 //! confirming the effect is memory-level parallelism and not raw latency.
 
 use crate::Report;
-use koc_sim::{DramConfig, ProcessorConfig, SuiteResult, Sweep};
-use koc_workloads::Suite;
+use koc_sim::{sweep, DramConfig, ProcessorConfig, Suite, SuiteResult};
 
 /// MSHR counts swept.
 pub const MSHR_COUNTS: &[usize] = &[1, 2, 4, 8, 16, 32];
@@ -72,11 +71,7 @@ pub fn collect(trace_len: usize) -> MlpData {
             })
         })
     });
-    let mut results = Sweep::over(configs)
-        .workloads(Suite::mlp_contrast())
-        .trace_len(trace_len)
-        .run()
-        .into_iter();
+    let mut results = sweep(configs, &Suite::mlp_contrast().generate(trace_len)).into_iter();
     let grid = MEMORY_LATENCIES
         .iter()
         .map(|_| {
@@ -158,10 +153,7 @@ mod tests {
             .into_iter()
             .find(|(n, _)| *n == kernel)
             .expect("known kernel");
-        let results = Sweep::over(configs)
-            .workloads(Suite::kernel(name, config))
-            .trace_len(trace_len)
-            .run();
+        let results = sweep(configs, &Suite::kernel(name, config).generate(trace_len));
         (
             results[0].per_workload[0].stats.ipc(),
             results[1].per_workload[0].stats.ipc(),

@@ -38,7 +38,7 @@
 
 use crate::report::Report;
 use koc_isa::json::{parse_versioned, Json};
-use koc_sim::{Processor, ProcessorConfig, SourceMode};
+use koc_sim::{sweep, ProcessorConfig};
 use koc_workloads::{Suite, WorkloadSpec};
 use serde::Serialize;
 
@@ -192,31 +192,42 @@ pub fn resolve(
     Ok((spec, *config))
 }
 
+/// How the harness feeds workloads to the pipeline (`--source`). Cycle
+/// counts are identical either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// Every trace is generated up front and shared by both engines.
+    Materialized,
+    /// Every run pulls its own stream on demand through the replay window.
+    Streamed,
+}
+
 /// Runs the canonical suite (quick or full length) under both engines,
 /// feeding workloads as `source` says, and returns the report.
-pub fn run(quick: bool, source: SourceMode) -> BenchReport {
+pub fn run(quick: bool, source: Source) -> BenchReport {
     let trace_len = if quick {
         QUICK_TRACE_LEN
     } else {
         FULL_TRACE_LEN
     };
+    let specs = specs(trace_len);
+    let engines = engines();
+    let configs = engines.map(|(_, config)| config);
+    let swept = match source {
+        Source::Materialized => {
+            let workloads: Vec<_> = specs.iter().map(WorkloadSpec::materialize).collect();
+            sweep(configs, &workloads)
+        }
+        Source::Streamed => sweep(configs, &specs),
+    };
     let mut results = Vec::new();
-    for spec in &specs(trace_len) {
-        // Materialized mode generates each trace once and shares it between
-        // the engines; streamed mode gives every run a fresh source.
-        let materialized = match source {
-            SourceMode::Materialized => Some(spec.materialize()),
-            SourceMode::Streamed => None,
-        };
-        for (engine, config) in engines() {
-            let stats = match &materialized {
-                Some(w) => Processor::new(config, &w.trace).run(),
-                None => Processor::new(config, spec.source()).run(),
-            };
+    for (wi, spec) in specs.iter().enumerate() {
+        for ((engine, _), result) in engines.iter().zip(&swept) {
+            let stats = &result.per_workload[wi].stats;
             // Release-mode guard for the checkpoint-lifecycle invariant
             // (debug builds assert it at engine teardown): every checkpoint
             // a completed run took must have committed or been squashed.
-            if engine == "cooo" {
+            if *engine == "cooo" {
                 assert_eq!(
                     stats.checkpoints_taken,
                     stats.checkpoints_committed + stats.checkpoints_squashed,
@@ -239,8 +250,8 @@ pub fn run(quick: bool, source: SourceMode) -> BenchReport {
         suite: if quick { "quick" } else { "full" }.to_string(),
         trace_len,
         source: match source {
-            SourceMode::Materialized => "materialized",
-            SourceMode::Streamed => "streamed",
+            Source::Materialized => "materialized",
+            Source::Streamed => "streamed",
         }
         .to_string(),
         results,
@@ -421,6 +432,7 @@ fn parse_entry(json: &Json) -> Result<BenchEntry, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use koc_sim::Processor;
 
     fn tiny_report() -> BenchReport {
         BenchReport {
@@ -565,8 +577,8 @@ mod tests {
 
     #[test]
     fn streamed_and_materialized_runs_have_identical_counts() {
-        let materialized = run(true, SourceMode::Materialized);
-        let streamed = run(true, SourceMode::Streamed);
+        let materialized = run(true, Source::Materialized);
+        let streamed = run(true, Source::Streamed);
         assert_eq!(materialized.source, "materialized");
         assert_eq!(streamed.source, "streamed");
         assert_eq!(

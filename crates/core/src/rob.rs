@@ -16,8 +16,6 @@ use std::collections::VecDeque;
 pub struct RobEntry {
     /// The dynamic instruction.
     pub inst: InstId,
-    /// Whether the instruction has finished execution.
-    pub finished: bool,
     /// Destination rename record: (logical, new physical, previous physical).
     pub rename: Option<(ArchReg, PhysReg, Option<PhysReg>)>,
     /// Whether the instruction is a store.
@@ -93,35 +91,15 @@ impl ReorderBuffer {
         Ok(())
     }
 
-    /// Marks an instruction as finished (write-back).
-    pub fn mark_finished(&mut self, inst: InstId) {
-        if let Some(e) = self.entries.iter_mut().rev().find(|e| e.inst == inst) {
-            e.finished = true;
-        }
-    }
-
-    /// Pops the head entry if it has finished — one in-order commit step.
-    /// The per-cycle commit loop calls this up to the commit width; no
-    /// intermediate collection.
-    pub fn pop_finished(&mut self) -> Option<RobEntry> {
+    /// Pops the head entry if `finished` says its instruction has finished
+    /// execution — one in-order commit step. The ROB keeps no completion
+    /// state of its own: the caller answers from its in-flight records.
+    /// The per-cycle commit loop calls this up to the commit width.
+    pub fn pop_finished(&mut self, finished: impl FnOnce(InstId) -> bool) -> Option<RobEntry> {
         match self.entries.front() {
-            Some(e) if e.finished => self.entries.pop_front(),
+            Some(e) if finished(e.inst) => self.entries.pop_front(),
             _ => None,
         }
-    }
-
-    /// Commits up to `width` finished instructions from the head, in order.
-    /// Convenience wrapper over [`pop_finished`](Self::pop_finished) for
-    /// tests and tools; the cycle loop uses the allocation-free pop.
-    pub fn commit(&mut self, width: usize) -> Vec<RobEntry> {
-        let mut committed = Vec::new();
-        while committed.len() < width {
-            match self.pop_finished() {
-                Some(e) => committed.push(e),
-                None => break,
-            }
-        }
-        committed
     }
 
     /// Pops the youngest entry if it is younger than `inst` (exclusive) —
@@ -132,23 +110,6 @@ impl ReorderBuffer {
             Some(back) if back.inst > inst => self.entries.pop_back(),
             _ => None,
         }
-    }
-
-    /// Removes and returns every entry younger than `inst` (exclusive),
-    /// youngest first. Convenience wrapper over
-    /// [`pop_younger_than`](Self::pop_younger_than) for tests and tools.
-    pub fn squash_younger_than(&mut self, inst: InstId) -> Vec<RobEntry> {
-        let mut squashed = Vec::new();
-        while let Some(e) = self.pop_younger_than(inst) {
-            squashed.push(e);
-        }
-        squashed
-    }
-
-    /// The instruction id at the head of the ROB (the oldest in-flight
-    /// instruction), if any.
-    pub fn head_inst(&self) -> Option<InstId> {
-        self.entries.front().map(|e| e.inst)
     }
 
     /// Iterates over entries from oldest to youngest.
@@ -169,12 +130,24 @@ mod tests {
     fn entry(inst: InstId) -> RobEntry {
         RobEntry {
             inst,
-            finished: false,
             rename: None,
             is_store: false,
             is_branch: false,
             ckpt: 0,
         }
+    }
+
+    /// Commits up to `width` instructions from the head, in order, while
+    /// `done` says they have finished — the engine's commit loop.
+    fn commit(rob: &mut ReorderBuffer, width: usize, done: &[InstId]) -> Vec<InstId> {
+        let mut committed = Vec::new();
+        while committed.len() < width {
+            match rob.pop_finished(|inst| done.contains(&inst)) {
+                Some(e) => committed.push(e.inst),
+                None => break,
+            }
+        }
+        committed
     }
 
     #[test]
@@ -183,15 +156,10 @@ mod tests {
         for i in 0..4 {
             rob.push(entry(i)).unwrap();
         }
-        rob.mark_finished(0);
-        rob.mark_finished(2); // out-of-order completion
-        let committed = rob.commit(4);
-        assert_eq!(committed.len(), 1, "instruction 1 blocks the commit of 2");
-        assert_eq!(committed[0].inst, 0);
-        rob.mark_finished(1);
-        let committed = rob.commit(4);
-        let ids: Vec<_> = committed.iter().map(|e| e.inst).collect();
-        assert_eq!(ids, vec![1, 2]);
+        // Out-of-order completion: 0 and 2 have finished, 1 has not.
+        let committed = commit(&mut rob, 4, &[0, 2]);
+        assert_eq!(committed, vec![0], "instruction 1 blocks the commit of 2");
+        assert_eq!(commit(&mut rob, 4, &[1, 2]), vec![1, 2]);
     }
 
     #[test]
@@ -199,10 +167,10 @@ mod tests {
         let mut rob = ReorderBuffer::new(8);
         for i in 0..6 {
             rob.push(entry(i)).unwrap();
-            rob.mark_finished(i);
         }
-        assert_eq!(rob.commit(4).len(), 4);
-        assert_eq!(rob.commit(4).len(), 2);
+        let done: Vec<InstId> = (0..6).collect();
+        assert_eq!(commit(&mut rob, 4, &done).len(), 4);
+        assert_eq!(commit(&mut rob, 4, &done).len(), 2);
     }
 
     #[test]
@@ -219,23 +187,29 @@ mod tests {
         for i in 0..5 {
             rob.push(entry(i)).unwrap();
         }
-        let squashed = rob.squash_younger_than(2);
-        let ids: Vec<_> = squashed.iter().map(|e| e.inst).collect();
+        let ids: Vec<_> = std::iter::from_fn(|| rob.pop_younger_than(2))
+            .map(|e| e.inst)
+            .collect();
         assert_eq!(ids, vec![4, 3]);
         assert_eq!(rob.len(), 3);
-        assert_eq!(rob.head_inst(), Some(0));
+        assert_eq!(commit(&mut rob, 4, &[0, 1, 2]), vec![0, 1, 2]);
     }
 
     #[test]
     fn head_inst_tracks_the_oldest() {
         let mut rob = ReorderBuffer::new(4);
-        assert_eq!(rob.head_inst(), None);
+        assert!(rob.pop_finished(|_| true).is_none());
         rob.push(entry(5)).unwrap();
         rob.push(entry(6)).unwrap();
-        assert_eq!(rob.head_inst(), Some(5));
-        rob.mark_finished(5);
-        rob.commit(1);
-        assert_eq!(rob.head_inst(), Some(6));
+        // The completion query is asked about the head: the oldest entry.
+        let mut asked = Vec::new();
+        let mut head_done = |inst| {
+            asked.push(inst);
+            true
+        };
+        assert_eq!(rob.pop_finished(&mut head_done).map(|e| e.inst), Some(5));
+        assert_eq!(rob.pop_finished(&mut head_done).map(|e| e.inst), Some(6));
+        assert_eq!(asked, vec![5, 6]);
     }
 
     #[test]

@@ -208,6 +208,20 @@ impl ProcessorConfig {
         self
     }
 
+    /// Overrides the checkpoint-placement policy.
+    ///
+    /// # Panics
+    /// Panics if the commit engine is not checkpointed.
+    pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
+        match &mut self.commit {
+            CommitConfig::Checkpointed { policy: p, .. } => *p = policy,
+            CommitConfig::InOrderRob { .. } => {
+                panic!("checkpoint policy applies to the checkpointed engine") // koc-lint: allow(panic, "setter contract: applies only to the checkpointed engine")
+            }
+        }
+        self
+    }
+
     /// Overrides the register model (Figures 13 and 14).
     pub fn with_registers(mut self, registers: RegisterModel) -> Self {
         self.registers = registers;
@@ -240,6 +254,16 @@ impl ProcessorConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.fetch_width == 0 || self.issue_width == 0 || self.commit_width == 0 {
             return Err("pipeline widths must be non-zero".into());
+        }
+        for (field, units) in [
+            ("int_alu_units", self.int_alu_units),
+            ("int_mul_units", self.int_mul_units),
+            ("fp_units", self.fp_units),
+            ("mem_ports", self.mem_ports),
+        ] {
+            if units == 0 {
+                return Err(format!("{field} must be non-zero"));
+            }
         }
         if self.iq_size == 0 {
             return Err("instruction queues must have at least one entry".into());
@@ -330,15 +354,18 @@ mod tests {
     fn builder_overrides_apply() {
         let c = ProcessorConfig::cooo(64, 1024, 500)
             .with_checkpoints(32)
-            .with_reinsert_delay(12);
+            .with_reinsert_delay(12)
+            .with_checkpoint_policy(CheckpointPolicy::every_n(64));
         match c.commit {
             CommitConfig::Checkpointed {
                 checkpoint_entries,
                 sliq,
+                policy,
                 ..
             } => {
                 assert_eq!(checkpoint_entries, 32);
                 assert_eq!(sliq.reinsert_delay, 12);
+                assert_eq!(policy, CheckpointPolicy::every_n(64));
             }
             _ => unreachable!(),
         }
@@ -353,6 +380,13 @@ mod tests {
     #[should_panic(expected = "checkpointed engine")]
     fn checkpoint_override_on_baseline_panics() {
         let _ = ProcessorConfig::baseline(128, 1000).with_checkpoints(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpointed engine")]
+    fn checkpoint_policy_override_on_baseline_panics() {
+        let _ = ProcessorConfig::baseline(128, 1000)
+            .with_checkpoint_policy(CheckpointPolicy::every_n(64));
     }
 
     #[test]
@@ -423,5 +457,20 @@ mod tests {
         let mut c = ProcessorConfig::table1();
         c.registers = RegisterModel::Conventional { phys_regs: 32 };
         assert!(c.validate().is_err());
+        // A machine without some class of functional unit can never issue
+        // that class and deadlocks instead of failing validation.
+        type Zero = fn(&mut ProcessorConfig);
+        let zeroed: [(&str, Zero); 4] = [
+            ("int_alu_units", |c| c.int_alu_units = 0),
+            ("int_mul_units", |c| c.int_mul_units = 0),
+            ("fp_units", |c| c.fp_units = 0),
+            ("mem_ports", |c| c.mem_ports = 0),
+        ];
+        for (field, zero) in zeroed {
+            let mut c = ProcessorConfig::table1();
+            zero(&mut c);
+            let err = c.validate().expect_err(field);
+            assert!(err.contains(field), "{err} must name {field}");
+        }
     }
 }

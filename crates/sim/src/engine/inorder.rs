@@ -61,7 +61,6 @@ impl<O: Observer> CommitEngine<O> for InOrderEngine {
         self.rob
             .push(RobEntry {
                 inst: d.id,
-                finished: false,
                 rename: d.rename,
                 is_store: d.is_store,
                 is_branch: d.is_branch,
@@ -87,15 +86,18 @@ impl<O: Observer> CommitEngine<O> for InOrderEngine {
         0
     }
 
-    fn completed(&mut self, wb: &Writeback, _ctx: &mut EngineCtx<'_, '_, O>) {
-        self.rob.mark_finished(wb.inst);
-    }
+    fn completed(&mut self, _wb: &Writeback, _ctx: &mut EngineCtx<'_, '_, O>) {}
 
     fn commit(&mut self, ctx: &mut EngineCtx<'_, '_, O>) {
         let mut committed = 0u64;
         let mut frontier = 0;
         while (committed as usize) < ctx.config.commit_width {
-            let Some(e) = self.rob.pop_finished() else {
+            // The in-flight table records completion; the ROB only orders.
+            let inflight = &*ctx.inflight;
+            let Some(e) = self
+                .rob
+                .pop_finished(|inst| inflight.get(inst).is_some_and(|fl| fl.is_done()))
+            else {
                 break;
             };
             if let Some((_, _, Some(prev))) = e.rename {

@@ -10,32 +10,30 @@
 //!   [`koc_core`]: CAM renaming with future-free bits, a small checkpoint
 //!   table, a pseudo-ROB, and Slow Lane Instruction Queuing.
 //!
-//! Simulations are configured and run through the fluent [`SimBuilder`] /
-//! [`Session`] API; grids of configurations run in parallel through
-//! [`Sweep`]:
+//! A machine is a [`ProcessorConfig`]: start from one of its constructors
+//! ([`ProcessorConfig::baseline`], [`ProcessorConfig::cooo`],
+//! [`ProcessorConfig::table1`]) and refine it with the `with_*` methods.
+//! [`Processor`] runs one configuration over one instruction stream;
+//! [`sweep()`] runs a grid of configurations over a slice of workloads in
+//! parallel:
 //!
 //! ```no_run
-//! use koc_sim::{ProcessorConfig, SimBuilder, Suite, Sweep};
+//! use koc_sim::{sweep, ProcessorConfig, Suite};
 //!
 //! // The paper's headline comparison (Figure 9, rightmost group):
-//! let proposal = SimBuilder::cooo()
-//!     .pseudo_rob(128)
-//!     .sliq(2048)
-//!     .workloads(Suite::paper())
-//!     .trace_len(30_000)
-//!     .build()
-//!     .run();
-//! let baselines = Sweep::over([
-//!     ProcessorConfig::baseline(4096, 1000),
-//!     ProcessorConfig::baseline(128, 1000),
-//! ])
-//! .trace_len(30_000)
-//! .run();
+//! let results = sweep(
+//!     [
+//!         ProcessorConfig::cooo(128, 2048, 1000),
+//!         ProcessorConfig::baseline(4096, 1000),
+//!         ProcessorConfig::baseline(128, 1000),
+//!     ],
+//!     &Suite::paper().generate(30_000),
+//! );
 //! println!(
 //!     "COoO 128/2048: {:.2} IPC vs baseline-4096 {:.2} and baseline-128 {:.2}",
-//!     proposal.mean_ipc(),
-//!     baselines[0].mean_ipc(),
-//!     baselines[1].mean_ipc()
+//!     results[0].mean_ipc(),
+//!     results[1].mean_ipc(),
+//!     results[2].mean_ipc()
 //! );
 //! ```
 
@@ -46,24 +44,22 @@ pub mod config;
 pub mod engine;
 pub mod inflight;
 pub mod pipeline;
-pub mod session;
 pub mod stats;
+pub mod sweep;
 
 pub use config::{BranchPredictorKind, CommitConfig, ProcessorConfig, RegisterModel};
 pub use engine::{CommitEngine, DispatchStall, Dispatched, EngineCtx, Writeback};
 pub use inflight::{InFlight, InFlightTable, InstState};
 pub use pipeline::Processor;
-pub use session::{
-    GridWorkload, Session, SimBuilder, SourceMode, SuiteResult, Sweep, WorkloadResult,
-};
 pub use stats::{RecoveryStats, RetireBreakdown, SimStats, StallStats};
+pub use sweep::{sweep, GridWorkload, SuiteResult, WorkloadResult};
 
-// Re-exported so sessions can be configured without importing
+// Re-exported so sweeps can name their workloads without importing
 // `koc_workloads` directly.
 pub use koc_workloads::Suite;
 
-// Re-exported so streaming runs (`Session::run_one`, `Processor::new`
-// over a generator) can be written without importing `koc_isa` directly.
+// Re-exported so streaming runs (`Processor::new` over a generator) can be
+// written without importing `koc_isa` directly.
 pub use koc_isa::{InstructionSource, IntoInstructionSource, ReplayWindow};
 
 // Re-exported so observers — the fourth seam, next to the configuration,
@@ -74,6 +70,6 @@ pub use koc_obs::{
     NullObserver, Observer, PipelineTracer, TimelineRecorder, WindowStats,
 };
 
-// Re-exported so the memory-backend knobs (`SimBuilder::dram`,
-// `mshr_entries`, …) can be used without importing `koc_mem`.
+// Re-exported so the memory-backend knobs (`MemoryConfig::with_dram`,
+// `with_mshr_entries`, …) can be used without importing `koc_mem`.
 pub use koc_mem::{BackendKind, DramConfig, MemoryConfig};

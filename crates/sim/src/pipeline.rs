@@ -448,8 +448,8 @@ impl<'a, O: Observer> Processor<'a, O> {
     /// Runs until completion or until the simulated cycle count reaches
     /// `max_cycles`, whichever comes first. A capped run that stops early
     /// returns partial statistics with
-    /// [`SimStats::budget_exhausted`](crate::SimStats) set — the cheap
-    /// cycle budget [`crate::Session`] and [`crate::Sweep`] thread through.
+    /// [`SimStats::budget_exhausted`](crate::SimStats) set — the cheap way
+    /// to bound an exploratory run.
     ///
     /// # Panics
     /// Panics if the simulation exceeds a generous cycle bound (indicating a

@@ -103,7 +103,8 @@ pub struct SimStats {
     /// [`InstructionSource`](koc_isa::InstructionSource) API.
     pub replay_window_peak: usize,
     /// Whether the run stopped early because it hit a cycle budget
-    /// ([`crate::Session`]'s `cycle_budget`) before the trace finished.
+    /// ([`Processor::run_capped`](crate::Processor::run_capped)) before the
+    /// trace finished.
     pub budget_exhausted: bool,
 }
 

@@ -22,9 +22,9 @@
 //! every experiment runs on (README "Experiments vs paper figures").
 //!
 //! ```
-//! use koc_workloads::{KernelConfig, suite::spec2000fp_like_suite};
+//! use koc_workloads::Suite;
 //!
-//! let workloads = spec2000fp_like_suite(10_000);
+//! let workloads = Suite::paper().generate(10_000);
 //! assert_eq!(workloads.len(), 5);
 //! for w in &workloads {
 //!     assert!(w.trace.len() >= 10_000);
@@ -40,5 +40,5 @@ pub mod suite;
 pub mod synth;
 
 pub use config::{DependencePattern, KernelConfig, MemoryPattern};
-pub use suite::{spec2000fp_like_suite, Suite, Workload, WorkloadSpec};
+pub use suite::{Suite, Workload, WorkloadSpec};
 pub use synth::{generate_kernel, KernelSource};

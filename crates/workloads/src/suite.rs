@@ -40,7 +40,7 @@ impl Workload {
 /// configuration to generate from — lazily, via [`WorkloadSpec::source`] —
 /// or a pre-built trace used as-is.
 ///
-/// This is what streamed simulation sessions run: each run pulls its own
+/// This is what streamed sweeps run: each run pulls its own
 /// [`KernelSource`] and never holds the full dynamic stream in memory.
 #[derive(Debug, Clone)]
 pub enum WorkloadSpec {
@@ -87,26 +87,17 @@ impl WorkloadSpec {
     }
 }
 
-/// Generates the five-kernel SPEC2000fp-like suite, each workload at least
-/// `target_len` dynamic instructions long.
+/// A declarative description of which workloads a simulation runs.
+///
+/// A `Suite` is a *specification*: it becomes concrete [`Workload`]s at a
+/// given minimum dynamic trace length through [`Suite::generate`], or lazy
+/// [`WorkloadSpec`]s through [`Suite::specs`].
 ///
 /// The paper simulates 300M representative instructions per benchmark; the
 /// experiments in this repository default to much shorter traces (tens of
 /// thousands of instructions) which are sufficient because the synthetic
 /// kernels are statistically stationary — every window of the trace looks
 /// like every other window.
-pub fn spec2000fp_like_suite(target_len: usize) -> Vec<Workload> {
-    kernels::all()
-        .into_iter()
-        .map(|(name, config)| Workload::generate(name, config, target_len))
-        .collect()
-}
-
-/// A declarative description of which workloads a simulation session runs.
-///
-/// A `Suite` is a *specification*: it is materialized into concrete
-/// [`Workload`]s (at a given dynamic trace length) by [`Suite::generate`],
-/// which the `koc-sim` session builder calls for you.
 #[derive(Debug, Clone)]
 pub enum Suite {
     /// The five-kernel SPEC2000fp-like suite the paper's figures average
@@ -123,8 +114,6 @@ pub enum Suite {
         /// The kernel configuration to generate from.
         config: KernelConfig,
     },
-    /// Pre-generated workloads, used as-is (their length is fixed).
-    Custom(Vec<Workload>),
 }
 
 impl Suite {
@@ -148,13 +137,7 @@ impl Suite {
         }
     }
 
-    /// Pre-generated workloads used exactly as given.
-    pub fn custom(workloads: Vec<Workload>) -> Self {
-        Suite::Custom(workloads)
-    }
-
     /// Materializes the suite at the given minimum dynamic trace length.
-    /// `Custom` workloads are returned as-is.
     pub fn generate(&self, target_len: usize) -> Vec<Workload> {
         self.specs(target_len)
             .iter()
@@ -164,8 +147,7 @@ impl Suite {
 
     /// The suite as lazy [`WorkloadSpec`]s at the given minimum dynamic
     /// length — the streamed counterpart of [`Suite::generate`]: nothing is
-    /// materialized, each spec produces its stream on demand. `Custom`
-    /// workloads keep their pre-built traces (their length is fixed).
+    /// materialized, each spec produces its stream on demand.
     pub fn specs(&self, target_len: usize) -> Vec<WorkloadSpec> {
         let kernel = |name: &str, config: KernelConfig| WorkloadSpec::Kernel {
             name: name.to_string(),
@@ -181,9 +163,6 @@ impl Suite {
                 .map(|(name, config)| kernel(name, config))
                 .collect(),
             Suite::Kernel { name, config } => vec![kernel(name, *config)],
-            Suite::Custom(workloads) => {
-                workloads.iter().cloned().map(WorkloadSpec::Fixed).collect()
-            }
         }
     }
 }
@@ -203,7 +182,7 @@ mod tests {
 
     #[test]
     fn suite_has_five_named_workloads() {
-        let suite = spec2000fp_like_suite(2_000);
+        let suite = Suite::paper().generate(2_000);
         assert_eq!(suite.len(), 5);
         let names: Vec<_> = suite.iter().map(|w| w.name.as_str()).collect();
         assert!(names.contains(&"stream_add"));
@@ -212,7 +191,7 @@ mod tests {
 
     #[test]
     fn workloads_meet_the_target_length() {
-        for w in spec2000fp_like_suite(3_000) {
+        for w in Suite::paper().generate(3_000) {
             assert!(
                 w.trace.len() >= 3_000,
                 "{} too short: {}",
@@ -224,7 +203,7 @@ mod tests {
 
     #[test]
     fn traces_carry_their_suite_name() {
-        for w in spec2000fp_like_suite(1_000) {
+        for w in Suite::paper().generate(1_000) {
             assert_eq!(w.trace.name(), w.name);
         }
     }
@@ -259,12 +238,10 @@ mod tests {
     #[test]
     fn custom_specs_reuse_the_fixed_trace() {
         let w = Workload::generate("stream_add", crate::kernels::stream_add(), 500);
-        let suite = Suite::custom(vec![w.clone()]);
-        let specs = suite.specs(99_999); // target length must be ignored
-        assert_eq!(specs.len(), 1);
-        let materialized = specs[0].materialize();
-        assert_eq!(materialized.trace, w.trace);
-        let mut s = specs[0].source();
+        let spec = WorkloadSpec::Fixed(w.clone());
+        assert_eq!(spec.name(), "stream_add");
+        assert_eq!(spec.materialize().trace, w.trace);
+        let mut s = spec.source();
         assert_eq!(s.len_hint(), Some(w.trace.len()));
         assert_eq!(s.next_inst().as_ref(), Some(&w.trace[0]));
     }

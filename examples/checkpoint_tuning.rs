@@ -7,24 +7,18 @@
 //! ```
 
 use koc_core::CheckpointPolicy;
-use koc_sim::{SimBuilder, Suite, Sweep};
+use koc_sim::{sweep, ProcessorConfig, Suite};
 
 fn main() {
-    let trace_len = 12_000;
+    let workloads = Suite::paper().generate(12_000);
     let checkpoint_counts = [4usize, 8, 16, 32, 64, 128];
-    let cooo = SimBuilder::cooo();
+    let cooo = ProcessorConfig::cooo(128, 2048, 1000);
 
     // The paper's limit reference (a 4096-entry conventional machine), then
     // the checkpoint-count sweep — one parallel grid.
-    let configs = std::iter::once(*SimBuilder::baseline(4096).config()).chain(
-        checkpoint_counts
-            .iter()
-            .map(|&n| *cooo.clone().checkpoints(n).config()),
-    );
-    let results = Sweep::over(configs)
-        .workloads(Suite::paper())
-        .trace_len(trace_len)
-        .run();
+    let configs = std::iter::once(ProcessorConfig::baseline(4096, 1000))
+        .chain(checkpoint_counts.iter().map(|&n| cooo.with_checkpoints(n)));
+    let results = sweep(configs, &workloads);
     let limit = &results[0];
     println!(
         "limit (4096-entry conventional machine): {:.3} IPC",
@@ -62,14 +56,12 @@ fn main() {
         ("every 128 instructions", CheckpointPolicy::every_n(128)),
         ("every 512 instructions", CheckpointPolicy::every_n(512)),
     ];
-    let policy_results = Sweep::over(
+    let policy_results = sweep(
         policies
             .iter()
-            .map(|(_, policy)| *cooo.clone().checkpoint_policy(*policy).config()),
-    )
-    .workloads(Suite::paper())
-    .trace_len(trace_len)
-    .run();
+            .map(|(_, policy)| cooo.with_checkpoint_policy(*policy)),
+        &workloads,
+    );
     for ((name, _), r) in policies.iter().zip(&policy_results) {
         println!("{:>26} {:>10.3}", name, r.mean_ipc());
     }

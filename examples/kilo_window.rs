@@ -7,7 +7,7 @@
 //! cargo run --release --example kilo_window
 //! ```
 
-use koc_sim::{ProcessorConfig, Suite, Sweep};
+use koc_sim::{sweep, ProcessorConfig, Suite};
 
 fn main() {
     let memory_latency = 1000;
@@ -26,10 +26,7 @@ fn main() {
             .iter()
             .map(move |&iq| ProcessorConfig::cooo(iq, sliq, memory_latency))
     }));
-    let results = Sweep::over(configs)
-        .workloads(Suite::paper())
-        .trace_len(15_000)
-        .run();
+    let results = sweep(configs, &Suite::paper().generate(15_000));
     let (baseline_small, baseline_huge) = (&results[0], &results[1]);
 
     println!("reference lines (conventional in-order commit):");

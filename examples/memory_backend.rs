@@ -10,7 +10,7 @@
 //! cargo run --release --example memory_backend
 //! ```
 
-use koc_sim::{DramConfig, SimBuilder, Suite};
+use koc_sim::{sweep, DramConfig, ProcessorConfig, Suite};
 
 fn main() {
     let mshr_counts = [1usize, 2, 4, 8, 16, 32];
@@ -21,18 +21,20 @@ fn main() {
         "MSHRs", "stream_mlp IPC", "ptr_chase IPC", "mshr stalls", "row hit%"
     );
     println!("{:-<66}", "");
-    let machine = || SimBuilder::cooo().pseudo_rob(128).sliq(2048);
-    for &mshrs in &mshr_counts {
-        let result = machine()
-            .dram(
-                DramConfig::table1_like()
-                    .with_mshr_entries(mshrs)
-                    .with_banks(16),
-            )
-            .workloads(Suite::mlp_contrast())
-            .trace_len(8_000)
-            .build()
-            .run();
+    let machine = ProcessorConfig::cooo(128, 2048, 1000);
+    let workloads = Suite::mlp_contrast().generate(8_000);
+    // One grid: a DRAM machine per MSHR count, then the paper's flat model
+    // (unlimited outstanding misses).
+    let dram = mshr_counts.iter().map(|&mshrs| ProcessorConfig {
+        memory: machine.memory.with_dram(
+            DramConfig::table1_like()
+                .with_mshr_entries(mshrs)
+                .with_banks(16),
+        ),
+        ..machine
+    });
+    let results = sweep(dram.chain([machine]), &workloads);
+    for (&mshrs, result) in mshr_counts.iter().zip(&results) {
         let stream = &result.per_workload[1].stats;
         let chase = &result.per_workload[0].stats;
         println!(
@@ -44,12 +46,7 @@ fn main() {
             100.0 * stream.memory.row_buffer_hit_ratio(),
         );
     }
-    // The paper's model: unlimited outstanding misses.
-    let flat = machine()
-        .workloads(Suite::mlp_contrast())
-        .trace_len(8_000)
-        .build()
-        .run();
+    let flat = &results[mshr_counts.len()];
     println!(
         "{:>8}{:>16.3}{:>16.3}{:>14}{:>12}",
         "flat",

@@ -6,7 +6,7 @@
 //! cargo run --release --example memory_wall
 //! ```
 
-use koc_sim::{ProcessorConfig, Suite, Sweep};
+use koc_sim::{sweep, ProcessorConfig, Suite};
 
 fn main() {
     let windows = [128usize, 512, 2048];
@@ -20,10 +20,7 @@ fn main() {
                 .map(move |&lat| ProcessorConfig::baseline(window, lat)),
         )
     });
-    let results = Sweep::over(configs)
-        .workloads(Suite::paper())
-        .trace_len(12_000)
-        .run();
+    let results = sweep(configs, &Suite::paper().generate(12_000));
 
     println!("suite-average IPC by window size and memory latency");
     print!("{:>10}", "window");

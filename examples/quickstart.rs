@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use koc_sim::{ProcessorConfig, Suite, Sweep};
+use koc_sim::{sweep, ProcessorConfig};
 use koc_workloads::{kernels, Workload};
 
 fn main() {
@@ -27,13 +27,14 @@ fn main() {
     //   (the paper's upper reference line),
     // - the paper's proposal: 8 checkpoints, 128-entry pseudo-ROB and
     //   instruction queues, 2048-entry SLIQ.
-    let results = Sweep::over([
-        ProcessorConfig::baseline(128, 1000),
-        ProcessorConfig::baseline(4096, 1000),
-        ProcessorConfig::cooo(128, 2048, 1000),
-    ])
-    .workloads(Suite::custom(vec![workload]))
-    .run();
+    let results = sweep(
+        [
+            ProcessorConfig::baseline(128, 1000),
+            ProcessorConfig::baseline(4096, 1000),
+            ProcessorConfig::cooo(128, 2048, 1000),
+        ],
+        &[workload],
+    );
     let (small, huge, cooo) = (
         &results[0].per_workload[0].stats,
         &results[1].per_workload[0].stats,

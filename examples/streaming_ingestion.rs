@@ -14,14 +14,14 @@
 //! mark — thousands of entries, not millions.
 
 use koc::isa::InstructionSource;
-use koc::sim::{NullObserver, SimBuilder, Suite};
+use koc::sim::{sweep, Processor, ProcessorConfig, Suite};
 use koc::workloads::{kernels, KernelSource};
 
 fn main() {
     // A run ~500x longer than the default suite traces, in O(window)
-    // memory. `run_one` accepts anything implementing
+    // memory. `Processor::new` accepts anything implementing
     // `InstructionSource` (a `&Trace` included).
-    let session = SimBuilder::cooo().build();
+    let machine = ProcessorConfig::cooo(128, 2048, 1000);
     let config = kernels::stream_add().with_target_len(5_000_000);
     let source = KernelSource::new("stream_add", config);
     println!(
@@ -29,7 +29,7 @@ fn main() {
         source.len_hint().expect("stream_add length is exact")
     );
     let start = std::time::Instant::now();
-    let stats = session.run_one(source, NullObserver).0;
+    let stats = Processor::new(machine, source).run();
     println!(
         "  {} retired, {} cycles, IPC {:.2}, {:.1}s wall",
         stats.committed_instructions,
@@ -45,11 +45,6 @@ fn main() {
 
     // The streamed suite: same cycle counts as the materialized suite,
     // without ever building a trace.
-    let result = SimBuilder::cooo()
-        .workloads(Suite::paper())
-        .trace_len(10_000)
-        .streamed()
-        .build()
-        .run();
+    let result = &sweep([machine], &Suite::paper().specs(10_000))[0];
     println!("streamed paper suite: {:.2} mean IPC", result.mean_ipc());
 }

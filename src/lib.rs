@@ -10,8 +10,9 @@
 //! * [`core`] — the paper's mechanisms (CAM rename, checkpoints, pseudo-ROB,
 //!   SLIQ) and the conventional window structures,
 //! * [`workloads`] — the synthetic SPEC2000fp-like suite,
-//! * [`sim`] — the pipeline, the pluggable [`sim::CommitEngine`] and the
-//!   fluent [`sim::SimBuilder`] / [`sim::Session`] / [`sim::Sweep`] API,
+//! * [`sim`] — the pipeline ([`sim::Processor`]), the pluggable
+//!   [`sim::CommitEngine`], the machine configuration
+//!   ([`sim::ProcessorConfig`]) and the [`sim::sweep()`] grid runner,
 //! * [`obs`] — the zero-perturbation observability layer: the
 //!   [`obs::Observer`] seam plus the pipeline event tracer, the interval
 //!   time-series recorder and top-down cycle accounting.

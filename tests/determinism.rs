@@ -6,17 +6,14 @@
 //!
 //! 1. **Determinism** — the same configuration over the same workloads
 //!    yields *bit-identical* `SimStats`, run directly or through a rayon
-//!    `Sweep` (parallelism must not leak into results), in both ingestion
+//!    `sweep` (parallelism must not leak into results), in both ingestion
 //!    modes, with fast-forward on or off, capped or not.
 //! 2. **Fast-forward equivalence** — the event-driven skip
 //!    (`ProcessorConfig::fast_forward`, on by default) changes only how
 //!    many cycles the pipeline steps: every statistic, including per-cycle distributions and stall
 //!    counters, matches the per-cycle-stepping run exactly.
 
-use koc_sim::{
-    CycleSample, DramConfig, Observer, Processor, ProcessorConfig, SimBuilder, SourceMode, Suite,
-    Sweep,
-};
+use koc_sim::{sweep, CycleSample, DramConfig, Observer, Processor, ProcessorConfig, Suite};
 use koc_workloads::kernels;
 
 /// Configurations chosen to cover both engines on both memory backends
@@ -34,24 +31,26 @@ fn coverage_configs() -> Vec<ProcessorConfig> {
     ]
 }
 
+/// The MLP-contrast grid at 250-cycle memory — a latency small enough to
+/// step `pointer_chase` without fast-forward — covering the in-order
+/// engine, the checkpointed engine and a mix of window sizes.
+fn mlp_contrast_configs() -> Vec<ProcessorConfig> {
+    vec![
+        ProcessorConfig::baseline(64, 250),
+        ProcessorConfig::baseline(128, 250),
+        ProcessorConfig::cooo(32, 512, 250),
+        ProcessorConfig::cooo(16, 256, 250),
+        ProcessorConfig::cooo(64, 1024, 250),
+    ]
+}
+
 #[test]
 fn identical_sessions_yield_bit_identical_stats() {
+    let workloads = Suite::paper().generate(2_000);
     for config in coverage_configs() {
-        let run = || {
-            SimBuilder::from_config(config)
-                .workloads(Suite::paper())
-                .trace_len(2_000)
-                .build()
-                .run()
-        };
-        let (a, b) = (run(), run());
-        for (wa, wb) in a.per_workload.iter().zip(b.per_workload.iter()) {
-            assert_eq!(wa.workload, wb.workload);
-            assert_eq!(
-                wa.stats, wb.stats,
-                "{} must be bit-identical across runs",
-                wa.workload
-            );
+        for w in &workloads {
+            let run = || Processor::new(config, &w.trace).run();
+            assert_eq!(run(), run(), "{} must be bit-identical across runs", w.name);
         }
     }
 }
@@ -60,51 +59,41 @@ fn identical_sessions_yield_bit_identical_stats() {
 fn parallel_sweeps_are_as_deterministic_as_serial_runs() {
     let workloads = Suite::paper().generate(2_000);
     let configs = coverage_configs();
-    let first = Sweep::over(configs.clone()).run_on(&workloads);
-    let second = Sweep::over(configs.clone()).run_on(&workloads);
+    let first = sweep(configs.clone(), &workloads);
+    let second = sweep(configs, &workloads);
     for (a, b) in first.iter().zip(second.iter()) {
         for (wa, wb) in a.per_workload.iter().zip(b.per_workload.iter()) {
             assert_eq!(wa.stats, wb.stats, "rayon must not leak into results");
         }
     }
-    // And the sweep agrees with one-at-a-time sessions.
-    for (config, swept) in configs.iter().zip(first.iter()) {
-        let solo = SimBuilder::from_config(*config)
-            .workloads(Suite::custom(workloads.clone()))
-            .build()
-            .run();
-        for (ws, wp) in solo.per_workload.iter().zip(swept.per_workload.iter()) {
-            assert_eq!(ws.stats, wp.stats, "sweep vs session must agree");
-        }
-    }
-    // And with solo `Processor::run_capped` runs, across both engines, both
-    // ingestion modes, fast-forward on and off, and with a cycle budget.
-    let workloads = Suite::paper().generate(1_000);
-    let mut capped = 0;
-    for fast_forward in [true, false] {
-        let configs: Vec<ProcessorConfig> = configs
-            .iter()
-            .map(|c| c.with_fast_forward(fast_forward))
-            .collect();
-        for source_mode in [SourceMode::Materialized, SourceMode::Streamed] {
-            for budget in [None, Some(4_000)] {
-                let mut sweep = Sweep::over(configs.clone())
-                    .workloads(Suite::paper())
-                    .trace_len(1_000)
-                    .source_mode(source_mode);
-                if let Some(cycles) = budget {
-                    sweep = sweep.cycle_budget(cycles);
-                }
-                for (config, swept) in configs.iter().zip(sweep.run()) {
+    // And a sweep agrees with solo `Processor` runs, across both engines,
+    // both ingestion modes and fast-forward on and off, on the paper suite
+    // and on the MLP-contrast grid.
+    for (suite, configs) in [
+        (Suite::paper(), coverage_configs()),
+        (Suite::mlp_contrast(), mlp_contrast_configs()),
+    ] {
+        let specs = suite.specs(1_000);
+        let workloads = suite.generate(1_000);
+        for fast_forward in [true, false] {
+            let configs: Vec<ProcessorConfig> = configs
+                .iter()
+                .map(|c| c.with_fast_forward(fast_forward))
+                .collect();
+            for (source, results) in [
+                ("materialized", sweep(configs.clone(), &workloads)),
+                ("streamed", sweep(configs.clone(), &specs)),
+            ] {
+                assert_eq!(results.len(), configs.len());
+                for (config, swept) in configs.iter().zip(&results) {
                     assert_eq!(swept.config, *config, "results follow input order");
+                    assert_eq!(swept.per_workload.len(), workloads.len());
                     for (w, wr) in workloads.iter().zip(&swept.per_workload) {
                         assert_eq!(wr.workload, w.name);
-                        capped += usize::from(wr.stats.budget_exhausted);
                         assert_eq!(
                             wr.stats,
-                            Processor::new(*config, &w.trace).run_capped(budget),
-                            "{}: sweep vs solo run (fast_forward={fast_forward}, \
-                             {source_mode:?}, budget={budget:?})",
+                            Processor::new(*config, &w.trace).run(),
+                            "{}: sweep vs solo run (fast_forward={fast_forward}, {source})",
                             w.name
                         );
                     }
@@ -112,7 +101,6 @@ fn parallel_sweeps_are_as_deterministic_as_serial_runs() {
             }
         }
     }
-    assert!(capped > 0, "the cycle budget must cap some runs");
 }
 
 #[test]
@@ -122,15 +110,16 @@ fn fast_forward_is_bit_identical_to_per_cycle_stepping() {
         all.extend(Suite::mlp_contrast().generate(2_000));
         all
     };
-    for config in coverage_configs() {
-        let run = |ff: bool| {
-            SimBuilder::from_config(config)
-                .fast_forward(ff)
-                .workloads(Suite::custom(workloads.clone()))
-                .build()
-                .run()
-        };
-        let (fast, slow) = (run(true), run(false));
+    let configs = coverage_configs();
+    let fast = sweep(
+        configs.iter().map(|c| c.with_fast_forward(true)),
+        &workloads,
+    );
+    let slow = sweep(
+        configs.iter().map(|c| c.with_fast_forward(false)),
+        &workloads,
+    );
+    for (config, (fast, slow)) in configs.iter().zip(fast.iter().zip(&slow)) {
         for (wf, ws) in fast.per_workload.iter().zip(slow.per_workload.iter()) {
             assert_eq!(
                 wf.stats.cycles, ws.stats.cycles,
@@ -198,8 +187,8 @@ fn fast_forward_speeds_up_the_memory_bound_kernel() {
 /// suite, pinned in-source so any hot-path refactor is proved cycle-neutral
 /// by `cargo test` alone — before the CI bench gate even runs. Solo cooo
 /// runs must land on exactly these numbers in every combination of
-/// ingestion mode and fast-forward, and a per-config `Sweep` of both
-/// engines in both ingestion modes.
+/// ingestion mode and fast-forward, and a `sweep` of both engines in both
+/// ingestion modes.
 #[test]
 fn cooo_quick_suite_cycles_are_pinned_in_all_modes() {
     use koc_bench::harness::{engines, specs, QUICK_TRACE_LEN};
@@ -224,9 +213,9 @@ fn cooo_quick_suite_cycles_are_pinned_in_all_modes() {
     let config = engine("cooo");
     let specs = specs(QUICK_TRACE_LEN);
     assert_eq!(specs.len(), PINNED.len(), "quick suite changed shape");
-    let sweep = Sweep::over([engine("baseline"), config]);
+    let engines = [engine("baseline"), config];
     let materialized: Vec<_> = specs.iter().map(|s| s.materialize()).collect();
-    for results in [sweep.run_grid(&specs), sweep.run_grid(&materialized)] {
+    for results in [sweep(engines, &specs), sweep(engines, &materialized)] {
         for (ei, result) in results.iter().enumerate() {
             for (wr, &(name, base_cycles, cooo_cycles, retired)) in
                 result.per_workload.iter().zip(PINNED)
@@ -273,18 +262,14 @@ fn cooo_quick_suite_cycles_are_pinned_in_all_modes() {
 
 #[test]
 fn budgeted_runs_are_deterministic_and_bounded() {
+    let workload = &Suite::kernel("pointer_chase", kernels::pointer_chase()).generate(4_000)[0];
     let run = || {
-        SimBuilder::baseline(64)
-            .memory_latency(1000)
-            .workloads(Suite::kernel("pointer_chase", kernels::pointer_chase()))
-            .trace_len(4_000)
-            .cycle_budget(50_000)
-            .build()
-            .run()
+        Processor::new(ProcessorConfig::baseline(64, 1000), &workload.trace)
+            .run_capped(Some(50_000))
     };
-    let (a, b) = (run(), run());
-    let (sa, sb) = (&a.per_workload[0].stats, &b.per_workload[0].stats);
+    let (sa, sb) = (run(), run());
     assert_eq!(sa, sb);
     assert!(sa.budget_exhausted);
     assert_eq!(sa.cycles, 50_000);
+    assert!((sa.committed_instructions as usize) < workload.trace.len());
 }

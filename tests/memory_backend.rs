@@ -1,8 +1,8 @@
 //! Integration tests for the pluggable timed memory backend: parity with
 //! the paper's flat model, the DRAM/MSHR back-pressure axis, and the
-//! configuration plumbing through the session API.
+//! configuration plumbing through `MemoryConfig`.
 
-use koc_sim::{BackendKind, CommitConfig, DramConfig, ProcessorConfig, SimBuilder, Suite, Sweep};
+use koc_sim::{sweep, BackendKind, CommitConfig, DramConfig, MemoryConfig, ProcessorConfig, Suite};
 use koc_workloads::kernels;
 
 /// Cycle counts recorded from the pre-backend hierarchy (the seed code) on
@@ -20,11 +20,13 @@ const SEED_GOLDEN: &[(&str, u64, u64, u64)] = &[
 #[test]
 fn flat_backend_reproduces_seed_cycle_counts_exactly() {
     let workloads = Suite::paper().generate(4_000);
-    let results = Sweep::over([
-        ProcessorConfig::baseline(128, 1000),
-        ProcessorConfig::cooo(32, 512, 1000),
-    ])
-    .run_on(&workloads);
+    let results = sweep(
+        [
+            ProcessorConfig::baseline(128, 1000),
+            ProcessorConfig::cooo(32, 512, 1000),
+        ],
+        &workloads,
+    );
     for (i, &(name, base_cycles, cooo_cycles, committed)) in SEED_GOLDEN.iter().enumerate() {
         let base = &results[0].per_workload[i];
         let cooo = &results[1].per_workload[i];
@@ -53,7 +55,7 @@ fn ideal_dram_matches_flat_latency_cycle_for_cycle() {
         flat.commit = commit;
         let mut dram = flat;
         dram.memory = dram.memory.with_dram(DramConfig::ideal());
-        let results = Sweep::over([flat, dram]).run_on(&workloads);
+        let results = sweep([flat, dram], &workloads);
         for (f, d) in results[0]
             .per_workload
             .iter()
@@ -75,20 +77,18 @@ fn ideal_dram_matches_flat_latency_cycle_for_cycle() {
 
 #[test]
 fn mshr_starvation_throttles_the_streaming_workload() {
-    let session = |mshrs: usize| {
-        SimBuilder::cooo()
-            .pseudo_rob(128)
-            .sliq(2048)
-            .memory_latency(500)
-            .mshr_entries(mshrs)
-            .dram_banks(16)
-            .workloads(Suite::kernel("stream_mlp", kernels::stream_mlp()))
-            .trace_len(3_000)
-            .build()
-            .run()
+    let machine = |mshrs: usize| {
+        let c = ProcessorConfig::cooo(128, 2048, 500);
+        ProcessorConfig {
+            memory: c.memory.with_mshr_entries(mshrs).with_dram_banks(16),
+            ..c
+        }
     };
-    let starved = session(1);
-    let fed = session(16);
+    let results = sweep(
+        [machine(1), machine(16)],
+        &Suite::kernel("stream_mlp", kernels::stream_mlp()).generate(3_000),
+    );
+    let (starved, fed) = (&results[0], &results[1]);
     assert!(
         fed.mean_ipc() > starved.mean_ipc() * 2.0,
         "16 MSHRs must beat 1 on independent misses: {:.3} vs {:.3}",
@@ -112,18 +112,18 @@ fn mshr_starvation_throttles_the_streaming_workload() {
 
 #[test]
 fn pointer_chase_gains_nothing_from_mshrs() {
-    let run = |mshrs: usize| {
-        SimBuilder::cooo()
-            .memory_latency(500)
-            .mshr_entries(mshrs)
-            .workloads(Suite::kernel("pointer_chase", kernels::pointer_chase()))
-            .trace_len(600)
-            .build()
-            .run()
-            .mean_ipc()
+    let machine = |mshrs: usize| {
+        let c = ProcessorConfig::cooo(128, 2048, 500);
+        ProcessorConfig {
+            memory: c.memory.with_mshr_entries(mshrs),
+            ..c
+        }
     };
-    let one = run(1);
-    let many = run(32);
+    let results = sweep(
+        [machine(1), machine(32)],
+        &Suite::kernel("pointer_chase", kernels::pointer_chase()).generate(600),
+    );
+    let (one, many) = (results[0].mean_ipc(), results[1].mean_ipc());
     let ratio = many / one;
     assert!(
         (0.95..=1.05).contains(&ratio),
@@ -133,11 +133,10 @@ fn pointer_chase_gains_nothing_from_mshrs() {
 
 #[test]
 fn backend_knobs_flow_through_the_builder() {
-    let builder = SimBuilder::cooo()
-        .mshr_entries(8)
-        .dram_banks(4)
-        .row_buffer(8 * 1024);
-    let mem = builder.config().memory;
+    let mem = MemoryConfig::table1(1000)
+        .with_mshr_entries(8)
+        .with_dram_banks(4)
+        .with_row_buffer(8 * 1024);
     match mem.backend {
         BackendKind::Dram(d) => {
             assert_eq!((d.mshr_entries, d.banks, d.row_bytes), (8, 4, 8 * 1024));
@@ -145,6 +144,6 @@ fn backend_knobs_flow_through_the_builder() {
         BackendKind::Flat => panic!("knobs must upgrade the backend to DRAM"),
     }
     // The whole-backend override wins over per-knob upgrades.
-    let flat_again = builder.memory_backend(BackendKind::Flat);
-    assert_eq!(flat_again.config().memory.backend, BackendKind::Flat);
+    let flat_again = mem.with_backend(BackendKind::Flat);
+    assert_eq!(flat_again.backend, BackendKind::Flat);
 }

@@ -1,19 +1,19 @@
-//! Repository-level tests for the fluent `SimBuilder`/`Session`/`Sweep` API,
-//! including the property that sweeps preserve input order.
+//! Repository-level tests for the public run API: a machine is a
+//! `ProcessorConfig`, and `sweep` runs a grid of them over a workload slice,
+//! preserving input order.
 
-use koc_sim::{CommitConfig, NullObserver, ProcessorConfig, SimBuilder, Suite, Sweep};
+use koc_core::CheckpointPolicy;
+use koc_sim::{sweep, CommitConfig, ProcessorConfig, Suite};
 use koc_workloads::kernels;
 use proptest::prelude::*;
 
 #[test]
 fn the_readme_quickstart_builder_chain_works() {
-    let session = SimBuilder::cooo()
-        .pseudo_rob(128)
-        .sliq(2048)
-        .workloads(Suite::kernel("stream_add", kernels::stream_add()))
-        .trace_len(2_000)
-        .build();
-    let result = session.run();
+    let results = sweep(
+        [ProcessorConfig::cooo(128, 2048, 1000)],
+        &Suite::kernel("stream_add", kernels::stream_add()).generate(2_000),
+    );
+    let result = &results[0];
     assert_eq!(result.per_workload.len(), 1);
     assert!(result.mean_ipc() > 0.0);
     assert!(result.per_workload[0].stats.committed_instructions > 0);
@@ -21,12 +21,10 @@ fn the_readme_quickstart_builder_chain_works() {
 
 #[test]
 fn builder_overrides_land_in_the_config() {
-    let b = SimBuilder::cooo()
-        .pseudo_rob(64)
-        .sliq(512)
-        .checkpoints(16)
-        .memory_latency(500);
-    let c = *b.config();
+    let c = ProcessorConfig::cooo(64, 512, 1000)
+        .with_checkpoints(16)
+        .with_checkpoint_policy(CheckpointPolicy::every_n(128))
+        .with_memory_latency(500);
     assert_eq!(c.iq_size, 64);
     assert_eq!(c.memory.memory_latency, 500);
     match c.commit {
@@ -34,49 +32,15 @@ fn builder_overrides_land_in_the_config() {
             checkpoint_entries,
             pseudo_rob_size,
             sliq,
-            ..
+            policy,
         } => {
             assert_eq!(checkpoint_entries, 16);
             assert_eq!(pseudo_rob_size, 64);
             assert_eq!(sliq.capacity, 512);
+            assert_eq!(policy, CheckpointPolicy::every_n(128));
         }
         CommitConfig::InOrderRob { .. } => panic!("cooo() must build the checkpointed engine"),
     }
-}
-
-#[test]
-fn sessions_cover_the_former_free_function_entry_points() {
-    // `run_trace`/`run_suite`/`run_workloads` are gone; the session API is
-    // the single way in.
-    let w = koc_workloads::Workload::generate("gather", kernels::gather(), 1_000);
-    let session = SimBuilder::baseline(64).memory_latency(100).build();
-    let stats = session.run_one(&w.trace, NullObserver).0;
-    assert_eq!(stats.committed_instructions as usize, w.trace.len());
-    let suite = SimBuilder::baseline(64)
-        .memory_latency(100)
-        .workloads(Suite::paper())
-        .trace_len(600)
-        .build()
-        .run();
-    assert_eq!(suite.per_workload.len(), 5);
-}
-
-#[test]
-fn a_cycle_budget_caps_every_run_in_a_session() {
-    let result = SimBuilder::baseline(64)
-        .memory_latency(1000)
-        .workloads(Suite::kernel("gather", kernels::gather()))
-        .trace_len(5_000)
-        .cycle_budget(200)
-        .build()
-        .run();
-    let stats = &result.per_workload[0].stats;
-    assert!(
-        stats.budget_exhausted,
-        "1000-cycle memory cannot finish in 200"
-    );
-    assert_eq!(stats.cycles, 200);
-    assert!((stats.committed_instructions as usize) < 5_000);
 }
 
 proptest! {
@@ -88,10 +52,8 @@ proptest! {
     fn sweep_preserves_arity_and_input_order(windows in proptest::collection::vec(4usize..48, 1..7)) {
         let configs: Vec<ProcessorConfig> =
             windows.iter().map(|&w| ProcessorConfig::baseline(w * 8, 100)).collect();
-        let results = Sweep::over(configs.clone())
-            .workloads(Suite::kernel("stream_add", kernels::stream_add()))
-            .trace_len(400)
-            .run();
+        let workloads = Suite::kernel("stream_add", kernels::stream_add()).generate(400);
+        let results = sweep(configs.clone(), &workloads);
         prop_assert_eq!(results.len(), configs.len(), "one result per configuration");
         for (r, c) in results.iter().zip(configs.iter()) {
             prop_assert_eq!(r.config.iq_size, c.iq_size, "results must follow input order");

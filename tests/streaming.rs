@@ -11,8 +11,8 @@
 //!    recovery depth (ROB / checkpoint span), independent of stream
 //!    length.
 
-use koc::sim::{NullObserver, ProcessorConfig, SimBuilder, SourceMode, Suite};
-use koc::workloads::{kernels, KernelSource, Workload};
+use koc::sim::{sweep, Processor, ProcessorConfig, Suite};
+use koc::workloads::{kernels, KernelSource, Workload, WorkloadSpec};
 
 /// Stream length for the long-run memory guard: ten million instructions
 /// in release builds (the acceptance target), scaled down for debug test
@@ -25,22 +25,17 @@ const GUARD_LEN: usize = if cfg!(debug_assertions) {
 
 #[test]
 fn paper_suite_is_bit_identical_streamed_vs_materialized() {
+    let workloads = Suite::paper().generate(1_500);
+    let specs = Suite::paper().specs(1_500);
     for fast_forward in [true, false] {
-        for base in [
+        let configs = [
             ProcessorConfig::baseline(128, 500),
             ProcessorConfig::cooo(64, 1024, 500),
-        ] {
-            let run = |mode: SourceMode| {
-                SimBuilder::from_config(base)
-                    .fast_forward(fast_forward)
-                    .workloads(Suite::paper())
-                    .trace_len(1_500)
-                    .source_mode(mode)
-                    .build()
-                    .run()
-            };
-            let materialized = run(SourceMode::Materialized);
-            let streamed = run(SourceMode::Streamed);
+        ]
+        .map(|c| c.with_fast_forward(fast_forward));
+        let materialized = sweep(configs, &workloads);
+        let streamed = sweep(configs, &specs);
+        for (materialized, streamed) in materialized.iter().zip(&streamed) {
             assert_eq!(materialized.per_workload.len(), streamed.per_workload.len());
             for (m, s) in materialized.per_workload.iter().zip(&streamed.per_workload) {
                 assert_eq!(m.workload, s.workload);
@@ -60,10 +55,11 @@ fn long_streaming_run_keeps_the_replay_window_at_rob_depth() {
     // only recovery points) plus fetch lookahead.
     let window = 128;
     let config = kernels::stream_add().with_target_len(GUARD_LEN);
-    let stats = SimBuilder::baseline(window)
-        .build()
-        .run_one(KernelSource::new("stream_add", config), NullObserver)
-        .0;
+    let stats = Processor::new(
+        ProcessorConfig::baseline(window, 1000),
+        KernelSource::new("stream_add", config),
+    )
+    .run();
     assert!(stats.committed_instructions as usize >= GUARD_LEN);
     assert!(
         stats.replay_window_peak <= window + 2,
@@ -76,12 +72,13 @@ fn long_streaming_run_keeps_the_replay_window_at_rob_depth() {
 fn checkpointed_replay_window_is_bounded_by_checkpoint_depth_not_length() {
     // Checkpointed engine: recovery points are whole checkpoints, so the
     // window spans the live checkpoints — still independent of run length.
-    let session = SimBuilder::cooo().build();
     let run = |len: usize| {
         let config = kernels::stream_add().with_target_len(len);
-        session
-            .run_one(KernelSource::new("stream_add", config), NullObserver)
-            .0
+        Processor::new(
+            ProcessorConfig::cooo(128, 2048, 1000),
+            KernelSource::new("stream_add", config),
+        )
+        .run()
     };
     let short = run(GUARD_LEN / 5);
     let long = run(GUARD_LEN / 2);
@@ -104,14 +101,8 @@ fn checkpointed_replay_window_is_bounded_by_checkpoint_depth_not_length() {
 #[test]
 fn custom_suites_stream_their_fixed_traces() {
     let workload = Workload::generate("stencil27", kernels::stencil27(), 1_000);
-    let run = |mode: SourceMode| {
-        SimBuilder::baseline(64)
-            .memory_latency(300)
-            .workloads(Suite::custom(vec![workload.clone()]))
-            .source_mode(mode)
-            .build()
-            .run()
-    };
-    let (m, s) = (run(SourceMode::Materialized), run(SourceMode::Streamed));
-    assert_eq!(m.per_workload[0].stats, s.per_workload[0].stats);
+    let fixed = [WorkloadSpec::Fixed(workload.clone())];
+    let config = [ProcessorConfig::baseline(64, 300)];
+    let (m, s) = (sweep(config, &[workload]), sweep(config, &fixed));
+    assert_eq!(m[0].per_workload[0].stats, s[0].per_workload[0].stats);
 }
