@@ -376,12 +376,6 @@ impl CheckpointTable {
     pub fn iter(&self) -> impl Iterator<Item = &Checkpoint> {
         self.entries.iter()
     }
-
-    /// Removes every checkpoint (pipeline flush at end of trace or on a full
-    /// exception restart).
-    pub fn flush(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -390,8 +384,8 @@ mod tests {
 
     fn snap() -> RenameCheckpoint {
         RenameCheckpoint {
-            valid: vec![false; 8],
-            free_list: vec![true; 8],
+            valid: vec![0],
+            free_list: vec![0xff],
         }
     }
 

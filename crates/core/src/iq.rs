@@ -27,7 +27,6 @@
 //! and a hundred ready loads, an age-ordered scan would revisit almost all
 //! of them every cycle).
 
-use crate::checkpoint::CheckpointId;
 use koc_isa::{FuClass, InstId, PhysReg, RegList};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -38,14 +37,10 @@ use std::collections::BinaryHeap;
 pub struct IqEntry {
     /// The dynamic instruction.
     pub inst: InstId,
-    /// Renamed destination register, if any.
-    pub dest: Option<PhysReg>,
     /// Renamed source registers.
     pub srcs: RegList,
     /// Functional-unit class the instruction issues to.
     pub fu: FuClass,
-    /// Checkpoint the instruction is associated with.
-    pub ckpt: CheckpointId,
 }
 
 /// Handle of the slab slot an entry occupies, returned by
@@ -401,20 +396,6 @@ impl InstructionQueue {
             .iter()
             .any(|s| s.token != VACANT && s.entry.inst == inst)
     }
-
-    /// Removes everything (full pipeline flush).
-    pub fn flush(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.len = 0;
-        for heap in &mut self.ready {
-            heap.clear();
-        }
-        self.ready_total = 0;
-        self.waiter_heads.fill(NIL);
-        self.waiter_nodes.clear();
-        self.waiter_free = NIL;
-    }
 }
 
 #[cfg(test)]
@@ -424,10 +405,8 @@ mod tests {
     fn entry(inst: InstId, srcs: &[u32], fu: FuClass) -> IqEntry {
         IqEntry {
             inst,
-            dest: Some(PhysReg(100 + inst as u32)),
             srcs: srcs.iter().map(|&r| PhysReg(r)).collect::<RegList>(),
             fu,
-            ckpt: 0,
         }
     }
 
@@ -690,18 +669,10 @@ mod tests {
     }
 
     #[test]
-    fn flush_clears_everything() {
-        let mut iq = InstructionQueue::new(4);
-        iq.insert(entry(0, &[5], FuClass::Fp), |_| false).unwrap();
-        iq.flush();
-        assert!(iq.is_empty());
-        assert_eq!(iq.ready_count(), 0);
-        iq.wakeup(PhysReg(5));
-        assert_eq!(iq.ready_count(), 0);
-        // The queue is reusable after a flush.
-        iq.insert(entry(1, &[5], FuClass::Fp), |_| false).unwrap();
-        iq.wakeup(PhysReg(5));
-        assert_eq!(iq.ready_count(), 1);
+    fn an_entry_fits_in_32_bytes() {
+        // Every IQ slot and SLIQ node holds one, and dispatch writes one
+        // per instruction.
+        assert!(std::mem::size_of::<IqEntry>() <= 32);
     }
 
     #[test]

@@ -44,7 +44,8 @@ pub struct LoadStoreQueue {
 }
 
 impl LoadStoreQueue {
-    /// Creates an LSQ with `capacity` entries (4096 in Table 1).
+    /// Creates an LSQ with `capacity` entries (4096 in Table 1), all
+    /// reserved up front so dispatch never grows the queue.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
@@ -52,7 +53,7 @@ impl LoadStoreQueue {
         assert!(capacity > 0, "load/store queue capacity must be non-zero");
         LoadStoreQueue {
             capacity,
-            entries: VecDeque::new(),
+            entries: VecDeque::with_capacity(capacity),
             stores_released: 0,
             loads_released: 0,
         }
@@ -61,6 +62,12 @@ impl LoadStoreQueue {
     /// Maximum number of entries.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// How many entries the queue holds before it would next grow; never
+    /// below [`capacity`](Self::capacity).
+    pub fn reserved(&self) -> usize {
+        self.entries.capacity()
     }
 
     /// Current occupancy.
@@ -76,11 +83,6 @@ impl LoadStoreQueue {
     /// Whether another memory instruction can be allocated.
     pub fn has_space(&self) -> bool {
         self.entries.len() < self.capacity
-    }
-
-    /// Number of stores currently held.
-    pub fn store_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_store).count()
     }
 
     /// Allocates an entry at dispatch (program order).
@@ -122,18 +124,6 @@ impl LoadStoreQueue {
         None
     }
 
-    /// Releases every entry older than `frontier` (exclusive) and collects
-    /// the released stores. Convenience wrapper over
-    /// [`pop_store_older_than`](Self::pop_store_older_than) for tests and
-    /// tools; the cycle loop uses the allocation-free pop directly.
-    pub fn release_older_than(&mut self, frontier: InstId) -> Vec<LsqEntry> {
-        let mut drained_stores = Vec::new();
-        while let Some(e) = self.pop_store_older_than(frontier) {
-            drained_stores.push(e);
-        }
-        drained_stores
-    }
-
     /// Removes every entry at or after trace position `from` (squash).
     pub fn squash_from(&mut self, from: InstId) -> usize {
         let before = self.entries.len();
@@ -149,11 +139,6 @@ impl LoadStoreQueue {
     /// Total loads released so far.
     pub fn loads_released(&self) -> u64 {
         self.loads_released
-    }
-
-    /// Removes everything (full flush).
-    pub fn flush(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -184,10 +169,13 @@ mod tests {
         lsq.allocate(store(1)).unwrap();
         lsq.allocate(load(2)).unwrap();
         assert_eq!(lsq.len(), 3);
-        assert_eq!(lsq.store_count(), 1);
-        let drained = lsq.release_older_than(2);
-        assert_eq!(drained.len(), 1, "only the store is returned for draining");
-        assert_eq!(drained[0].inst, 1);
+        let drained = lsq.pop_store_older_than(2);
+        assert_eq!(
+            drained.map(|e| e.inst),
+            Some(1),
+            "only the store is returned for draining"
+        );
+        assert_eq!(lsq.pop_store_older_than(2), None);
         assert_eq!(lsq.len(), 1);
         assert_eq!(lsq.loads_released(), 1);
         assert_eq!(lsq.stores_released(), 1);
@@ -207,8 +195,9 @@ mod tests {
         for i in 0..5 {
             lsq.allocate(store(i)).unwrap();
         }
-        let drained = lsq.release_older_than(3);
-        assert_eq!(drained.len(), 3);
+        let drained: Vec<_> =
+            std::iter::from_fn(|| lsq.pop_store_older_than(3).map(|e| e.inst)).collect();
+        assert_eq!(drained, vec![0, 1, 2]);
         assert_eq!(lsq.len(), 2);
     }
 
@@ -223,15 +212,6 @@ mod tests {
         assert_eq!(removed, 3);
         assert_eq!(lsq.len(), 2);
         // Released counters are unaffected by squash.
-        assert_eq!(lsq.stores_released(), 0);
-    }
-
-    #[test]
-    fn flush_empties_without_counting_releases() {
-        let mut lsq = LoadStoreQueue::new(4);
-        lsq.allocate(store(0)).unwrap();
-        lsq.flush();
-        assert!(lsq.is_empty());
         assert_eq!(lsq.stores_released(), 0);
     }
 

@@ -205,11 +205,6 @@ impl PseudoRob {
     pub fn iter(&self) -> impl Iterator<Item = &PseudoRobEntry> {
         self.entries.iter()
     }
-
-    /// Removes all entries.
-    pub fn flush(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -311,13 +306,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_panics() {
         let _ = PseudoRob::new(0);
-    }
-
-    #[test]
-    fn flush_empties_the_structure() {
-        let mut p = PseudoRob::new(4);
-        p.push(entry(1));
-        p.flush();
-        assert!(p.is_empty());
     }
 }

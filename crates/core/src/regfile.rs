@@ -20,7 +20,6 @@ use serde::{Deserialize, Serialize};
 /// rename.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PhysRegFile {
-    num_regs: usize,
     /// Bit set = register free, 64 registers per word.
     free_words: Vec<u64>,
     /// Bit `w` of `summary[g]` set iff `free_words[g * 64 + w] != 0`.
@@ -51,17 +50,11 @@ impl PhysRegFile {
             summary[groups - 1] = (1u64 << (words % 64)) - 1;
         }
         PhysRegFile {
-            num_regs,
             free_words,
             summary,
             ready: vec![false; num_regs],
             free_count: num_regs,
         }
-    }
-
-    /// Total number of physical registers.
-    pub fn num_regs(&self) -> usize {
-        self.num_regs
     }
 
     /// Number of currently free physical registers.
@@ -131,27 +124,31 @@ impl PhysRegFile {
         self.free_words[idx / 64] & (1u64 << (idx % 64)) != 0
     }
 
-    /// Snapshot of the free list as a bit vector (one bool per register).
-    pub fn free_list_snapshot(&self) -> Vec<bool> {
-        (0..self.num_regs)
-            .map(|i| self.free_words[i / 64] & (1u64 << (i % 64)) != 0)
-            .collect() // koc-lint: allow(hot-path-alloc, "checkpoint snapshot, taken per checkpoint not per cycle")
+    /// Snapshot of the free list: its bit words, 64 registers per `u64`
+    /// (bit set = free), the same column the paper's checkpoint copies.
+    pub fn free_list_snapshot(&self) -> Vec<u64> {
+        self.free_words.clone()
     }
 
     /// Restores the free list from a snapshot taken by
-    /// [`free_list_snapshot`](Self::free_list_snapshot).
+    /// [`free_list_snapshot`](Self::free_list_snapshot): the words are
+    /// copied back, and the summary and free count are rebuilt from them.
     ///
     /// # Panics
-    /// Panics if the snapshot length does not match the register count.
-    pub fn restore_free_list(&mut self, snapshot: &[bool]) {
-        assert_eq!(snapshot.len(), self.num_regs, "snapshot size mismatch");
-        self.free_words.fill(0);
+    /// Panics if the snapshot was taken from a pool of another size.
+    pub fn restore_free_list(&mut self, snapshot: &[u64]) {
+        assert_eq!(
+            snapshot.len(),
+            self.free_words.len(),
+            "snapshot size mismatch"
+        );
+        self.free_words.copy_from_slice(snapshot);
         self.summary.fill(0);
         self.free_count = 0;
-        for (idx, &free) in snapshot.iter().enumerate() {
-            if free {
-                self.set_free_bit(idx);
-                self.free_count += 1;
+        for (w, &word) in self.free_words.iter().enumerate() {
+            if word != 0 {
+                self.summary[w / 64] |= 1u64 << (w % 64);
+                self.free_count += word.count_ones() as usize;
             }
         }
     }

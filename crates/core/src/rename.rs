@@ -12,6 +12,9 @@
 //! [`CamRenameMap::restore`]), so the snapshot holds only the valid column
 //! plus the free list, which the simulator restores on rollback without
 //! recomputation (an implementation convenience documented in `DESIGN.md`).
+//! Both columns are kept as one bit per physical register, 64 to a `u64`
+//! word, so a snapshot is two word copies — 512 bytes each at Table 1's
+//! 4096 registers — the coarse-grain bit-column copy of Figure 3.
 
 use crate::regfile::PhysRegFile;
 use koc_isa::{ArchReg, PhysReg, NUM_ARCH_REGS};
@@ -29,13 +32,20 @@ pub struct RenamedInst {
     pub prev_phys: Option<PhysReg>,
 }
 
-/// A snapshot of the rename state taken when a checkpoint is created.
+/// A snapshot of the rename state taken when a checkpoint is created. Both
+/// columns are bit words: bit `i % 64` of word `i / 64` belongs to physical
+/// register `i`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RenameCheckpoint {
     /// The valid column at checkpoint time.
-    pub valid: Vec<bool>,
-    /// The free list at checkpoint time.
-    pub free_list: Vec<bool>,
+    pub valid: Vec<u64>,
+    /// The free list at checkpoint time (bit set = free).
+    pub free_list: Vec<u64>,
+}
+
+/// Whether bit `i` of the bit words `words` is set.
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1u64 << (i % 64)) != 0
 }
 
 /// The CAM rename map extended with future-free bits.
@@ -44,7 +54,8 @@ pub struct CamRenameMap {
     /// Logical register mapped by each physical register (meaningful only
     /// while `valid` or `future_free` is set, mirroring the paper's figures).
     logical: Vec<u8>,
-    valid: Vec<bool>,
+    /// The valid column as bit words (see [`RenameCheckpoint`]).
+    valid: Vec<u64>,
     future_free: Vec<bool>,
     /// Registers whose future-free bit was set since the last drain, in
     /// marking order — the drain at every checkpoint is O(marked) instead
@@ -64,16 +75,20 @@ impl CamRenameMap {
     pub fn new(num_phys: usize) -> Self {
         CamRenameMap {
             logical: vec![0; num_phys],
-            valid: vec![false; num_phys],
+            valid: vec![0; num_phys.div_ceil(64)],
             future_free: vec![false; num_phys],
             future_free_list: Vec::with_capacity(num_phys),
             map: vec![None; NUM_ARCH_REGS],
         }
     }
 
-    /// Number of physical registers covered by the map.
-    pub fn num_phys(&self) -> usize {
-        self.valid.len()
+    fn set_valid(&mut self, p: PhysReg, valid: bool) {
+        let (w, mask) = (p.index() / 64, 1u64 << (p.index() % 64));
+        if valid {
+            self.valid[w] |= mask;
+        } else {
+            self.valid[w] &= !mask;
+        }
     }
 
     /// The current mapping of a logical register, if any.
@@ -96,13 +111,13 @@ impl CamRenameMap {
             // A valid mapping never carries the future-free bit, so this is
             // always a fresh mark and the list stays duplicate-free.
             debug_assert!(!self.future_free[p.index()]);
-            self.valid[p.index()] = false;
+            self.set_valid(p, false);
             self.future_free[p.index()] = true;
             self.future_free_list.push(p);
         }
         let idx = new_phys.index();
         self.logical[idx] = dest.flat_index() as u8;
-        self.valid[idx] = true;
+        self.set_valid(new_phys, true);
         self.future_free[idx] = false;
         self.map[dest.flat_index()] = Some(new_phys);
         Some(RenamedInst {
@@ -157,14 +172,18 @@ impl CamRenameMap {
             "snapshot size mismatch"
         );
         self.valid.copy_from_slice(&snapshot.valid);
-        self.future_free.iter_mut().for_each(|b| *b = false);
+        self.future_free.fill(false);
         self.future_free_list.clear();
         regs.restore_free_list(&snapshot.free_list);
-        // Rebuild the logical→physical shadow map from the valid column.
-        self.map = vec![None; NUM_ARCH_REGS]; // koc-lint: allow(hot-path-alloc, "checkpoint-rollback restore, not per cycle")
-        for (i, &v) in self.valid.iter().enumerate() {
-            if v {
+        // Rebuild the logical→physical shadow map from the valid column's
+        // set bits, lowest register first.
+        self.map.fill(None);
+        for (w, &word) in self.valid.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
                 self.map[self.logical[i] as usize] = Some(PhysReg(i as u32));
+                bits &= bits - 1;
             }
         }
     }
@@ -182,12 +201,12 @@ impl CamRenameMap {
         prev_phys: Option<PhysReg>,
         regs: &mut PhysRegFile,
     ) {
-        self.valid[new_phys.index()] = false;
+        self.set_valid(new_phys, false);
         self.future_free[new_phys.index()] = false;
         regs.free(new_phys);
         self.map[dest.flat_index()] = prev_phys;
         if let Some(p) = prev_phys {
-            self.valid[p.index()] = true;
+            self.set_valid(p, true);
             self.future_free[p.index()] = false;
             self.logical[p.index()] = dest.flat_index() as u8;
         }
@@ -195,7 +214,7 @@ impl CamRenameMap {
 
     /// Number of physical registers currently holding a valid mapping.
     pub fn valid_count(&self) -> usize {
-        self.valid.iter().filter(|&&v| v).count()
+        self.valid.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of physical registers currently marked future-free.
@@ -206,7 +225,7 @@ impl CamRenameMap {
     /// Whether physical register `p` currently holds the valid mapping of
     /// some logical register.
     pub fn is_valid(&self, p: PhysReg) -> bool {
-        self.valid[p.index()]
+        bit(&self.valid, p.index())
     }
 
     /// Whether physical register `p` is marked to be freed at the next
@@ -282,9 +301,10 @@ mod tests {
             0,
             "column cleared after checkpoint"
         );
-        assert_eq!(snapshot.valid.iter().filter(|&&b| b).count(), 2);
-        assert!(snapshot.valid[map.lookup(r1).unwrap().index()]);
-        assert!(!snapshot.valid[first_r1.index()]);
+        let valid_bits: u32 = snapshot.valid.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(valid_bits, 2);
+        assert!(bit(&snapshot.valid, map.lookup(r1).unwrap().index()));
+        assert!(!bit(&snapshot.valid, first_r1.index()));
     }
 
     #[test]

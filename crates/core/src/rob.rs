@@ -116,11 +116,6 @@ impl ReorderBuffer {
     pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
         self.entries.iter()
     }
-
-    /// Removes everything (full flush).
-    pub fn flush(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -210,15 +205,6 @@ mod tests {
         assert_eq!(rob.pop_finished(&mut head_done).map(|e| e.inst), Some(5));
         assert_eq!(rob.pop_finished(&mut head_done).map(|e| e.inst), Some(6));
         assert_eq!(asked, vec![5, 6]);
-    }
-
-    #[test]
-    fn flush_empties_the_rob() {
-        let mut rob = ReorderBuffer::new(4);
-        rob.push(entry(0)).unwrap();
-        rob.flush();
-        assert!(rob.is_empty());
-        assert!(rob.has_space());
     }
 
     #[test]

@@ -411,16 +411,6 @@ impl SliqBuffer {
         }
         removed
     }
-
-    /// Removes everything, including pending wake-ups (full flush).
-    pub fn flush(&mut self) {
-        self.nodes.clear();
-        self.free_head = NIL;
-        self.buckets.fill(TriggerBucket::EMPTY);
-        self.age.clear();
-        self.pending_triggers.clear();
-        self.len = 0;
-    }
 }
 
 /// Tracks which in-flight long-latency load every logical register's value
@@ -526,10 +516,8 @@ mod tests {
     fn iq_entry(inst: InstId) -> IqEntry {
         IqEntry {
             inst,
-            dest: Some(PhysReg(200 + inst as u32)),
             srcs: koc_isa::RegList::new(),
             fu: FuClass::Fp,
-            ckpt: 0,
         }
     }
 
@@ -701,22 +689,6 @@ mod tests {
             "age stack must compact: len {}",
             s.age.len()
         );
-    }
-
-    #[test]
-    fn flush_clears_entries_and_pending_triggers() {
-        let mut s = SliqBuffer::new(cfg(16, 4));
-        s.insert(iq_entry(0), PhysReg(7));
-        s.on_trigger_ready(PhysReg(7), 0);
-        s.flush();
-        assert!(s.is_empty());
-        assert_eq!(s.pending_triggers().count(), 0);
-        assert!(s.step(100, 16, 16).is_empty());
-        // The dedupe flag must be cleared too: a re-notification after the
-        // flush schedules a fresh walker.
-        s.insert(iq_entry(1), PhysReg(7));
-        s.on_trigger_ready(PhysReg(7), 200);
-        assert_eq!(s.step(204, 16, 16).len(), 1);
     }
 
     #[test]

@@ -151,7 +151,8 @@ impl InstructionSource for MaterializedTrace<'_> {
 /// oldest point any recovery could still rewind to, advanced by
 /// [`release_to`](Self::release_to)) and the furthest instruction pulled
 /// from the source. Fetch reads through [`peek`](Self::peek) /
-/// [`next_inst`](Self::next_inst); rollback calls
+/// [`next_inst`](Self::next_inst) (or [`advance`](Self::advance) past an
+/// instruction it has already peeked); rollback calls
 /// [`rewind_to`](Self::rewind_to); in-flight instructions are looked up by
 /// [`get`](Self::get). Instruction ids are stream positions, exactly as
 /// [`InstId`] indexes a [`Trace`], so the same ids work across rewinds.
@@ -267,9 +268,19 @@ impl<'a> ReplayWindow<'a> {
     pub fn next_inst(&mut self) -> Option<(InstId, Instruction)> {
         let out = self.peek().map(|(id, inst)| (id, *inst));
         if out.is_some() {
-            self.pos += 1;
+            self.advance();
         }
         out
+    }
+
+    /// Consumes the instruction the last [`peek`](Self::peek) returned,
+    /// without copying it out again.
+    pub fn advance(&mut self) {
+        debug_assert!(
+            self.pos < self.base + self.buf.len(),
+            "advance past the fetch head"
+        );
+        self.pos += 1;
     }
 
     /// The buffered instruction at stream position `id`.

@@ -13,7 +13,7 @@
 //! so moving a waiting instruction to the SLIQ indexes the queue directly.
 
 use koc_core::{CheckpointId, IqSlot};
-use koc_isa::{ArchReg, InstId, OpKind, PhysReg, RegList};
+use koc_isa::{InstId, OpKind, PhysReg, RegList};
 use koc_mem::MemLevel;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -46,8 +46,6 @@ pub struct InFlight {
     pub seq: u64,
     /// Operation kind.
     pub kind: OpKind,
-    /// Architectural destination, if any.
-    pub dest_arch: Option<ArchReg>,
     /// Renamed destination, if any.
     pub dest_phys: Option<PhysReg>,
     /// Previously mapped physical register for the destination, if any.
@@ -294,18 +292,6 @@ impl InFlightTable {
         self.trim();
         removed
     }
-
-    /// Keeps only the records for which `keep` returns true (the
-    /// checkpointed engine drops a whole committed checkpoint this way).
-    pub fn retain(&mut self, mut keep: impl FnMut(&InFlight) -> bool) {
-        for slot in self.slots.iter_mut() {
-            if slot.as_ref().is_some_and(|fl| !keep(fl)) {
-                *slot = None;
-                self.len -= 1;
-            }
-        }
-        self.trim();
-    }
 }
 
 impl std::ops::Index<InstId> for InFlightTable {
@@ -325,7 +311,6 @@ mod tests {
             inst: 0,
             seq: 1,
             kind: OpKind::Load,
-            dest_arch: Some(ArchReg::fp(0)),
             dest_phys: Some(PhysReg(5)),
             prev_phys: None,
             src_phys: RegList::new(),
@@ -413,22 +398,11 @@ mod tests {
         assert_eq!(t.len(), 20);
         assert_eq!(t.values().count(), 20);
         // A squash re-dispatch below the current base works too.
-        t.retain(|f| f.inst >= 95);
+        for id in 90..95 {
+            t.remove(id);
+        }
         t.insert(93, record(93));
         assert_eq!(t.values().map(|f| f.inst).min(), Some(93));
-    }
-
-    #[test]
-    fn retain_drops_matching_records() {
-        let mut t = InFlightTable::new();
-        for id in 0..10 {
-            let mut r = record(id);
-            r.ckpt = id as u64 % 2;
-            t.insert(id, r);
-        }
-        t.retain(|f| f.ckpt != 0);
-        assert_eq!(t.len(), 5);
-        assert!(t.values().all(|f| f.ckpt == 1));
     }
 
     #[test]

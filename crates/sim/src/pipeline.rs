@@ -16,8 +16,10 @@
 //!
 //! The hot loop is engineered for the paper's kilo-instruction windows:
 //! in-flight state lives in a dense slab ([`InFlightTable`]), completion
-//! events in a pooled calendar queue (no per-cycle allocation), and when
-//! every stage is provably stalled on the memory backend the shell
+//! events in a calendar wheel whose per-cycle FIFOs thread through one node
+//! slab; both, like the queues and the LSQ, are reserved at construction,
+//! so a completion allocates nothing. A rename checkpoint copies two
+//! bit-word columns (see [`CamRenameMap`]). When every stage is provably stalled on the memory backend the shell
 //! *fast-forwards* — it jumps straight to the next scheduled event
 //! ([`koc_mem::MemoryBackend::next_event`], the engine's
 //! [`CommitEngine::next_wake`], or a fetch redirect expiring) while
@@ -75,31 +77,46 @@ struct CycleActivity {
 /// Completion events in a calendar wheel: every schedulable delay is
 /// bounded by the memory hierarchy's worst-case latency, so slot
 /// `cycle & mask` is unambiguous within the horizon and push/take are O(1)
-/// array operations instead of tree-map node churn. Per-slot `Vec`s are
-/// recycled through a pool (the steady state allocates nothing), a
+/// array operations instead of tree-map node churn. Each slot is a FIFO of
+/// nodes threaded through one slab (vacated nodes chain onto an intrusive
+/// free list), so same-cycle events come back in push order and the steady
+/// state allocates nothing: the slab is reserved at construction, and
+/// [`take`](Self::take) drains a slot into one reused batch `Vec`. A
 /// two-level occupancy bitmap answers `next_cycle` for the fast-forward
 /// path in a handful of word scans, and anything past the horizon (never
 /// hit by the built-in backends) falls back to an ordered map.
 struct EventQueue {
-    wheel: Vec<Vec<(InstId, u64)>>,
+    /// First and last node of each slot's FIFO (`NIL_EVENT` when empty).
+    fifo: Vec<(u32, u32)>,
+    /// `(event, next)` nodes; `next` links a slot's FIFO or the free list.
+    nodes: Vec<((InstId, u64), u32)>,
+    /// Head of the vacated-node chain.
+    free: u32,
     mask: u64,
     /// Bit per wheel slot; set iff the slot holds events.
     occ: Vec<u64>,
-    pool: Vec<Vec<(InstId, u64)>>,
+    /// The buffer `take` hands out and `recycle` returns.
+    batch: Vec<(InstId, u64)>,
     overflow: BTreeMap<u64, Vec<(InstId, u64)>>,
     /// The cycle of the last `take` — events are never scheduled below it.
     cur: u64,
 }
 
+/// Sentinel index for "no node" in the event slab.
+const NIL_EVENT: u32 = u32::MAX;
+
 impl EventQueue {
-    /// A wheel able to schedule at least `max_delay` cycles ahead.
-    fn with_horizon(max_delay: u64) -> Self {
+    /// A wheel able to schedule at least `max_delay` cycles ahead, with
+    /// node slots for `reserve` pending events before its slab grows.
+    fn with_horizon(max_delay: u64, reserve: usize) -> Self {
         let slots = (max_delay + 66).next_power_of_two() as usize;
         EventQueue {
-            wheel: (0..slots).map(|_| Vec::new()).collect(),
+            fifo: vec![(NIL_EVENT, NIL_EVENT); slots],
+            nodes: Vec::with_capacity(reserve),
+            free: NIL_EVENT,
             mask: slots as u64 - 1,
             occ: vec![0; slots.div_ceil(64)],
-            pool: Vec::new(),
+            batch: Vec::new(),
             overflow: BTreeMap::new(),
             cur: 0,
         }
@@ -111,45 +128,66 @@ impl EventQueue {
             self.overflow.entry(cycle).or_default().push(event);
             return;
         }
+        let n = if self.free == NIL_EVENT {
+            self.nodes.push((event, NIL_EVENT));
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].1;
+            self.nodes[n as usize] = (event, NIL_EVENT);
+            n
+        };
         let slot = (cycle & self.mask) as usize;
-        if self.wheel[slot].is_empty() {
-            if let Some(pooled) = self.pool.pop() {
-                self.wheel[slot] = pooled;
-            }
+        let (head, tail) = self.fifo[slot];
+        if head == NIL_EVENT {
+            self.fifo[slot] = (n, n);
             self.occ[slot / 64] |= 1u64 << (slot % 64);
+        } else {
+            self.nodes[tail as usize].1 = n;
+            self.fifo[slot].1 = n;
         }
-        self.wheel[slot].push(event);
     }
 
-    /// Removes and returns the batch due at `cycle`; return it with
+    /// Removes and returns the batch due at `cycle`, in push order (events
+    /// that overflowed the horizon last); return it with
     /// [`recycle`](Self::recycle) after draining. `cycle` must advance
     /// monotonically (the shell takes once per simulated cycle and
     /// fast-forward only skips provably event-free cycles).
     fn take(&mut self, cycle: u64) -> Option<Vec<(InstId, u64)>> {
         self.cur = cycle;
-        let mut due = None;
         let slot = (cycle & self.mask) as usize;
-        if self.occ[slot / 64] & (1u64 << (slot % 64)) != 0 {
-            self.occ[slot / 64] &= !(1u64 << (slot % 64));
-            due = Some(std::mem::take(&mut self.wheel[slot]));
-        }
-        if self
+        let on_wheel = self.occ[slot / 64] & (1u64 << (slot % 64)) != 0;
+        let overflowed = self
             .overflow
             .first_key_value()
-            .is_some_and(|(&c, _)| c == cycle)
-        {
-            let mut extra = self.overflow.remove(&cycle).expect("checked key"); // koc-lint: allow(panic, "key was just matched by first_key_value")
-            match &mut due {
-                Some(batch) => batch.append(&mut extra),
-                None => due = Some(extra),
-            }
+            .is_some_and(|(&c, _)| c == cycle);
+        if !on_wheel && !overflowed {
+            return None;
         }
-        due
+        let mut due = std::mem::take(&mut self.batch);
+        if on_wheel {
+            self.occ[slot / 64] &= !(1u64 << (slot % 64));
+            let (head, tail) = std::mem::replace(&mut self.fifo[slot], (NIL_EVENT, NIL_EVENT));
+            let mut n = head;
+            while n != NIL_EVENT {
+                let (event, next) = self.nodes[n as usize];
+                due.push(event);
+                n = next;
+            }
+            // The drained chain joins the free list whole.
+            self.nodes[tail as usize].1 = self.free;
+            self.free = head;
+        }
+        if overflowed {
+            let mut extra = self.overflow.remove(&cycle).expect("checked key"); // koc-lint: allow(panic, "key was just matched by first_key_value")
+            due.append(&mut extra);
+        }
+        Some(due)
     }
 
     fn recycle(&mut self, mut batch: Vec<(InstId, u64)>) {
         batch.clear();
-        self.pool.push(batch);
+        self.batch = batch;
     }
 
     /// The earliest cycle after `cur` with a scheduled event.
@@ -375,7 +413,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             engine,
             inflight: InFlightTable::with_capacity(window),
             next_seq: 0,
-            events: EventQueue::with_horizon(config.memory.worst_case_latency() as u64),
+            events: EventQueue::with_horizon(config.memory.worst_case_latency() as u64, window),
             mem_waiters: VecDeque::new(),
             mem_completed: Vec::new(),
             issue_picked: Vec::new(),
@@ -705,11 +743,10 @@ impl<'a, O: Observer> Processor<'a, O> {
             // value of the same logical register is recycled early, at the
             // same moment (the ephemeral-registers scheme of [19]/[9]). If no
             // physical register is free the write-back retries next cycle.
-            if let Some(f) = self.inflight.get(inst) {
-                if f.dest_phys.is_some() {
-                    let has_prev = f.prev_phys.is_some();
-                    if let Some(v) = &mut self.vregs {
-                        if has_prev {
+            if let Some(v) = &mut self.vregs {
+                if let Some(f) = self.inflight.get(inst) {
+                    if f.dest_phys.is_some() {
+                        if f.prev_phys.is_some() {
                             v.try_release_physical();
                         }
                         if !v.acquire_physical() {
@@ -871,7 +908,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             };
             match self.try_dispatch(id, &inst) {
                 Ok(()) => {
-                    self.fetch.next_inst();
+                    self.fetch.advance();
                     dispatched += 1;
                     // A taken branch ends the fetch group.
                     if inst.is_branch() && inst.branch.map(|b| b.taken).unwrap_or(false) {
@@ -987,10 +1024,8 @@ impl<'a, O: Observer> Processor<'a, O> {
         let ckpt: CheckpointId = self.engine.allocate(&d);
         let iq_entry = IqEntry {
             inst: id,
-            dest: dest_phys,
             srcs: src_phys,
             fu: inst.kind.fu_class(),
-            ckpt,
         };
         let iq_slot = {
             let regs = &self.regs;
@@ -1010,7 +1045,6 @@ impl<'a, O: Observer> Processor<'a, O> {
                 inst: id,
                 seq,
                 kind: inst.kind,
-                dest_arch: inst.dest,
                 dest_phys,
                 prev_phys,
                 src_phys,
@@ -1191,8 +1225,14 @@ mod tests {
             ProcessorConfig::cooo(128, 2048, 1000),
         ] {
             let mut p = Processor::new(config, &workload.trace);
-            let reserved = (p.inflight.capacity(), p.fetch.capacity());
+            let reserved = (
+                p.inflight.capacity(),
+                p.fetch.capacity(),
+                p.events.nodes.capacity(),
+                p.lsq.reserved(),
+            );
             assert!(reserved.0 >= window_bound(&config) && reserved.1 >= window_bound(&config));
+            assert!(reserved.2 >= window_bound(&config) && reserved.3 >= config.lsq_size);
             while !p.is_done() {
                 p.step();
             }
@@ -1207,12 +1247,80 @@ mod tests {
                 window_bound(&config)
             );
             assert_eq!(
-                (p.inflight.capacity(), p.fetch.capacity()),
+                (
+                    p.inflight.capacity(),
+                    p.fetch.capacity(),
+                    p.events.nodes.capacity(),
+                    p.lsq.reserved(),
+                ),
                 reserved,
-                "{}: the in-flight slab and replay window must not regrow",
+                "{}: the in-flight slab, replay window, event slab and LSQ must not regrow",
                 p.engine_name()
             );
         }
+    }
+
+    /// Drains every event due at `cycle`, in delivery order.
+    fn take_all(q: &mut EventQueue, cycle: u64) -> Vec<(InstId, u64)> {
+        let Some(batch) = q.take(cycle) else {
+            return Vec::new();
+        };
+        let out = batch.clone();
+        q.recycle(batch);
+        out
+    }
+
+    #[test]
+    fn same_cycle_events_come_back_in_push_order_after_node_reuse() {
+        let mut q = EventQueue::with_horizon(100, 4);
+        for i in 0..3 {
+            q.push(5, (i, 0));
+        }
+        q.push(7, (9, 0));
+        assert_eq!(take_all(&mut q, 5), vec![(0, 0), (1, 0), (2, 0)]);
+        // The freed nodes are reused, interleaved across two slots.
+        for i in 10..16 {
+            q.push(6 + i as u64 % 2, (i, 1));
+        }
+        assert_eq!(take_all(&mut q, 6), vec![(10, 1), (12, 1), (14, 1)]);
+        assert_eq!(take_all(&mut q, 7), vec![(9, 0), (11, 1), (13, 1), (15, 1)]);
+        assert_eq!(q.nodes.len(), 7, "the three drained nodes are reused first");
+        assert!(q.take(8).is_none());
+    }
+
+    #[test]
+    fn events_past_the_horizon_overflow_and_follow_the_wheel() {
+        let mut q = EventQueue::with_horizon(10, 4);
+        let horizon = q.mask + 1;
+        let far = horizon + 3;
+        q.push(far, (1, 0));
+        assert!(q.overflow.contains_key(&far));
+        // Advance until `far` is within the horizon, then schedule a wheel
+        // event for the same cycle: it is delivered first.
+        assert!(q.take(10).is_none());
+        q.push(far, (2, 0));
+        assert_eq!(q.next_cycle(), Some(far));
+        assert_eq!(take_all(&mut q, far), vec![(2, 0), (1, 0)]);
+        assert!(q.overflow.is_empty());
+        assert_eq!(q.next_cycle(), None);
+    }
+
+    #[test]
+    fn next_cycle_finds_the_soonest_event_across_the_wrap() {
+        let mut q = EventQueue::with_horizon(100, 4);
+        let horizon = q.mask + 1;
+        // Move `cur` close to the end of the wheel's slot range.
+        let cur = horizon - 3;
+        assert!(q.take(cur).is_none());
+        // The later event wraps to a low slot, which a plain scan from slot
+        // 0 would find before the sooner event in the last slot.
+        q.push(cur + 5, (1, 0));
+        q.push(cur + 2, (2, 0));
+        assert_eq!(q.next_cycle(), Some(cur + 2));
+        assert_eq!(take_all(&mut q, cur + 2), vec![(2, 0)]);
+        assert_eq!(q.next_cycle(), Some(cur + 5));
+        q.push(cur + 4, (3, 0));
+        assert_eq!(q.next_cycle(), Some(cur + 4));
     }
 
     #[test]
