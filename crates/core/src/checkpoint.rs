@@ -172,9 +172,10 @@ impl CheckpointTable {
     /// of the (now closed) previous window; it is attached to the previous
     /// checkpoint, which this call also closes.
     ///
-    /// Returns the id of the new checkpoint, or `None` if the table is full
-    /// (the caller keeps associating instructions with the youngest
-    /// checkpoint, per the policy described in `DESIGN.md`).
+    /// Returns the id of the new checkpoint, or `None` if the table is full.
+    /// The caller then keeps associating instructions with the youngest
+    /// checkpoint, whose window grows until the oldest one commits and
+    /// frees an entry.
     pub fn take(
         &mut self,
         trace_index: InstId,
@@ -203,11 +204,6 @@ impl CheckpointTable {
     /// The youngest checkpoint (new instructions associate with it).
     pub fn newest(&self) -> Option<&Checkpoint> {
         self.entries.back()
-    }
-
-    /// The youngest checkpoint, mutable.
-    pub fn newest_mut(&mut self) -> Option<&mut Checkpoint> {
-        self.entries.back_mut()
     }
 
     /// The oldest live checkpoint.

@@ -91,12 +91,6 @@ impl DependenceMask {
         }
         dependent
     }
-
-    /// Merges another mask into this one (used when several long-latency
-    /// loads are being tracked simultaneously).
-    pub fn merge(&mut self, other: DependenceMask) {
-        self.bits |= other.bits;
-    }
 }
 
 #[cfg(test)]
@@ -171,15 +165,6 @@ mod tests {
         let mut m = DependenceMask::new();
         m.set(ArchReg::int(5));
         assert!(!m.contains(ArchReg::fp(5)));
-    }
-
-    #[test]
-    fn merge_unions_the_masks() {
-        let mut a = DependenceMask::seeded(ArchReg::fp(1));
-        let b = DependenceMask::seeded(ArchReg::fp(2));
-        a.merge(b);
-        assert!(a.contains(ArchReg::fp(1)) && a.contains(ArchReg::fp(2)));
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -260,9 +260,10 @@ impl InstructionQueue {
     /// the slot it occupies.
     ///
     /// Used only for SLIQ re-insertions: the wake-up path is never blocked by
-    /// queue occupancy (see `DESIGN.md`), which keeps the wake-up machinery
-    /// free of circular waits; dispatch still respects the capacity, so the
-    /// transient overshoot is bounded by the wake-up width.
+    /// queue occupancy, because a full queue may only drain once the
+    /// instructions still parked in the SLIQ execute — blocking would be a
+    /// circular wait. Dispatch still respects the capacity, so the transient
+    /// overshoot is bounded by the wake-up width.
     pub fn insert_unbounded(
         &mut self,
         entry: IqEntry,

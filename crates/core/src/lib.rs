@@ -9,15 +9,18 @@
 //! * [`checkpoint`] — the checkpoint table and the taking/committing/rollback
 //!   logic that replaces in-order ROB commit (Figure 2),
 //! * [`pseudo_rob::PseudoRob`] — the small FIFO that delays the
-//!   long-latency-instruction decision and recovers nearby branches,
+//!   long-latency-instruction decision and recovers nearby branches, kept
+//!   as a band of trace positions over the pipeline's in-flight table,
 //! * [`sliq`] — Slow Lane Instruction Queuing: the dependence-mask detector
 //!   and the secondary buffer with its wake-up walker (Figure 8),
 //! * [`regfile::VirtualRegisterFile`] — the ephemeral/virtual register model
 //!   used by the combined experiment (Figure 14).
 //!
-//! **Conventional structures** (used by the baseline and shared by both
-//! machines): [`rob::ReorderBuffer`], [`iq::InstructionQueue`],
-//! [`lsq::LoadStoreQueue`], [`regfile::PhysRegFile`].
+//! **Conventional structures** (shared by both machines):
+//! [`iq::InstructionQueue`], [`lsq::LoadStoreQueue`],
+//! [`regfile::PhysRegFile`]. The baseline's reorder buffer has no structure
+//! of its own: in-order commit retires from the pipeline's in-flight table,
+//! and the ROB size is a capacity check on that table.
 //!
 //! All structures are plain data structures driven one cycle at a time by the
 //! pipeline in `koc-sim`; they own no global state and are directly unit- and
@@ -33,15 +36,13 @@ pub mod lsq;
 pub mod pseudo_rob;
 pub mod regfile;
 pub mod rename;
-pub mod rob;
 pub mod sliq;
 
 pub use checkpoint::{Checkpoint, CheckpointId, CheckpointPolicy, CheckpointTable};
 pub use depmask::DependenceMask;
 pub use iq::{InstructionQueue, IqEntry, IqFull, IqSlot};
 pub use lsq::{LoadStoreQueue, LsqEntry, LsqFull};
-pub use pseudo_rob::{PseudoRob, PseudoRobEntry, RetireClass};
+pub use pseudo_rob::{PseudoRob, RetireClass};
 pub use regfile::{PhysRegFile, VirtualRegisterFile};
 pub use rename::{CamRenameMap, RenameCheckpoint, RenamedInst};
-pub use rob::{ReorderBuffer, RobEntry, RobFull};
 pub use sliq::{DependenceTracker, SliqBuffer, SliqConfig, WakeupWalker};

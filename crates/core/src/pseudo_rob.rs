@@ -10,12 +10,12 @@
 //! The pseudo-ROB doubles as the recovery window for nearby branches: a
 //! mispredicted branch that is still inside the pseudo-ROB is recovered by
 //! walking back the rename map (like a conventional ROB squash) instead of
-//! rolling back to a checkpoint.
+//! rolling back to a checkpoint. Every instruction younger than such a
+//! branch is inside the band too, and none of them has committed, so the
+//! walk-back covers exactly the in-flight instructions after the branch.
 
-use crate::checkpoint::CheckpointId;
-use koc_isa::{ArchReg, InstId, PhysReg};
+use koc_isa::InstId;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// The status classes of instructions retired from the pseudo-ROB
 /// (the six sections of Figure 12, bottom to top).
@@ -66,28 +66,20 @@ impl RetireClass {
     pub const COUNT: usize = 6;
 }
 
-/// One pseudo-ROB entry: the instruction plus the rename undo information
-/// needed for walk-back branch recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PseudoRobEntry {
-    /// The dynamic instruction.
-    pub inst: InstId,
-    /// The checkpoint this instruction is associated with.
-    pub ckpt: CheckpointId,
-    /// Destination rename record: (logical, newly allocated physical,
-    /// previous physical), if the instruction writes a register.
-    pub rename: Option<(ArchReg, PhysReg, Option<PhysReg>)>,
-    /// Whether the instruction is a store.
-    pub is_store: bool,
-    /// Whether the instruction is a branch.
-    pub is_branch: bool,
-}
-
-/// The pseudo-ROB FIFO.
+/// The pseudo-ROB: a band of trace positions `head..end`.
+///
+/// Dispatch walks the stream one position at a time and every squash
+/// removes a suffix, so the instructions inside the pseudo-ROB are always
+/// contiguous in trace order. The band therefore needs no per-instruction
+/// record: what an entry renamed and which checkpoint owns it live in the
+/// pipeline's in-flight table, which holds every instruction of the band.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PseudoRob {
     capacity: usize,
-    entries: VecDeque<PseudoRobEntry>,
+    /// Trace position of the oldest entry.
+    head: InstId,
+    /// One past the trace position of the youngest entry.
+    end: InstId,
 }
 
 impl PseudoRob {
@@ -100,110 +92,71 @@ impl PseudoRob {
         assert!(capacity > 0, "pseudo-ROB capacity must be non-zero");
         PseudoRob {
             capacity,
-            entries: VecDeque::with_capacity(capacity),
+            head: 0,
+            end: 0,
         }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.end - self.head
     }
 
     /// Whether the pseudo-ROB holds no instructions.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.head == self.end
     }
 
-    /// Whether the pseudo-ROB is full (the next push will evict the oldest).
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
-    /// Inserts a newly dispatched instruction. If the FIFO is full, the
+    /// Inserts newly dispatched instruction `id`. If the band is full, the
     /// oldest entry is *retired* (extracted) and returned — this is the
     /// moment the SLIQ classification happens.
     ///
-    /// Dispatch walks the stream one position at a time and every squash
-    /// removes a suffix, so the FIFO always holds a contiguous band of
-    /// trace positions — the invariant [`contains`](Self::contains) relies
-    /// on for its O(1) range check.
-    pub fn push(&mut self, entry: PseudoRobEntry) -> Option<PseudoRobEntry> {
+    /// `id` must extend the band: it is the next trace position, or any
+    /// position when the band is empty (after a drain or a rollback).
+    pub fn push(&mut self, id: InstId) -> Option<InstId> {
         debug_assert!(
-            self.entries.back().is_none_or(|b| entry.inst == b.inst + 1),
+            self.is_empty() || id == self.end,
             "pseudo-ROB pushes must be consecutive trace positions"
         );
-        let retired = if self.is_full() {
-            self.entries.pop_front()
+        if self.is_empty() {
+            self.head = id;
+        }
+        self.end = id + 1;
+        if self.len() > self.capacity {
+            self.head += 1;
+            Some(self.head - 1)
         } else {
             None
-        };
-        self.entries.push_back(entry);
-        retired
+        }
     }
 
-    /// Pops the oldest entry unconditionally (used to drain the pseudo-ROB
-    /// when fetch has ended).
-    pub fn pop_oldest(&mut self) -> Option<PseudoRobEntry> {
-        self.entries.pop_front()
+    /// Retires the oldest entry unconditionally (used to drain the
+    /// pseudo-ROB when fetch has ended).
+    pub fn pop_oldest(&mut self) -> Option<InstId> {
+        let oldest = self.oldest_inst()?;
+        self.head += 1;
+        Some(oldest)
     }
 
     /// Stream position of the oldest entry, if any. Entries still inside
     /// the pseudo-ROB are classified at retirement, so this bounds how far
     /// the fetch replay window may be released.
     pub fn oldest_inst(&self) -> Option<InstId> {
-        self.entries.front().map(|e| e.inst)
+        (!self.is_empty()).then_some(self.head)
     }
 
     /// Whether the given instruction is still inside the pseudo-ROB (and can
     /// therefore be recovered without a checkpoint rollback).
-    ///
-    /// O(1): the FIFO holds a contiguous band of trace positions (see
-    /// [`push`](Self::push)), so membership is a range check against the
-    /// oldest and youngest entries.
     pub fn contains(&self, inst: InstId) -> bool {
-        match (self.entries.front(), self.entries.back()) {
-            (Some(front), Some(back)) => front.inst <= inst && inst <= back.inst,
-            _ => false,
-        }
+        self.head <= inst && inst < self.end
     }
 
-    /// Removes and returns every entry **younger** than `inst` (exclusive),
-    /// youngest first — the walk-back order required to undo renames.
-    /// The entry for `inst` itself is retained.
-    pub fn squash_younger_than(&mut self, inst: InstId) -> Vec<PseudoRobEntry> {
-        let mut squashed = Vec::new(); // koc-lint: allow(hot-path-alloc, "branch-recovery squash, not per cycle")
-        while let Some(back) = self.entries.back() {
-            if back.inst > inst {
-                squashed.push(self.entries.pop_back().expect("back exists")); // koc-lint: allow(panic, "back was just peeked as Some")
-            } else {
-                break;
-            }
-        }
-        squashed
-    }
-
-    /// Removes every entry at or after trace position `from`, youngest first
-    /// (used on checkpoint rollback).
-    pub fn squash_from(&mut self, from: InstId) -> Vec<PseudoRobEntry> {
-        let mut squashed = Vec::new(); // koc-lint: allow(hot-path-alloc, "checkpoint-rollback squash, not per cycle")
-        while let Some(back) = self.entries.back() {
-            if back.inst >= from {
-                squashed.push(self.entries.pop_back().expect("back exists")); // koc-lint: allow(panic, "back was just peeked as Some")
-            } else {
-                break;
-            }
-        }
-        squashed
-    }
-
-    /// Iterates over entries from oldest to youngest.
-    pub fn iter(&self) -> impl Iterator<Item = &PseudoRobEntry> {
-        self.entries.iter()
+    /// Removes every entry at or after trace position `from` (near recovery
+    /// passes the position after the branch; checkpoint rollback passes the
+    /// checkpoint's first position, which may lie below the band and then
+    /// empties it).
+    pub fn squash_from(&mut self, from: InstId) {
+        self.end = from.clamp(self.head, self.end);
     }
 }
 
@@ -211,24 +164,12 @@ impl PseudoRob {
 mod tests {
     use super::*;
 
-    fn entry(inst: InstId) -> PseudoRobEntry {
-        PseudoRobEntry {
-            inst,
-            ckpt: 0,
-            rename: None,
-            is_store: false,
-            is_branch: false,
-        }
-    }
-
     #[test]
     fn push_retires_the_oldest_when_full() {
         let mut p = PseudoRob::new(2);
-        assert_eq!(p.push(entry(0)), None);
-        assert_eq!(p.push(entry(1)), None);
-        assert!(p.is_full());
-        let retired = p.push(entry(2)).unwrap();
-        assert_eq!(retired.inst, 0);
+        assert_eq!(p.push(0), None);
+        assert_eq!(p.push(1), None);
+        assert_eq!(p.push(2), Some(0));
         assert_eq!(p.len(), 2);
     }
 
@@ -236,59 +177,84 @@ mod tests {
     fn retirement_is_fifo_order() {
         let mut p = PseudoRob::new(3);
         for i in 0..3 {
-            p.push(entry(i));
+            p.push(i);
         }
-        let mut retired = Vec::new();
-        for i in 3..6 {
-            retired.push(p.push(entry(i)).unwrap().inst);
-        }
+        let retired: Vec<_> = (3..6).filter_map(|i| p.push(i)).collect();
         assert_eq!(retired, vec![0, 1, 2]);
     }
 
     #[test]
     fn contains_reports_live_entries_only() {
         let mut p = PseudoRob::new(2);
-        p.push(entry(0));
-        p.push(entry(1));
-        p.push(entry(2)); // retires 0
+        p.push(0);
+        p.push(1);
+        p.push(2); // retires 0
         assert!(!p.contains(0));
         assert!(p.contains(1));
         assert!(p.contains(2));
+        assert!(!p.contains(3));
     }
 
     #[test]
     fn squash_younger_than_removes_entries_youngest_first() {
         let mut p = PseudoRob::new(8);
         for i in 0..5 {
-            p.push(entry(i));
+            p.push(i);
         }
-        let squashed = p.squash_younger_than(2);
-        let ids: Vec<_> = squashed.iter().map(|e| e.inst).collect();
-        assert_eq!(ids, vec![4, 3]);
+        // The band shrinks from its young end: squashing younger than 3
+        // drops only 4, then squashing younger than 2 drops 3.
+        p.squash_from(4);
+        assert!(!p.contains(4));
+        assert!(p.contains(3));
+        assert_eq!(p.len(), 4);
+        p.squash_from(3);
+        assert!(!p.contains(3));
         assert!(p.contains(2));
         assert_eq!(p.len(), 3);
+        assert_eq!(p.oldest_inst(), Some(0), "older entries are untouched");
     }
 
     #[test]
     fn squash_from_removes_the_boundary_instruction_too() {
         let mut p = PseudoRob::new(8);
         for i in 0..5 {
-            p.push(entry(i));
+            p.push(i);
         }
-        let squashed = p.squash_from(3);
-        assert_eq!(squashed.len(), 2);
+        // Near recovery of a branch at 2 squashes from 3 onwards.
+        p.squash_from(3);
         assert!(!p.contains(3));
         assert!(p.contains(2));
+        assert_eq!(p.len(), 3);
+        assert_eq!(p.push(3), None, "dispatch resumes after the branch");
+    }
+
+    #[test]
+    fn rollback_below_the_band_empties_it_and_dispatch_restarts_there() {
+        let mut p = PseudoRob::new(2);
+        for i in 10..15 {
+            p.push(i);
+        }
+        assert_eq!(p.oldest_inst(), Some(13));
+        // A checkpoint rollback to 11 lands below the band.
+        p.squash_from(11);
+        assert!(p.is_empty());
+        assert_eq!(p.oldest_inst(), None);
+        assert!(!p.contains(13));
+        // Re-dispatch restarts the band at the rollback point.
+        assert_eq!(p.push(11), None);
+        assert_eq!(p.push(12), None);
+        assert_eq!(p.push(13), Some(11));
+        assert_eq!(p.oldest_inst(), Some(12));
     }
 
     #[test]
     fn pop_oldest_drains_in_order() {
         let mut p = PseudoRob::new(4);
-        p.push(entry(7));
-        p.push(entry(8));
-        assert_eq!(p.pop_oldest().unwrap().inst, 7);
-        assert_eq!(p.pop_oldest().unwrap().inst, 8);
-        assert!(p.pop_oldest().is_none());
+        p.push(7);
+        p.push(8);
+        assert_eq!(p.pop_oldest(), Some(7));
+        assert_eq!(p.pop_oldest(), Some(8));
+        assert_eq!(p.pop_oldest(), None);
         assert!(p.is_empty());
     }
 

@@ -113,11 +113,6 @@ impl PhysRegFile {
         self.ready[reg.index()] = true;
     }
 
-    /// Marks `reg` as not produced (used when re-dispatching after rollback).
-    pub fn clear_ready(&mut self, reg: PhysReg) {
-        self.ready[reg.index()] = false;
-    }
-
     /// Whether `reg` is currently on the free list.
     pub fn is_free(&self, reg: PhysReg) -> bool {
         let idx = reg.index();
@@ -157,49 +152,24 @@ impl PhysRegFile {
 /// Occupancy model for *ephemeral / virtual registers* (Figure 14).
 ///
 /// In the virtual-register scheme (refs. 19 and 21 in the paper) an
-/// instruction
-/// only needs a *virtual tag* at rename time; a physical register is
-/// allocated late, when the instruction produces its result, and is released
-/// early, when the superseding definition commits. This structure tracks the
-/// two occupancies so the pipeline can stall on whichever resource is
-/// exhausted.
+/// instruction only needs a *virtual tag* at rename time; a physical
+/// register is allocated late, when the instruction produces its result,
+/// and is released early. The virtual tags are the rename pool itself
+/// (`RegisterModel::rename_pool_size` in koc-sim), so this structure tracks
+/// only the physical-register occupancy the write-back stage stalls on.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VirtualRegisterFile {
-    virtual_capacity: usize,
     physical_capacity: usize,
-    virtual_in_use: usize,
     physical_in_use: usize,
 }
 
 impl VirtualRegisterFile {
-    /// Creates a virtual register file with the given tag and physical
-    /// register capacities.
-    pub fn new(virtual_capacity: usize, physical_capacity: usize) -> Self {
+    /// Creates a virtual register file backed by `physical_capacity`
+    /// physical registers.
+    pub fn new(physical_capacity: usize) -> Self {
         VirtualRegisterFile {
-            virtual_capacity,
             physical_capacity,
-            virtual_in_use: 0,
             physical_in_use: 0,
-        }
-    }
-
-    /// Number of virtual tags still available.
-    pub fn virtual_free(&self) -> usize {
-        self.virtual_capacity - self.virtual_in_use
-    }
-
-    /// Number of physical registers still available.
-    pub fn physical_free(&self) -> usize {
-        self.physical_capacity - self.physical_in_use
-    }
-
-    /// Acquires a virtual tag at rename. Returns `false` (stall) if none left.
-    pub fn acquire_virtual(&mut self) -> bool {
-        if self.virtual_in_use < self.virtual_capacity {
-            self.virtual_in_use += 1;
-            true
-        } else {
-            false
         }
     }
 
@@ -214,22 +184,10 @@ impl VirtualRegisterFile {
         }
     }
 
-    /// Releases the virtual tag (at checkpoint commit or squash).
-    pub fn release_virtual(&mut self) {
-        assert!(self.virtual_in_use > 0, "virtual tag underflow");
-        self.virtual_in_use -= 1;
-    }
-
-    /// Releases a physical register (early release at checkpoint commit of
-    /// the superseding definition, or squash of a completed instruction).
-    pub fn release_physical(&mut self) {
-        assert!(self.physical_in_use > 0, "physical register underflow");
-        self.physical_in_use -= 1;
-    }
-
     /// Releases a physical register if any is in use; returns whether a
-    /// release happened. The pipeline uses this at commit, where the
-    /// occupancy model can conservatively under-count acquisitions.
+    /// release happened. The write-back stage uses this to recycle the
+    /// register of the superseded definition, where the occupancy model can
+    /// conservatively under-count acquisitions.
     pub fn try_release_physical(&mut self) -> bool {
         if self.physical_in_use > 0 {
             self.physical_in_use -= 1;
@@ -278,8 +236,6 @@ mod tests {
         assert!(!rf.is_ready(r));
         rf.set_ready(r);
         assert!(rf.is_ready(r));
-        rf.clear_ready(r);
-        assert!(!rf.is_ready(r));
     }
 
     #[test]
@@ -317,26 +273,15 @@ mod tests {
     }
 
     #[test]
-    fn virtual_register_file_enforces_both_capacities() {
-        let mut v = VirtualRegisterFile::new(2, 1);
-        assert!(v.acquire_virtual());
-        assert!(v.acquire_virtual());
-        assert!(!v.acquire_virtual(), "virtual tags exhausted");
+    fn virtual_register_file_enforces_its_physical_capacity() {
+        let mut v = VirtualRegisterFile::new(1);
         assert!(v.acquire_physical());
         assert!(!v.acquire_physical(), "physical registers exhausted");
-        v.release_physical();
-        assert!(v.acquire_physical());
-        v.release_virtual();
-        assert_eq!(v.virtual_free(), 1);
         assert_eq!(v.physical_in_use(), 1);
         assert!(v.try_release_physical());
+        assert!(v.acquire_physical());
+        assert!(v.try_release_physical());
         assert!(!v.try_release_physical(), "nothing left to release");
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn virtual_underflow_panics() {
-        let mut v = VirtualRegisterFile::new(2, 2);
-        v.release_virtual();
+        assert_eq!(v.physical_in_use(), 0);
     }
 }

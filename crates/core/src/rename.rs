@@ -10,8 +10,9 @@
 //! column, whose marked registers become the previous checkpoint's
 //! free-on-commit set. Rollback never reads a saved future-free column (see
 //! [`CamRenameMap::restore`]), so the snapshot holds only the valid column
-//! plus the free list, which the simulator restores on rollback without
-//! recomputation (an implementation convenience documented in `DESIGN.md`).
+//! plus the free list, which the simulator copies back on rollback (a
+//! simulation convenience: hardware would recompute the free list from the
+//! restored columns instead of storing it).
 //! Both columns are kept as one bit per physical register, 64 to a `u64`
 //! word, so a snapshot is two word copies — 512 bytes each at Table 1's
 //! 4096 registers — the coarse-grain bit-column copy of Figure 3.
@@ -192,23 +193,26 @@ impl CamRenameMap {
     /// branches that are still inside the pseudo-ROB, or conventional ROB
     /// squash in the baseline). Must be applied youngest-first.
     ///
-    /// The squashed instruction's destination register is returned to the
-    /// free list of `regs` and the previous mapping is re-installed.
+    /// The logical register comes from the CAM entry of `new_phys`: the map
+    /// is indexed by physical register, and nothing overwrites that entry
+    /// while the renaming instruction is in flight. The squashed
+    /// instruction's destination register is returned to the free list of
+    /// `regs` and the previous mapping is re-installed.
     pub fn undo_rename(
         &mut self,
-        dest: ArchReg,
         new_phys: PhysReg,
         prev_phys: Option<PhysReg>,
         regs: &mut PhysRegFile,
     ) {
+        let dest = self.logical[new_phys.index()];
         self.set_valid(new_phys, false);
         self.future_free[new_phys.index()] = false;
         regs.free(new_phys);
-        self.map[dest.flat_index()] = prev_phys;
+        self.map[dest as usize] = prev_phys;
         if let Some(p) = prev_phys {
             self.set_valid(p, true);
             self.future_free[p.index()] = false;
-            self.logical[p.index()] = dest.flat_index() as u8;
+            self.logical[p.index()] = dest;
         }
     }
 
@@ -354,8 +358,8 @@ mod tests {
         let c = map.rename_dest(r1, &mut regs).unwrap();
         let free_before = regs.free_count();
         // Squash the two youngest definitions, youngest first.
-        map.undo_rename(r1, c.new_phys, c.prev_phys, &mut regs);
-        map.undo_rename(r1, b.new_phys, b.prev_phys, &mut regs);
+        map.undo_rename(c.new_phys, c.prev_phys, &mut regs);
+        map.undo_rename(b.new_phys, b.prev_phys, &mut regs);
         assert_eq!(map.lookup(r1), Some(a.new_phys));
         assert!(map.is_valid(a.new_phys));
         assert!(!map.is_future_free(a.new_phys));
@@ -367,7 +371,7 @@ mod tests {
         let (mut map, mut regs) = setup(4);
         let r2 = ArchReg::int(2);
         let a = map.rename_dest(r2, &mut regs).unwrap();
-        map.undo_rename(r2, a.new_phys, a.prev_phys, &mut regs);
+        map.undo_rename(a.new_phys, a.prev_phys, &mut regs);
         assert_eq!(map.lookup(r2), None);
         assert_eq!(map.valid_count(), 0);
     }

@@ -30,6 +30,40 @@ proptest! {
         }
     }
 
+    /// Walking the rename map back over a youngest suffix — the near
+    /// recovery of both engines, which reads each squashed instruction's
+    /// logical register from the CAM — leaves the same mappings and the same
+    /// free count as a fresh map that renamed only the surviving prefix.
+    #[test]
+    fn walk_back_matches_renaming_only_the_prefix(
+        pool in 64usize..300,
+        dests in proptest::collection::vec(arb_reg(), 1..200),
+        keep in 0usize..200,
+    ) {
+        let mut map = CamRenameMap::new(pool);
+        let mut regs = PhysRegFile::new(pool);
+        let mut renamed = Vec::new();
+        for d in &dests {
+            match map.rename_dest(*d, &mut regs) {
+                Some(r) => renamed.push((*d, r)),
+                None => break,
+            }
+        }
+        let keep = keep.min(renamed.len());
+        for (_, r) in renamed[keep..].iter().rev() {
+            map.undo_rename(r.new_phys, r.prev_phys, &mut regs);
+        }
+        let mut fresh = CamRenameMap::new(pool);
+        let mut fresh_regs = PhysRegFile::new(pool);
+        for (d, _) in &renamed[..keep] {
+            fresh.rename_dest(*d, &mut fresh_regs).expect("the prefix fitted before");
+        }
+        for r in ArchReg::all() {
+            prop_assert_eq!(map.lookup(r), fresh.lookup(r), "mapping of {}", r);
+        }
+        prop_assert_eq!(regs.free_count(), fresh_regs.free_count());
+    }
+
     /// After a checkpoint/restore round trip, the rename map maps exactly the
     /// same registers, and exactly the same registers are free, as at
     /// checkpoint time — also for pools that end in a partial bit word.

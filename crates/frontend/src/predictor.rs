@@ -57,32 +57,27 @@ impl BranchStats {
 
 /// A predictor that is always right (limit studies, Figure 1 style).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PerfectPredictor {
-    next_outcome: bool,
-}
+pub struct PerfectPredictor;
 
 impl PerfectPredictor {
     /// Creates a perfect predictor.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Supplies the oracle outcome for the next [`predict`](BranchPredictor::predict) call.
-    pub fn set_oracle(&mut self, taken: bool) {
-        self.next_outcome = taken;
+        PerfectPredictor
     }
 }
 
 impl BranchPredictor for PerfectPredictor {
+    /// A perfect predictor only knows the outcome when it is given it
+    /// (in [`predict_and_train`](BranchPredictor::predict_and_train)); asked
+    /// blind, it answers not-taken.
     fn predict(&mut self, _pc: u64) -> bool {
-        self.next_outcome
+        false
     }
 
     fn update(&mut self, _pc: u64, _taken: bool) {}
 
-    fn predict_and_train(&mut self, _pc: u64, taken: bool, stats: &mut BranchStats) -> bool {
+    fn predict_and_train(&mut self, _pc: u64, _taken: bool, stats: &mut BranchStats) -> bool {
         stats.record(true);
-        let _ = taken;
         true
     }
 }

@@ -24,11 +24,6 @@ impl MemAccess {
     pub fn new(addr: u64, size: u8) -> Self {
         MemAccess { addr, size }
     }
-
-    /// The cache-line address for a given line size.
-    pub fn line_addr(&self, line_bytes: u64) -> u64 {
-        self.addr / line_bytes
-    }
 }
 
 /// The resolved outcome of a branch in the dynamic trace.
@@ -139,11 +134,6 @@ impl Instruction {
         self.srcs.iter().flatten().count()
     }
 
-    /// Whether the instruction writes a destination register.
-    pub fn writes_register(&self) -> bool {
-        self.dest.is_some()
-    }
-
     /// Whether this is a load.
     pub fn is_load(&self) -> bool {
         self.kind == OpKind::Load
@@ -200,7 +190,7 @@ mod tests {
         assert_eq!(i.num_sources(), 2);
         let srcs: Vec<_> = i.sources().collect();
         assert_eq!(srcs, vec![ArchReg::fp(2), ArchReg::fp(3)]);
-        assert!(i.writes_register());
+        assert_eq!(i.dest, Some(ArchReg::fp(1)));
         assert!(!i.is_load());
     }
 
@@ -217,7 +207,7 @@ mod tests {
     fn store_has_no_destination_but_two_sources() {
         let i = Instruction::store(0x24, ArchReg::fp(4), ArchReg::int(2), 0x8008);
         assert!(i.is_store());
-        assert!(!i.writes_register());
+        assert_eq!(i.dest, None);
         assert_eq!(i.num_sources(), 2);
     }
 
@@ -228,13 +218,6 @@ mod tests {
         assert!(i.branch.unwrap().taken);
         assert_eq!(i.branch.unwrap().target, 0x10);
         assert!(!i.branch.unwrap().unconditional);
-    }
-
-    #[test]
-    fn line_addr_divides_by_line_size() {
-        let m = MemAccess::new(0x1040, 8);
-        assert_eq!(m.line_addr(64), 0x41);
-        assert_eq!(m.line_addr(32), 0x82);
     }
 
     #[test]

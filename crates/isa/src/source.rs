@@ -301,12 +301,6 @@ impl<'a> ReplayWindow<'a> {
             .unwrap_or_else(|| panic!("instruction {id} has not been fetched yet"))
     }
 
-    /// The buffered instruction at `id`, or `None` if it was released or
-    /// not yet fetched.
-    pub fn try_get(&self, id: InstId) -> Option<&Instruction> {
-        id.checked_sub(self.base).and_then(|i| self.buf.get(i))
-    }
-
     /// Rewinds so that the next fetched instruction is `id` — the
     /// [`TraceCursor`](crate::TraceCursor) rollback contract. The same
     /// instructions are then delivered again from the buffer (the
@@ -443,9 +437,7 @@ mod tests {
             w.next_inst();
         }
         assert_eq!(*w.get(2), t[2]);
-        assert!(w.try_get(7).is_none(), "not fetched yet");
         w.release_to(3);
-        assert!(w.try_get(2).is_none(), "released");
         assert_eq!(*w.get(3), t[3]);
     }
 

@@ -29,14 +29,6 @@ impl Trace {
         }
     }
 
-    /// Creates a trace from a vector of instructions.
-    pub fn from_instructions(name: impl Into<String>, insts: Vec<Instruction>) -> Self {
-        Trace {
-            name: name.into(),
-            insts,
-        }
-    }
-
     /// The workload name of this trace.
     pub fn name(&self) -> &str {
         &self.name

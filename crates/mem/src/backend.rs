@@ -105,9 +105,6 @@ pub struct BackendStats {
 /// the future (the hierarchy adds its own lookup latency); the backend must
 /// not service a request before it arrives.
 pub trait MemoryBackend: std::fmt::Debug + Send {
-    /// Short backend name, used in diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Offers a request arriving at cycle `at`.
     fn request(&mut self, req: MemReq, at: u64) -> Admit;
 
@@ -182,10 +179,6 @@ impl FlatLatency {
 }
 
 impl MemoryBackend for FlatLatency {
-    fn name(&self) -> &'static str {
-        "flat-latency"
-    }
-
     fn request(&mut self, req: MemReq, at: u64) -> Admit {
         if req.is_write {
             self.stats.writes += 1;
@@ -309,7 +302,7 @@ mod tests {
     #[test]
     fn boxed_backends_clone() {
         let b: Box<dyn MemoryBackend> = Box::new(FlatLatency::new(42));
-        let c = b.clone();
-        assert_eq!(c.name(), "flat-latency");
+        let mut c = b.clone();
+        assert_eq!(c.request(MemReq::read(1, 0), 8), Admit::At(50));
     }
 }

@@ -215,10 +215,6 @@ impl DramBackend {
 }
 
 impl MemoryBackend for DramBackend {
-    fn name(&self) -> &'static str {
-        "banked-dram"
-    }
-
     fn request(&mut self, req: MemReq, at: u64) -> Admit {
         if !req.is_write {
             if self.reads_in_flight >= self.config.mshr_entries {

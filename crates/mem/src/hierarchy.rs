@@ -2,7 +2,7 @@
 //! timed main-memory backend.
 
 use crate::backend::{Admit, Completion, FlatLatency, MemReq, MemoryBackend, SelfSchedule};
-use crate::cache::{Cache, CacheConfig};
+use crate::cache::Cache;
 use crate::config::{BackendKind, MemoryConfig};
 use crate::dram::DramBackend;
 use crate::stats::MemoryStats;
@@ -19,14 +19,6 @@ pub enum MemLevel {
     L2,
     /// Missed L2, served by main memory.
     Memory,
-}
-
-impl MemLevel {
-    /// Whether this access is a *long-latency* access in the paper's sense
-    /// (a load that misses in L2 and goes to main memory).
-    pub fn is_long_latency(self) -> bool {
-        self == MemLevel::Memory
-    }
 }
 
 /// Result of a data access: where it was served and its total latency.
@@ -114,11 +106,6 @@ impl MemoryHierarchy {
     /// The configuration in use.
     pub fn config(&self) -> &MemoryConfig {
         &self.config
-    }
-
-    /// The timed backend's name (for diagnostics).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
     }
 
     /// Number of reads currently holding backend MSHRs.
@@ -401,11 +388,6 @@ impl MemoryHierarchy {
         &self.l2
     }
 
-    /// The geometry of the data L1 cache.
-    pub fn dl1_config(&self) -> &CacheConfig {
-        &self.config.dl1
-    }
-
     /// Invalidates all caches, drains the backend and clears statistics.
     pub fn reset(&mut self) {
         self.il1.reset();
@@ -464,13 +446,6 @@ mod tests {
         assert!(m.would_miss_l2(0x55_0000));
         m.access_data(0x55_0000, false);
         assert!(!m.would_miss_l2(0x55_0000));
-    }
-
-    #[test]
-    fn long_latency_level_is_memory_only() {
-        assert!(MemLevel::Memory.is_long_latency());
-        assert!(!MemLevel::L2.is_long_latency());
-        assert!(!MemLevel::L1.is_long_latency());
     }
 
     #[test]

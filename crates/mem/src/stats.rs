@@ -31,19 +31,9 @@ pub struct MemoryStats {
 }
 
 impl MemoryStats {
-    /// Data L1 miss ratio (0 when there were no accesses).
-    pub fn dl1_miss_ratio(&self) -> f64 {
-        ratio(self.dl1_misses, self.dl1_hits + self.dl1_misses)
-    }
-
     /// L2 miss ratio relative to L2 accesses.
     pub fn l2_miss_ratio(&self) -> f64 {
         ratio(self.l2_misses, self.l2_hits + self.l2_misses)
-    }
-
-    /// Fraction of all data accesses that go all the way to memory.
-    pub fn memory_access_ratio(&self) -> f64 {
-        ratio(self.l2_misses, self.data_accesses)
     }
 
     /// Fraction of DRAM accesses that hit the open row buffer (0 when the
@@ -71,9 +61,7 @@ mod tests {
     #[test]
     fn ratios_are_zero_without_accesses() {
         let s = MemoryStats::default();
-        assert_eq!(s.dl1_miss_ratio(), 0.0);
         assert_eq!(s.l2_miss_ratio(), 0.0);
-        assert_eq!(s.memory_access_ratio(), 0.0);
     }
 
     #[test]
@@ -86,8 +74,6 @@ mod tests {
             l2_misses: 10,
             ..Default::default()
         };
-        assert!((s.dl1_miss_ratio() - 0.2).abs() < 1e-12);
         assert!((s.l2_miss_ratio() - 0.5).abs() < 1e-12);
-        assert!((s.memory_access_ratio() - 0.1).abs() < 1e-12);
     }
 }

@@ -80,11 +80,6 @@ impl CommitConfig {
             policy: CheckpointPolicy::paper(),
         }
     }
-
-    /// Whether this is the checkpointed (out-of-order commit) engine.
-    pub fn is_checkpointed(&self) -> bool {
-        matches!(self, CommitConfig::Checkpointed { .. })
-    }
 }
 
 /// Full processor configuration.
@@ -431,7 +426,6 @@ mod tests {
         // The paper's main configuration: 8 checkpoints, pseudo-ROB sized
         // like the queues, SLIQ at the requested capacity, paper policy.
         let c = CommitConfig::cooo(128, 2048);
-        assert!(c.is_checkpointed());
         match c {
             CommitConfig::Checkpointed {
                 checkpoint_entries,
@@ -446,7 +440,6 @@ mod tests {
             }
             CommitConfig::InOrderRob { .. } => unreachable!(),
         }
-        assert!(!CommitConfig::InOrderRob { rob_size: 128 }.is_checkpointed());
     }
 
     #[test]
@@ -457,6 +450,9 @@ mod tests {
         let mut c = ProcessorConfig::table1();
         c.registers = RegisterModel::Conventional { phys_regs: 32 };
         assert!(c.validate().is_err());
+        let mut c = ProcessorConfig::table1();
+        c.commit = CommitConfig::InOrderRob { rob_size: 0 };
+        assert!(c.validate().is_err(), "a zero-entry ROB never dispatches");
         // A machine without some class of functional unit can never issue
         // that class and deadlocks instead of failing validation.
         type Zero = fn(&mut ProcessorConfig);

@@ -6,8 +6,8 @@ use super::{CommitEngine, DispatchStall, Dispatched, EngineCtx, Writeback};
 use crate::inflight::InstState;
 use crate::stats::SimStats;
 use koc_core::{
-    CheckpointId, CheckpointPolicy, CheckpointTable, DependenceTracker, PseudoRob, PseudoRobEntry,
-    RetireClass, SliqBuffer, SliqConfig,
+    CheckpointId, CheckpointPolicy, CheckpointTable, DependenceTracker, PseudoRob, RetireClass,
+    SliqBuffer, SliqConfig,
 };
 use koc_isa::{FuClass, InstId, Instruction, OpKind, PhysReg};
 use koc_obs::{Event, Observer};
@@ -79,20 +79,16 @@ impl CheckpointedEngine {
 
     /// Classifies an instruction retiring from the pseudo-ROB (Figure 12)
     /// and moves still-waiting long-latency dependents into the SLIQ.
-    fn classify_retired<O: Observer>(
-        &mut self,
-        entry: PseudoRobEntry,
-        ctx: &mut EngineCtx<'_, '_, O>,
-    ) {
+    fn classify_retired<O: Observer>(&mut self, inst: InstId, ctx: &mut EngineCtx<'_, '_, O>) {
         // Pseudo-ROB entries bound the replay-window release frontier (see
         // `commit`), so the instruction is still resident; copy it out to
         // keep the context borrow free.
-        let trace_inst = *ctx.fetch.get(entry.inst);
+        let trace_inst = *ctx.fetch.get(inst);
         // Update the dependence mask with this instruction regardless of its
         // class: independent redefinitions kill dependences.
         let trigger = self.dep.classify(&trace_inst);
-        let fl = ctx.inflight.get(entry.inst);
-        let class = if entry.is_store {
+        let fl = ctx.inflight.get(inst);
+        let class = if trace_inst.is_store() {
             RetireClass::Store
         } else if trace_inst.kind == OpKind::Load {
             match fl {
@@ -124,7 +120,7 @@ impl CheckpointedEngine {
         // it stranded: its wake-up event has already fired).
         let mut final_class = class;
         if class != RetireClass::LongLatLoad {
-            if let (Some(trigger), Some(fl)) = (trigger, ctx.inflight.get_mut(entry.inst)) {
+            if let (Some(trigger), Some(fl)) = (trigger, ctx.inflight.get_mut(inst)) {
                 if fl.state == InstState::Waiting
                     && !ctx.regs.is_ready(trigger)
                     && self.sliq.has_space()
@@ -134,15 +130,14 @@ impl CheckpointedEngine {
                     } else {
                         &mut *ctx.int_iq
                     };
-                    if let Some(iq_entry) = queue.remove(fl.iq_slot, entry.inst) {
+                    if let Some(iq_entry) = queue.remove(fl.iq_slot, inst) {
                         if self.sliq.insert(iq_entry, trigger) {
                             fl.state = InstState::InSliq;
                             if O::ENABLED {
-                                ctx.obs
-                                    .event(ctx.cycle, Event::SliqMove { inst: entry.inst });
+                                ctx.obs.event(ctx.cycle, Event::SliqMove { inst });
                             }
                             self.sliq_triggers.insert(trigger);
-                            if !entry.is_store && trace_inst.kind != OpKind::Load {
+                            if !trace_inst.is_store() && trace_inst.kind != OpKind::Load {
                                 final_class = RetireClass::Moved;
                             }
                         } else {
@@ -155,23 +150,17 @@ impl CheckpointedEngine {
         ctx.stats.retire_breakdown.record(final_class);
     }
 
-    /// Squashes everything younger than `boundary` (exclusive) by walking
-    /// the pseudo-ROB's rename undo records, and rewinds fetch after
-    /// `boundary`.
+    /// Squashes everything younger than `boundary` (exclusive), walking the
+    /// rename map back, and rewinds fetch after `boundary`. `boundary` is
+    /// inside the pseudo-ROB, so every younger instruction is too, and none
+    /// of them has committed: the walk-back over the in-flight table is
+    /// exactly the band after `boundary`.
     fn squash_younger<O: Observer>(&mut self, boundary: InstId, ctx: &mut EngineCtx<'_, '_, O>) {
-        let undo: Vec<_> = self
-            .pseudo_rob
-            .squash_younger_than(boundary)
-            .into_iter()
-            .map(|e| (e.inst, e.rename))
-            .collect(); // koc-lint: allow(hot-path-alloc, "checkpoint rollback, not per cycle")
-        let squashed = ctx.undo_renames(&undo);
+        let squashed = ctx.squash_younger_than(boundary);
         for fl in &squashed {
             self.table.on_squash(fl.ckpt, !fl.is_done());
         }
-        // Any instruction younger than `boundary` that was dispatched while
-        // the boundary instruction had already left the pseudo-ROB cannot
-        // exist (FIFO order), so the undo set is complete.
+        self.pseudo_rob.squash_from(boundary + 1);
         ctx.squash_queues_from(boundary + 1);
         self.sliq.squash_from(boundary + 1);
         let dropped = self.table.drop_taken_at_or_after(boundary + 1);
@@ -188,7 +177,7 @@ impl CheckpointedEngine {
         // older checkpoint's commit.
         let rename = &*ctx.rename;
         self.table.retain_free_on_commit(|p| !rename.is_valid(p));
-        ctx.stats.recoveries.squashed_instructions += undo.len() as u64;
+        ctx.stats.recoveries.squashed_instructions += squashed.len() as u64;
         ctx.rewind_fetch_to(boundary + 1);
     }
 
@@ -294,25 +283,18 @@ impl<O: Observer> CommitEngine<O> for CheckpointedEngine {
         self.table.on_dispatch(d.is_store)
     }
 
-    fn dispatched(&mut self, d: &Dispatched, ckpt: CheckpointId, ctx: &mut EngineCtx<'_, '_, O>) {
-        let retired = self.pseudo_rob.push(PseudoRobEntry {
-            inst: d.id,
-            ckpt,
-            rename: d.rename,
-            is_store: d.is_store,
-            is_branch: d.is_branch,
-        });
-        if let Some(entry) = retired {
-            self.classify_retired(entry, ctx);
+    fn dispatched(&mut self, d: &Dispatched, _ckpt: CheckpointId, ctx: &mut EngineCtx<'_, '_, O>) {
+        if let Some(retired) = self.pseudo_rob.push(d.id) {
+            self.classify_retired(retired, ctx);
         }
     }
 
     fn frontend_drain(&mut self, budget: usize, ctx: &mut EngineCtx<'_, '_, O>) -> usize {
         for drained in 0..budget {
-            let Some(entry) = self.pseudo_rob.pop_oldest() else {
+            let Some(retired) = self.pseudo_rob.pop_oldest() else {
                 return drained;
             };
-            self.classify_retired(entry, ctx);
+            self.classify_retired(retired, ctx);
         }
         budget
     }
@@ -322,8 +304,8 @@ impl<O: Observer> CommitEngine<O> for CheckpointedEngine {
         // instruction may transiently push a queue above its capacity
         // (bounded by the wake width). Blocking here can create a circular
         // wait — the queue would only drain once instructions still parked in
-        // the SLIQ execute — so the overshoot is the documented modelling
-        // choice (DESIGN.md).
+        // the SLIQ execute — so the bounded overshoot is the modelling
+        // choice.
         if self
             .sliq
             .next_pending_ready_at()

@@ -1,36 +1,35 @@
 //! The conventional commit engine: in-order retirement from a reorder
 //! buffer (the Table 1 baseline).
+//!
+//! Under in-order commit the in-flight table holds exactly the ROB's
+//! entries — both gain an instruction at dispatch and lose it at commit or
+//! squash — so the engine keeps no ROB of its own: the ROB size is a
+//! capacity check on the table, and commit retires from the table's head.
 
 use super::{CommitEngine, DispatchStall, Dispatched, EngineCtx, Writeback};
 use crate::stats::SimStats;
-use koc_core::{CheckpointId, ReorderBuffer, RobEntry};
+use koc_core::CheckpointId;
 use koc_isa::{InstId, Instruction};
 use koc_obs::{Event, Observer};
 
 /// In-order ROB commit: instructions retire strictly in program order, up to
 /// the commit width per cycle, once finished.
 pub struct InOrderEngine {
-    rob: ReorderBuffer,
+    rob_size: usize,
 }
 
 impl InOrderEngine {
     /// An engine with a `rob_size`-entry reorder buffer.
     pub fn new(rob_size: usize) -> Self {
-        InOrderEngine {
-            rob: ReorderBuffer::new(rob_size),
-        }
+        InOrderEngine { rob_size }
     }
 
-    /// Squashes everything younger than `boundary` (exclusive) by walking
-    /// the ROB's rename undo records, and rewinds fetch after `boundary`.
+    /// Squashes everything younger than `boundary` (exclusive), walking the
+    /// rename map back, and rewinds fetch after `boundary`.
     fn squash_younger<O: Observer>(&mut self, boundary: InstId, ctx: &mut EngineCtx<'_, '_, O>) {
-        let mut undo = Vec::new(); // koc-lint: allow(hot-path-alloc, "branch-recovery squash, not per cycle")
-        while let Some(e) = self.rob.pop_younger_than(boundary) {
-            undo.push((e.inst, e.rename));
-        }
-        ctx.undo_renames(&undo);
+        let squashed = ctx.squash_younger_than(boundary);
         ctx.squash_queues_from(boundary + 1);
-        ctx.stats.recoveries.squashed_instructions += undo.len() as u64;
+        ctx.stats.recoveries.squashed_instructions += squashed.len() as u64;
         ctx.rewind_fetch_to(boundary + 1);
     }
 }
@@ -41,32 +40,24 @@ impl<O: Observer> CommitEngine<O> for InOrderEngine {
     }
 
     fn is_empty(&self) -> bool {
-        self.rob.is_empty()
+        // The ROB is the in-flight table, which the shell already checks.
+        true
     }
 
     fn reserve(
         &mut self,
         _id: InstId,
         _inst: &Instruction,
-        _ctx: &mut EngineCtx<'_, '_, O>,
+        ctx: &mut EngineCtx<'_, '_, O>,
     ) -> Result<(), DispatchStall> {
-        if self.rob.has_space() {
+        if ctx.inflight.len() < self.rob_size {
             Ok(())
         } else {
             Err(DispatchStall::RobFull)
         }
     }
 
-    fn allocate(&mut self, d: &Dispatched) -> CheckpointId {
-        self.rob
-            .push(RobEntry {
-                inst: d.id,
-                rename: d.rename,
-                is_store: d.is_store,
-                is_branch: d.is_branch,
-                ckpt: 0,
-            })
-            .expect("ROB space was reserved"); // koc-lint: allow(panic, "dispatch reserved ROB space this cycle")
+    fn allocate(&mut self, _d: &Dispatched) -> CheckpointId {
         0
     }
 
@@ -92,22 +83,18 @@ impl<O: Observer> CommitEngine<O> for InOrderEngine {
         let mut committed = 0u64;
         let mut frontier = 0;
         while (committed as usize) < ctx.config.commit_width {
-            // The in-flight table records completion; the ROB only orders.
-            let inflight = &*ctx.inflight;
-            let Some(e) = self
-                .rob
-                .pop_finished(|inst| inflight.get(inst).is_some_and(|fl| fl.is_done()))
-            else {
-                break;
+            let (inst, prev) = match ctx.inflight.values().next() {
+                Some(head) if head.is_done() => (head.inst, head.prev_phys),
+                _ => break,
             };
-            if let Some((_, _, Some(prev))) = e.rename {
+            if let Some(prev) = prev {
                 ctx.regs.free(prev);
             }
-            ctx.inflight.remove(e.inst);
+            ctx.inflight.remove(inst);
             if O::ENABLED {
-                ctx.obs.event(ctx.cycle, Event::Commit { inst: e.inst });
+                ctx.obs.event(ctx.cycle, Event::Commit { inst });
             }
-            frontier = e.inst + 1;
+            frontier = inst + 1;
             committed += 1;
         }
         if committed == 0 {
@@ -133,4 +120,59 @@ impl<O: Observer> CommitEngine<O> for InOrderEngine {
     }
 
     fn finalize(&mut self, _stats: &mut SimStats) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{PipelineTracer, Processor, ProcessorConfig};
+    use koc_isa::{ArchReg, TraceBuilder};
+    use koc_obs::Event;
+
+    /// A load that misses L2 heads the trace, so independent work piles up
+    /// behind it until the ROB — the in-flight table's capacity — is full.
+    #[test]
+    fn commits_in_order_within_width_behind_an_l2_miss_and_fills_the_rob() {
+        let rob_size = 64;
+        let mut b = TraceBuilder::named("rob");
+        b.load(ArchReg::fp(1), ArchReg::int(1), 0x100_0000);
+        for i in 0..400 {
+            b.int_alu(ArchReg::int((i % 8) as u8 + 2), &[]);
+        }
+        let trace = b.finish();
+        let config = ProcessorConfig::baseline(rob_size, 200);
+        let (stats, tracer) =
+            Processor::with_observer(config, &trace, PipelineTracer::new()).run_observed();
+        assert_eq!(stats.committed_instructions, trace.len() as u64);
+
+        let mut completed_at = vec![None; trace.len()];
+        let mut commits = Vec::new();
+        for &(cycle, ev) in tracer.events() {
+            match ev {
+                Event::Complete { inst } => completed_at[inst] = Some(cycle),
+                Event::Commit { inst } => commits.push((cycle, inst)),
+                _ => {}
+            }
+        }
+        assert!(
+            commits.iter().map(|&(_, inst)| inst).eq(0..trace.len()),
+            "commits come in strictly increasing trace order"
+        );
+        for &(cycle, inst) in &commits {
+            assert!(
+                completed_at[inst].is_some_and(|done| done <= cycle),
+                "instruction {inst} committed at {cycle} before it finished"
+            );
+        }
+        let load_done = completed_at[0].expect("the load completed");
+        assert!(load_done >= 200, "the load went to memory");
+        assert!(
+            commits.iter().all(|&(cycle, _)| cycle >= load_done),
+            "nothing passes the unfinished load at the head"
+        );
+        for group in commits.chunk_by(|a, b| a.0 == b.0) {
+            assert!(group.len() <= config.commit_width, "cycle {}", group[0].0);
+        }
+        assert_eq!(stats.peak_inflight, rob_size);
+        assert!(stats.stalls.rob_full > 0, "the full window stalls dispatch");
+    }
 }

@@ -11,10 +11,13 @@
 //!
 //! Engines receive an [`EngineCtx`] at every hook: mutable access to the
 //! shared pipeline resources (rename map, register file, issue queues, LSQ,
-//! memory, in-flight table, statistics and the fetch window). The engine
-//! owns only its private retirement structures — the ROB for
-//! [`inorder::InOrderEngine`], the checkpoint table / pseudo-ROB / SLIQ for
-//! [`checkpointed::CheckpointedEngine`].
+//! memory, in-flight table, statistics and the fetch window). The in-flight
+//! table is the only per-instruction window record: it holds every
+//! dispatched, uncommitted instruction in trace order with its renamed
+//! registers and owning checkpoint. [`inorder::InOrderEngine`] keeps only
+//! the ROB size and commits from the table's head;
+//! [`checkpointed::CheckpointedEngine`] owns the checkpoint table, the SLIQ
+//! and the pseudo-ROB, which is a band of trace positions over the table.
 //!
 //! Adding a third engine requires implementing [`CommitEngine`] and (if it
 //! should be constructible from a [`CommitConfig`]) extending
@@ -30,7 +33,7 @@ use crate::config::{CommitConfig, ProcessorConfig};
 use crate::inflight::{InFlight, InFlightTable};
 use crate::stats::SimStats;
 use koc_core::{CamRenameMap, CheckpointId, InstructionQueue, LoadStoreQueue, PhysRegFile};
-use koc_isa::{ArchReg, InstId, Instruction, OpKind, PhysReg, ReplayWindow};
+use koc_isa::{InstId, Instruction, OpKind, PhysReg, ReplayWindow};
 use koc_mem::MemoryHierarchy;
 use koc_obs::{Event, NullObserver, Observer};
 
@@ -44,23 +47,14 @@ pub enum DispatchStall {
     CheckpointFull,
 }
 
-/// A destination rename record: `(architectural, new physical, previous
-/// physical)`.
-pub type RenameUndo = (ArchReg, PhysReg, Option<PhysReg>);
-
-/// Everything the pipeline shell knows about an instruction at dispatch.
+/// What an engine learns about an instruction at dispatch; the rest of its
+/// record is in the in-flight table.
 #[derive(Debug, Clone, Copy)]
 pub struct Dispatched {
     /// Trace position.
     pub id: InstId,
-    /// Operation kind.
-    pub kind: OpKind,
-    /// Destination rename record, if the instruction writes a register.
-    pub rename: Option<RenameUndo>,
     /// Whether the instruction is a store.
     pub is_store: bool,
-    /// Whether the instruction is a branch.
-    pub is_branch: bool,
 }
 
 /// Everything the pipeline shell knows about an instruction at write-back.
@@ -158,22 +152,25 @@ impl<O: Observer> EngineCtx<'_, '_, O> {
         self.fetch.release_to(frontier);
     }
 
-    /// Undoes the youngest-first rename records of a squash walk and removes
-    /// the squashed instructions from the in-flight table. Returns the
-    /// squashed in-flight records (for engine-side accounting; entries that
-    /// were no longer in flight are skipped).
-    pub fn undo_renames(&mut self, undo: &[(InstId, Option<RenameUndo>)]) -> Vec<InFlight> {
-        let mut squashed = Vec::with_capacity(undo.len()); // koc-lint: allow(hot-path-alloc, "recovery path; sized once per squash, not per cycle")
-        for (inst, rename) in undo {
-            if let Some((arch, newp, prevp)) = rename {
-                self.rename.undo_rename(*arch, *newp, *prevp, self.regs);
+    /// Squashes every in-flight instruction younger than `boundary`
+    /// (exclusive), youngest first: undoes its rename from the record's
+    /// `dest_phys`/`prev_phys` (the walk-back recovery of a conventional
+    /// ROB) and removes the record. Returns the squashed records, youngest
+    /// first, for engine-side accounting.
+    pub fn squash_younger_than(&mut self, boundary: InstId) -> Vec<InFlight> {
+        let doomed = self.inflight.ids_at_or_after(boundary + 1);
+        let mut squashed = Vec::with_capacity(doomed.len()); // koc-lint: allow(hot-path-alloc, "recovery path; sized once per squash, not per cycle")
+        for &inst in doomed.iter().rev() {
+            let Some(fl) = self.forget_inflight(inst) else {
+                continue;
+            };
+            if let Some(new_phys) = fl.dest_phys {
+                self.rename.undo_rename(new_phys, fl.prev_phys, self.regs);
             }
-            if let Some(fl) = self.forget_inflight(*inst) {
-                if O::ENABLED {
-                    self.obs.event(self.cycle, Event::Squash { inst: *inst });
-                }
-                squashed.push(fl);
+            if O::ENABLED {
+                self.obs.event(self.cycle, Event::Squash { inst });
             }
+            squashed.push(fl);
         }
         squashed
     }

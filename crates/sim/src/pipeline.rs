@@ -387,10 +387,7 @@ impl<'a, O: Observer> Processor<'a, O> {
         let rename_pool = config.registers.rename_pool_size();
         let vregs = match config.registers {
             RegisterModel::Conventional { .. } => None,
-            RegisterModel::Virtual {
-                virtual_tags,
-                phys_regs,
-            } => Some(VirtualRegisterFile::new(virtual_tags, phys_regs)),
+            RegisterModel::Virtual { phys_regs, .. } => Some(VirtualRegisterFile::new(phys_regs)),
         };
         let predictor = match config.predictor {
             BranchPredictorKind::Gshare16k => {
@@ -1014,12 +1011,7 @@ impl<'a, O: Observer> Processor<'a, O> {
         }
         let d = Dispatched {
             id,
-            kind: inst.kind,
-            rename: inst
-                .dest
-                .map(|a| (a, dest_phys.expect("dest renamed"), prev_phys)), // koc-lint: allow(panic, "a dest implies rename_dest succeeded above")
             is_store: inst.is_store(),
-            is_branch: inst.is_branch(),
         };
         let ckpt: CheckpointId = self.engine.allocate(&d);
         let iq_entry = IqEntry {

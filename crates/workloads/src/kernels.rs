@@ -2,7 +2,10 @@
 //!
 //! Each constructor returns a [`KernelConfig`] tuned to mimic the memory and
 //! dependence behaviour of a family of SPEC2000fp benchmarks. The mapping is
-//! documented per kernel; `DESIGN.md` records the substitution rationale.
+//! documented per kernel. Synthetic kernels stand in for the SPEC2000fp
+//! binaries the paper simulated, which are licensed and cannot be
+//! redistributed; the paper's results depend on each benchmark's miss rate
+//! and dependence structure, and those are what a kernel models.
 
 use crate::config::{DependencePattern, KernelConfig, MemoryPattern};
 

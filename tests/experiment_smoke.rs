@@ -1,7 +1,7 @@
 //! Smoke tests for the statistics the experiment harness relies on: the
 //! figure-specific outputs exist and behave sensibly on small runs.
 
-use koc_bench::experiments::{fig07_live, fig11_inflight, fig13_checkpoints};
+use koc_bench::experiments;
 use koc_core::RetireClass;
 use koc_obs::BREAKDOWN_INTERVAL;
 use koc_sim::{Processor, ProcessorConfig, RegisterModel, SimStats, WindowStats};
@@ -40,28 +40,45 @@ fn figure7_distributions_are_recorded() {
     assert_eq!(window.live_short.count(), window.live_long.count());
 }
 
-/// The Figure 7 and Figure 11 reports at a short trace length, pinned byte
-/// for byte so that a change in how the window statistics are gathered
-/// cannot silently alter either figure.
-#[test]
-fn figure7_and_figure11_reports_match_their_golden_text() {
-    assert_eq!(
-        fig07_live::run(2_000).render(),
-        include_str!("golden/fig07_len2000.txt")
+/// Asserts that experiment `name`'s report at a short trace length matches
+/// `tests/golden/<name>_len2000.txt` byte for byte.
+fn assert_report_matches_golden(name: &str) {
+    let path = format!(
+        "{}/tests/golden/{name}_len2000.txt",
+        env!("CARGO_MANIFEST_DIR")
     );
-    assert_eq!(
-        fig11_inflight::run(2_000).render(),
-        include_str!("golden/fig11_len2000.txt")
-    );
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let report = experiments::run_by_name(name, 2_000).expect("a listed experiment");
+    assert_eq!(report.render(), golden, "{name} differs from {path}");
 }
 
-/// The Figure 13 report at a short trace length, pinned byte for byte.
+/// Experiments pinned by a golden test of their own below.
+const PINNED_SEPARATELY: &[&str] = &["fig7", "fig11", "fig13"];
+
+/// Every other experiment's report, pinned byte for byte, so that no change
+/// to the simulator or to how statistics are gathered can silently alter a
+/// figure.
+#[test]
+fn every_experiment_report_matches_its_golden_text() {
+    for name in experiments::ALL {
+        if !PINNED_SEPARATELY.contains(name) {
+            assert_report_matches_golden(name);
+        }
+    }
+}
+
+/// The Figure 7 and Figure 11 reports, pinned so that a change in how the
+/// window statistics are gathered cannot silently alter either figure.
+#[test]
+fn figure7_and_figure11_reports_match_their_golden_text() {
+    assert_report_matches_golden("fig7");
+    assert_report_matches_golden("fig11");
+}
+
+/// The Figure 13 report, pinned byte for byte.
 #[test]
 fn figure13_report_matches_its_golden_text() {
-    assert_eq!(
-        fig13_checkpoints::run(2_000).render(),
-        include_str!("golden/fig13_len2000.txt")
-    );
+    assert_report_matches_golden("fig13");
 }
 
 #[test]
