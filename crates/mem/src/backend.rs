@@ -15,7 +15,8 @@
 //!   queues and a finite MSHR file that back-pressures the core when full.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Tokens with this bit set are internal to the memory system (posted
 /// writes) and are never returned to the core as demand completions.
@@ -70,7 +71,7 @@ pub enum Admit {
 }
 
 /// A serviced request surfacing from [`MemoryBackend::drain`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Completion {
     /// The token of the originating [`MemReq`].
     pub token: u64,
@@ -85,8 +86,6 @@ pub struct BackendStats {
     pub demand_reads: u64,
     /// Posted writes accepted.
     pub writes: u64,
-    /// Demand reads rejected for want of an MSHR (one count per attempt).
-    pub rejected: u64,
     /// DRAM accesses that hit the open row buffer.
     pub row_buffer_hits: u64,
     /// DRAM accesses to a closed (precharged) bank.
@@ -123,9 +122,12 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
     ///
     /// This is the event-driven fast-forward hook: when the core is fully
     /// stalled on memory, the simulator jumps straight to this cycle instead
-    /// of ticking through the dead time. Backends that queue work internally
-    /// **must** implement it — returning `None` with work pending would let
-    /// the simulator skip past the completion.
+    /// of ticking through the dead time. The answer **must be exact**, not
+    /// merely a lower bound that is safe to wake early at: the hierarchy
+    /// also skips [`tick`](Self::tick) and [`drain`](Self::drain) on every
+    /// stepped cycle before it, so work due earlier than the answer (or
+    /// `None` with work pending) is serviced late or never. Backends that
+    /// queue work internally must implement it.
     fn next_event(&self) -> Option<u64> {
         None
     }
@@ -138,18 +140,6 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
 
     /// Accumulated counters.
     fn stats(&self) -> BackendStats;
-
-    /// Clears all queues, MSHRs and counters.
-    fn reset(&mut self);
-
-    /// Clones the backend behind the trait object.
-    fn clone_box(&self) -> Box<dyn MemoryBackend>;
-}
-
-impl Clone for Box<dyn MemoryBackend> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// The paper's memory model: a fixed latency with unlimited outstanding
@@ -203,50 +193,40 @@ impl MemoryBackend for FlatLatency {
     fn stats(&self) -> BackendStats {
         self.stats
     }
-
-    fn reset(&mut self) {
-        self.stats = BackendStats::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn MemoryBackend> {
-        Box::new(self.clone())
-    }
 }
 
-/// A caller-side completion schedule for [`Admit::At`] answers that cannot
-/// be consumed immediately (used by the hierarchy's retry queue).
+/// Completions waiting for their cycle: the DRAM backend's serviced
+/// requests, and the hierarchy's own schedule for [`Admit::At`] answers
+/// that cannot be consumed immediately (its retry queue). A min-heap on
+/// (cycle, push order), so same-cycle completions drain in push order, the
+/// earliest cycle is a peek, and the steady state allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SelfSchedule {
-    due: BTreeMap<u64, Vec<Completion>>,
+    due: BinaryHeap<Reverse<(u64, u64, Completion)>>,
+    pushed: u64,
 }
 
 impl SelfSchedule {
     pub(crate) fn push(&mut self, at: u64, c: Completion) {
-        self.due.entry(at).or_default().push(c);
+        self.due.push(Reverse((at, self.pushed, c)));
+        self.pushed += 1;
     }
 
+    /// Appends every completion due at or before `now` to `out`, in
+    /// (cycle, push order).
     pub(crate) fn drain(&mut self, now: u64, out: &mut Vec<Completion>) {
-        while let Some((&cycle, _)) = self.due.first_key_value() {
+        while let Some(&Reverse((cycle, _, c))) = self.due.peek() {
             if cycle > now {
                 break;
             }
-            let (_, batch) = self.due.pop_first().expect("checked non-empty"); // koc-lint: allow(panic, "pop follows a non-empty check")
-            out.extend(batch);
+            self.due.pop();
+            out.push(c);
         }
     }
 
     /// The earliest scheduled completion cycle, if any.
     pub(crate) fn next_due(&self) -> Option<u64> {
-        self.due.first_key_value().map(|(&cycle, _)| cycle)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.due.is_empty()
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.due.clear();
+        self.due.peek().map(|&Reverse((cycle, _, _))| cycle)
     }
 }
 
@@ -273,9 +253,7 @@ mod tests {
         b.request(MemReq::read(1, 0), 0);
         b.request(MemReq::write(64), 0);
         let s = b.stats();
-        assert_eq!((s.demand_reads, s.writes, s.rejected), (1, 1, 0));
-        b.reset();
-        assert_eq!(b.stats(), BackendStats::default());
+        assert_eq!((s.demand_reads, s.writes), (1, 1));
     }
 
     #[test]
@@ -285,24 +263,18 @@ mod tests {
             token: t,
             is_write: false,
         };
-        s.push(20, c(2));
-        s.push(10, c(1));
+        // Same-cycle completions keep push order, not token order.
         s.push(20, c(3));
+        s.push(10, c(1));
+        s.push(20, c(2));
         let mut out = Vec::new();
         s.drain(15, &mut out);
         assert_eq!(out.iter().map(|c| c.token).collect::<Vec<_>>(), vec![1]);
         s.drain(25, &mut out);
         assert_eq!(
             out.iter().map(|c| c.token).collect::<Vec<_>>(),
-            vec![1, 2, 3]
+            vec![1, 3, 2]
         );
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn boxed_backends_clone() {
-        let b: Box<dyn MemoryBackend> = Box::new(FlatLatency::new(42));
-        let mut c = b.clone();
-        assert_eq!(c.request(MemReq::read(1, 0), 8), Admit::At(50));
+        assert_eq!(s.next_due(), None);
     }
 }

@@ -194,13 +194,6 @@ impl Cache {
             self.misses as f64 / total as f64
         }
     }
-
-    /// Invalidates all lines and resets statistics.
-    pub fn reset(&mut self) {
-        self.tags.fill(INVALID);
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -258,17 +251,6 @@ mod tests {
         assert!(c.contains(0x40));
         assert!(!c.contains(0x4000));
         assert_eq!((c.hits(), c.misses()), before);
-    }
-
-    #[test]
-    fn reset_clears_contents_and_stats() {
-        let mut c = small_cache();
-        c.access(0x40);
-        c.access(0x40);
-        c.reset();
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
-        assert!(!c.contains(0x40));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! [`DramConfig::UNLIMITED_MSHRS`] makes the model cycle-equivalent to
 //! [`crate::FlatLatency`] — the conformance anchor the tests pin down.
 
-use crate::backend::{Admit, BackendStats, Completion, MemReq, MemoryBackend};
+use crate::backend::{Admit, BackendStats, Completion, MemReq, MemoryBackend, SelfSchedule};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Geometry and timing of the banked DRAM backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -140,8 +140,12 @@ pub struct DramBackend {
     /// Base access latency (the hierarchy's `memory_latency`).
     base_latency: u32,
     banks: Vec<Bank>,
-    /// Serviced requests waiting to be drained, keyed by completion cycle.
-    done: BTreeMap<u64, Vec<Completion>>,
+    /// The earliest cycle any bank can start servicing its queue head:
+    /// `max(head.arrival, busy_until)` over the non-empty queues, or
+    /// `u64::MAX` when every queue is empty. `tick` does nothing before it.
+    next_start: u64,
+    /// Serviced requests waiting to be drained.
+    done: SelfSchedule,
     /// Reads holding an MSHR (freed when the completion drains).
     reads_in_flight: usize,
     stats: BackendStats,
@@ -160,7 +164,8 @@ impl DramBackend {
             banks: vec![Bank::default(); config.banks],
             config,
             base_latency,
-            done: BTreeMap::new(),
+            next_start: u64::MAX,
+            done: SelfSchedule::default(),
             reads_in_flight: 0,
             stats: BackendStats::default(),
         }
@@ -212,13 +217,21 @@ impl DramBackend {
         bank.open_row = Some(row);
         extra
     }
+
+    /// [`next_start`](Self::next_start) recomputed from the banks.
+    fn scan_next_start(&self) -> u64 {
+        self.banks
+            .iter()
+            .filter_map(|b| b.queue.front().map(|head| head.arrival.max(b.busy_until)))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
 }
 
 impl MemoryBackend for DramBackend {
     fn request(&mut self, req: MemReq, at: u64) -> Admit {
         if !req.is_write {
             if self.reads_in_flight >= self.config.mshr_entries {
-                self.stats.rejected += 1;
                 return Admit::Reject;
             }
             self.reads_in_flight += 1;
@@ -228,7 +241,12 @@ impl MemoryBackend for DramBackend {
             self.stats.writes += 1;
         }
         let (bank, row) = self.decode(req.addr);
-        self.banks[bank].queue.push_back(Pending {
+        let bank = &mut self.banks[bank];
+        if bank.queue.is_empty() {
+            // The request becomes its bank's head.
+            self.next_start = self.next_start.min(at.max(bank.busy_until));
+        }
+        bank.queue.push_back(Pending {
             req,
             row,
             arrival: at,
@@ -237,6 +255,9 @@ impl MemoryBackend for DramBackend {
     }
 
     fn tick(&mut self, now: u64) {
+        if now < self.next_start {
+            return;
+        }
         for bank in &mut self.banks {
             while bank.busy_until <= now {
                 let Some(head) = bank.queue.front() else {
@@ -249,13 +270,13 @@ impl MemoryBackend for DramBackend {
                 let extra = Self::row_latency(&mut self.stats, bank, p.row, &self.config);
                 let latency = self.base_latency as u64 + extra as u64;
                 bank.busy_until = now + self.config.bank_busy as u64;
-                self.done
-                    .entry(now + latency)
-                    .or_default()
-                    .push(Completion {
+                self.done.push(
+                    now + latency,
+                    Completion {
                         token: p.req.token,
                         is_write: p.req.is_write,
-                    });
+                    },
+                );
                 if self.config.bank_busy > 0 {
                     // The bank is occupied; younger requests wait for a
                     // later tick.
@@ -263,36 +284,27 @@ impl MemoryBackend for DramBackend {
                 }
             }
         }
+        self.next_start = self.scan_next_start();
     }
 
     fn next_event(&self) -> Option<u64> {
-        // Either a serviced request becomes drainable...
-        let mut next = self.done.first_key_value().map(|(&cycle, _)| cycle);
-        // ...or a bank can start servicing the head of its queue (which is
-        // exactly the condition `tick` checks, so jumping to this cycle and
-        // ticking once is equivalent to ticking every intermediate cycle).
-        for bank in &self.banks {
-            if let Some(head) = bank.queue.front() {
-                let start = head.arrival.max(bank.busy_until);
-                next = Some(next.map_or(start, |n| n.min(start)));
-            }
+        debug_assert_eq!(self.next_start, self.scan_next_start());
+        // Either a bank can start servicing the head of its queue (exactly
+        // the condition `tick` checks, so jumping to this cycle and ticking
+        // once is equivalent to ticking every intermediate cycle)...
+        let start = (self.next_start != u64::MAX).then_some(self.next_start);
+        // ...or a serviced request becomes drainable.
+        match (start, self.done.next_due()) {
+            (Some(s), Some(d)) => Some(s.min(d)),
+            (s, d) => s.or(d),
         }
-        next
     }
 
     fn drain(&mut self, now: u64, out: &mut Vec<Completion>) {
-        while let Some((&cycle, _)) = self.done.first_key_value() {
-            if cycle > now {
-                break;
-            }
-            let (_, batch) = self.done.pop_first().expect("checked non-empty"); // koc-lint: allow(panic, "pop follows a non-empty check")
-            for c in batch {
-                if !c.is_write {
-                    self.reads_in_flight -= 1;
-                }
-                out.push(c);
-            }
-        }
+        let from = out.len();
+        self.done.drain(now, out);
+        // Each drained read frees its MSHR.
+        self.reads_in_flight -= out[from..].iter().filter(|c| !c.is_write).count();
     }
 
     fn can_accept(&self) -> bool {
@@ -305,19 +317,6 @@ impl MemoryBackend for DramBackend {
 
     fn stats(&self) -> BackendStats {
         self.stats
-    }
-
-    fn reset(&mut self) {
-        for b in &mut self.banks {
-            *b = Bank::default();
-        }
-        self.done.clear();
-        self.reads_in_flight = 0;
-        self.stats = BackendStats::default();
-    }
-
-    fn clone_box(&self) -> Box<dyn MemoryBackend> {
-        Box::new(self.clone())
     }
 }
 
@@ -387,7 +386,8 @@ mod tests {
         }
         assert!(!b.can_accept());
         assert_eq!(b.request(MemReq::read(9, 0x9000), 0), Admit::Reject);
-        assert_eq!(b.stats().rejected, 1);
+        assert_eq!(b.request(MemReq::read(9, 0x9000), 1), Admit::Reject);
+        assert_eq!(b.stats().demand_reads, 4, "a rejected read is not counted");
         assert_eq!(b.in_flight(), 4);
         // Writes are posted: they bypass the MSHR file.
         assert_eq!(b.request(MemReq::write(0x4000), 0), Admit::Queued);

@@ -55,7 +55,7 @@ pub enum TimedAccess {
 /// outstanding misses with a finite MSHR file and models row-buffer
 /// locality. Core-side bandwidth is modelled by the pipeline's memory
 /// ports at the issue stage, which `koc-sim` enforces.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemoryHierarchy {
     config: MemoryConfig,
     il1: Cache,
@@ -120,9 +120,15 @@ impl MemoryHierarchy {
         self.waiting.len()
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &MemoryStats {
-        &self.stats
+    /// Accumulated statistics, with the backend's row-buffer counters.
+    pub fn stats(&self) -> MemoryStats {
+        let b = self.backend.stats();
+        MemoryStats {
+            row_buffer_hits: b.row_buffer_hits,
+            row_buffer_misses: b.row_buffer_misses,
+            row_buffer_conflicts: b.row_buffer_conflicts,
+            ..self.stats
+        }
     }
 
     /// Accesses the data hierarchy at byte address `addr`, untimed: misses
@@ -241,6 +247,11 @@ impl MemoryHierarchy {
     /// [`Event::MshrAlloc`] when a queued miss finally wins an MSHR on
     /// retry. Timing is identical to the unobserved call.
     pub fn tick_obs<O: Observer>(&mut self, now: u64, completed: &mut Vec<u64>, obs: &mut O) {
+        if self.next_event().is_none_or(|at| at > now) {
+            // Nothing is due: the tick is idle (see `next_event`).
+            self.account_idle_ticks(1);
+            return;
+        }
         self.backend.tick(now);
         self.drained.clear();
         let mut drained = std::mem::take(&mut self.drained);
@@ -286,7 +297,6 @@ impl MemoryHierarchy {
             }
         }
         self.stats.mshr_full_stalls += self.waiting.len() as u64;
-        self.sync_backend_stats();
     }
 
     /// The earliest future cycle at which the memory system can deliver a
@@ -294,10 +304,11 @@ impl MemoryHierarchy {
     /// event or the hierarchy's own retry schedule. `None` when nothing is
     /// in flight beyond the L2.
     ///
-    /// Used by the pipeline's event-driven fast-forward: between now and
-    /// this cycle, per-cycle [`tick`](Self::tick)s are no-ops (demand misses
-    /// waiting for an MSHR cannot be admitted before the backend frees one,
-    /// which is a backend event).
+    /// Used by the pipeline's event-driven fast-forward, and by
+    /// [`tick`](Self::tick) itself: before this cycle a tick is idle.
+    /// Nothing can be serviced or drained, and demand misses waiting for an
+    /// MSHR cannot be admitted before a drain frees one, which is a backend
+    /// event.
     pub fn next_event(&self) -> Option<u64> {
         match (self.backend.next_event(), self.self_scheduled.next_due()) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -310,15 +321,11 @@ impl MemoryHierarchy {
     /// of an idle [`tick`](Self::tick) is the MSHR-wait counter, which grows
     /// by the (constant, during idle time) length of the wait queue.
     pub fn account_idle_ticks(&mut self, cycles: u64) {
+        debug_assert!(
+            self.waiting.is_empty() || !self.backend.can_accept(),
+            "a waiting miss implies every MSHR is taken"
+        );
         self.stats.mshr_full_stalls += self.waiting.len() as u64 * cycles;
-    }
-
-    /// Copies the backend's counters into the public [`MemoryStats`].
-    fn sync_backend_stats(&mut self) {
-        let b = self.backend.stats();
-        self.stats.row_buffer_hits = b.row_buffer_hits;
-        self.stats.row_buffer_misses = b.row_buffer_misses;
-        self.stats.row_buffer_conflicts = b.row_buffer_conflicts;
     }
 
     /// The shared L1/L2 lookup: updates cache state and statistics and
@@ -386,17 +393,6 @@ impl MemoryHierarchy {
     /// The unified L2 cache (for inspection in tests).
     pub fn l2(&self) -> &Cache {
         &self.l2
-    }
-
-    /// Invalidates all caches, drains the backend and clears statistics.
-    pub fn reset(&mut self) {
-        self.il1.reset();
-        self.dl1.reset();
-        self.l2.reset();
-        self.backend.reset();
-        self.waiting.clear();
-        self.self_scheduled.clear();
-        self.stats = MemoryStats::default();
     }
 }
 
@@ -468,15 +464,6 @@ mod tests {
         assert_eq!(s.dl1_hits, 1);
         assert_eq!(s.dl1_misses, 1);
         assert_eq!(s.l2_misses, 1);
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let mut m = MemoryHierarchy::new(MemoryConfig::table1(100));
-        m.access_data(0x1000, false);
-        m.reset();
-        assert_eq!(m.stats().data_accesses, 0);
-        assert_eq!(m.access_data(0x1000, false).level, MemLevel::Memory);
     }
 
     #[test]

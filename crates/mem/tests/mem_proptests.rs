@@ -1,6 +1,9 @@
 //! Property-based tests for the cache and memory-hierarchy model.
 
-use koc_mem::{Cache, CacheConfig, MemLevel, MemoryConfig, MemoryHierarchy, TimedAccess};
+use koc_mem::{
+    Admit, Cache, CacheConfig, Completion, DramBackend, DramConfig, MemLevel, MemReq,
+    MemoryBackend, MemoryConfig, MemoryHierarchy, TimedAccess,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -141,5 +144,187 @@ proptest! {
             }
         }
         prop_assert_eq!(mem.stats().l2_misses, 0);
+    }
+}
+
+/// One request offered to a backend: `(cycle offered, address, is_write)`.
+type Offer = (u64, u64, bool);
+
+/// Turns generated `(gap, row, line, is_write)` tuples into offers on
+/// non-decreasing cycles. Rows come from a small set (more rows than
+/// banks) so that banks see row-buffer hits, misses and conflicts.
+fn offers(raw: &[(u64, u64, u64, bool)]) -> Vec<Offer> {
+    let mut cycle = 0;
+    raw.iter()
+        .map(|&(gap, row, line, is_write)| {
+            cycle += gap;
+            (cycle, row * 4096 + line * 64, is_write)
+        })
+        .collect()
+}
+
+/// The next cycle a test loop ticks after `now`: the next one when `dense`,
+/// else the sooner of the next offer and the memory system's next event.
+/// An event can fall on `now` itself (a request that arrives the cycle it
+/// is offered, after that cycle's tick); it is serviced on the next tick.
+/// `None` once nothing is left to offer or to finish.
+fn next_cycle(offer: Option<u64>, event: Option<u64>, now: u64, dense: bool) -> Option<u64> {
+    let soonest = match (offer, event) {
+        (Some(a), Some(e)) => a.min(e),
+        (a, e) => a.or(e)?,
+    };
+    assert!(
+        soonest >= now,
+        "events never lie in the past: {soonest} at {now}"
+    );
+    Some(if dense { now + 1 } else { soonest.max(now + 1) })
+}
+
+/// What a backend run produced: admission answers in offer order, every
+/// completion with the cycle it drained on, and the final counters.
+type BackendRun = (Vec<Admit>, Vec<(Completion, u64)>, koc_mem::BackendStats);
+
+/// Offers each request on its cycle (arriving `delay` cycles later), after
+/// that cycle's tick and drain. With `dense`, ticks every cycle up to a
+/// horizon past the last completion; otherwise only on offer cycles and at
+/// `next_event()`, the way the simulator's fast-forward drives it.
+fn drive_backend(b: &mut DramBackend, offers: &[Offer], delay: u64, dense: bool) -> BackendRun {
+    let mut admits = Vec::new();
+    let mut done = Vec::new();
+    let mut out = Vec::new();
+    let mut next_offer = 0;
+    let mut now = 0;
+    loop {
+        b.tick(now);
+        b.drain(now, &mut out);
+        done.extend(out.drain(..).map(|c| (c, now)));
+        while next_offer < offers.len() && offers[next_offer].0 == now {
+            let (_, addr, is_write) = offers[next_offer];
+            let req = if is_write {
+                MemReq::write(addr)
+            } else {
+                MemReq::read(next_offer as u64, addr)
+            };
+            admits.push(b.request(req, now + delay));
+            next_offer += 1;
+        }
+        match next_cycle(
+            offers.get(next_offer).map(|o| o.0),
+            b.next_event(),
+            now,
+            dense,
+        ) {
+            Some(next) => now = next,
+            None => break,
+        }
+    }
+    (admits, done, b.stats())
+}
+
+/// Offers each demand load on its cycle after that cycle's tick, like the
+/// pipeline's memory stage. Sparse driving ticks only on offer cycles and
+/// at `next_event()`, and accounts the cycles between with
+/// `account_idle_ticks`, exactly as fast-forward does.
+fn drive_hierarchy(m: &mut MemoryHierarchy, offers: &[Offer], dense: bool) -> Vec<(u64, u64)> {
+    let mut done = Vec::new();
+    let mut completed = Vec::new();
+    let mut next_offer = 0;
+    let mut now = 0;
+    loop {
+        m.tick(now, &mut completed);
+        done.extend(completed.drain(..).map(|t| (t, now)));
+        while next_offer < offers.len() && offers[next_offer].0 == now {
+            let (_, addr, is_store) = offers[next_offer];
+            if is_store {
+                m.drain_store(addr, now);
+            } else {
+                m.access_data_timed(addr, next_offer as u64, now);
+            }
+            next_offer += 1;
+        }
+        let Some(next) = next_cycle(
+            offers.get(next_offer).map(|o| o.0),
+            m.next_event(),
+            now,
+            dense,
+        ) else {
+            break;
+        };
+        m.account_idle_ticks(next - now - 1);
+        now = next;
+    }
+    done
+}
+
+proptest! {
+    /// Ticking a DRAM backend only at `next_event()` and on request cycles
+    /// gives the same admissions, the same `(token, cycle)` completions and
+    /// the same counters as ticking it every cycle, across bank counts,
+    /// bank occupancies, MSHR files and row-buffer behaviour.
+    #[test]
+    fn dram_ticked_at_next_event_matches_every_cycle(
+        banks in 1usize..17,
+        bank_busy in 0u32..17,
+        mshrs in 1usize..17,
+        act in 0u32..40,
+        precharge in 0u32..40,
+        delay in 0u64..13,
+        raw in proptest::collection::vec((0u64..10, 0u64..40, 0u64..4, proptest::strategy::any::<bool>()), 1..120),
+    ) {
+        let config = DramConfig {
+            mshr_entries: mshrs,
+            banks,
+            row_bytes: 4096,
+            act_latency: act,
+            precharge_latency: precharge,
+            bank_busy,
+        };
+        let offers = offers(&raw);
+        let mut dense = DramBackend::new(config, 100);
+        let mut sparse = DramBackend::new(config, 100);
+        let dense_run = drive_backend(&mut dense, &offers, delay, true);
+        let sparse_run = drive_backend(&mut sparse, &offers, delay, false);
+        prop_assert_eq!(&dense_run, &sparse_run);
+        let (admits, done, stats) = dense_run;
+        let admitted = admits.iter().filter(|a| **a == Admit::Queued).count();
+        prop_assert_eq!(done.len(), admitted, "every admitted request completes");
+        prop_assert_eq!(
+            stats.row_buffer_hits + stats.row_buffer_misses + stats.row_buffer_conflicts,
+            admitted as u64
+        );
+        prop_assert_eq!(dense.in_flight(), 0);
+    }
+
+    /// The same equivalence one level up, under MSHR starvation: with one
+    /// to three MSHRs most loads wait in the hierarchy's queue, and the
+    /// sparse loop's idle accounting must reproduce `mshr_full_stalls`
+    /// and every other counter of per-cycle ticking.
+    #[test]
+    fn starved_hierarchy_ticked_at_next_event_matches_every_cycle(
+        mshrs in 1usize..4,
+        banks in 1usize..5,
+        raw in proptest::collection::vec((0u64..6, 0u64..4096, 0u64..64, proptest::strategy::any::<bool>()), 1..60),
+    ) {
+        let config = MemoryConfig::table1(200).with_dram(DramConfig {
+            mshr_entries: mshrs,
+            banks,
+            row_bytes: 4096,
+            act_latency: 20,
+            precharge_latency: 20,
+            bank_busy: 4,
+        });
+        // Spread lines over many rows so that almost every access misses L2.
+        let offers: Vec<Offer> = offers(&raw)
+            .into_iter()
+            .map(|(at, addr, store)| (at, addr * 1024, store))
+            .collect();
+        let mut dense = MemoryHierarchy::new(config);
+        let mut sparse = MemoryHierarchy::new(config);
+        let dense_done = drive_hierarchy(&mut dense, &offers, true);
+        let sparse_done = drive_hierarchy(&mut sparse, &offers, false);
+        prop_assert_eq!(&dense_done, &sparse_done);
+        prop_assert_eq!(dense.stats(), sparse.stats());
+        let loads = offers.iter().filter(|o| !o.2).count();
+        prop_assert!(dense_done.len() <= loads);
     }
 }

@@ -81,10 +81,12 @@ struct CycleActivity {
 /// nodes threaded through one slab (vacated nodes chain onto an intrusive
 /// free list), so same-cycle events come back in push order and the steady
 /// state allocates nothing: the slab is reserved at construction, and
-/// [`take`](Self::take) drains a slot into one reused batch `Vec`. A
-/// two-level occupancy bitmap answers `next_cycle` for the fast-forward
-/// path in a handful of word scans, and anything past the horizon (never
-/// hit by the built-in backends) falls back to an ordered map.
+/// [`take`](Self::take) drains a slot into one reused batch `Vec`. An
+/// occupancy bitmap (one bit per slot) answers `next_cycle` for the
+/// fast-forward path in a scan of its words, which a count of wheel events
+/// skips outright when the wheel is empty, as it mostly is while loads wait
+/// on a queueing memory backend. Anything past the horizon (never hit by
+/// the built-in backends) falls back to an ordered map.
 struct EventQueue {
     /// First and last node of each slot's FIFO (`NIL_EVENT` when empty).
     fifo: Vec<(u32, u32)>,
@@ -93,8 +95,11 @@ struct EventQueue {
     /// Head of the vacated-node chain.
     free: u32,
     mask: u64,
-    /// Bit per wheel slot; set iff the slot holds events.
+    /// Bit per wheel slot; set iff the slot holds events. Its length is a
+    /// power of two.
     occ: Vec<u64>,
+    /// Events on the wheel (not counting `overflow`).
+    len: usize,
     /// The buffer `take` hands out and `recycle` returns.
     batch: Vec<(InstId, u64)>,
     overflow: BTreeMap<u64, Vec<(InstId, u64)>>,
@@ -109,6 +114,7 @@ impl EventQueue {
     /// A wheel able to schedule at least `max_delay` cycles ahead, with
     /// node slots for `reserve` pending events before its slab grows.
     fn with_horizon(max_delay: u64, reserve: usize) -> Self {
+        // At least 128 slots, so the bitmap is a power of two of words.
         let slots = (max_delay + 66).next_power_of_two() as usize;
         EventQueue {
             fifo: vec![(NIL_EVENT, NIL_EVENT); slots],
@@ -116,6 +122,7 @@ impl EventQueue {
             free: NIL_EVENT,
             mask: slots as u64 - 1,
             occ: vec![0; slots.div_ceil(64)],
+            len: 0,
             batch: Vec::new(),
             overflow: BTreeMap::new(),
             cur: 0,
@@ -137,6 +144,7 @@ impl EventQueue {
             self.nodes[n as usize] = (event, NIL_EVENT);
             n
         };
+        self.len += 1;
         let slot = (cycle & self.mask) as usize;
         let (head, tail) = self.fifo[slot];
         if head == NIL_EVENT {
@@ -177,6 +185,7 @@ impl EventQueue {
             // The drained chain joins the free list whole.
             self.nodes[tail as usize].1 = self.free;
             self.free = head;
+            self.len -= due.len();
         }
         if overflowed {
             let mut extra = self.overflow.remove(&cycle).expect("checked key"); // koc-lint: allow(panic, "key was just matched by first_key_value")
@@ -192,6 +201,10 @@ impl EventQueue {
 
     /// The earliest cycle after `cur` with a scheduled event.
     fn next_cycle(&self) -> Option<u64> {
+        let overflow = self.overflow.first_key_value().map(|(&c, _)| c);
+        if self.len == 0 {
+            return overflow;
+        }
         let start_slot = (self.cur + 1) & self.mask;
         let words = self.occ.len();
         let mut next = None;
@@ -200,7 +213,7 @@ impl EventQueue {
         // scheduled event lies within one horizon of `cur`, so the cyclic
         // slot distance is exactly the cycle distance).
         for step in 0..=words {
-            let wi = (start_slot as usize / 64 + step) % words;
+            let wi = (start_slot as usize / 64 + step) & (words - 1);
             let mut word = self.occ[wi];
             if step == 0 {
                 // Bits below the start position belong to the wrapped end of
@@ -216,11 +229,9 @@ impl EventQueue {
                 break;
             }
         }
-        match (next, self.overflow.first_key_value()) {
-            (Some(w), Some((&o, _))) => Some(w.min(o)),
-            (Some(w), None) => Some(w),
-            (None, Some((&o, _))) => Some(o),
-            (None, None) => None,
+        match (next, overflow) {
+            (Some(w), Some(o)) => Some(w.min(o)),
+            (w, o) => w.or(o),
         }
     }
 }
@@ -536,7 +547,7 @@ impl<'a, O: Observer> Processor<'a, O> {
     }
 
     fn finalize(&mut self) {
-        self.stats.memory = *self.mem.stats();
+        self.stats.memory = self.mem.stats();
         self.stats.replay_window_peak = self.fetch.peak_occupancy();
         self.engine.finalize(&mut self.stats);
         if !self.stats.budget_exhausted {
@@ -1313,6 +1324,79 @@ mod tests {
         assert_eq!(q.next_cycle(), Some(cur + 5));
         q.push(cur + 4, (3, 0));
         assert_eq!(q.next_cycle(), Some(cur + 4));
+    }
+
+    proptest::proptest! {
+        /// The wheel against an ordered-map reference: `next_cycle`, the
+        /// batch `take` returns (wheel events in push order, then the ones
+        /// that were past the horizon when pushed), and empty cycles, under
+        /// random pushes that mix near events, far ones that overflow, and
+        /// gaps where only overflowed events remain.
+        #[test]
+        fn event_queue_matches_an_ordered_map(
+            ops in proptest::collection::vec((0u8..4, 1u64..700, 1usize..4), 1..300),
+        ) {
+            let mut q = EventQueue::with_horizon(100, 4);
+            let mask = q.mask;
+            // cycle -> (wheel events, overflowed events), each in push order.
+            type Due = (Vec<(InstId, u64)>, Vec<(InstId, u64)>);
+            let mut reference: BTreeMap<u64, Due> = BTreeMap::new();
+            let mut cur = 0u64;
+            let mut id = 0;
+            for (op, delay, count) in ops {
+                match op {
+                    // Schedule `count` events `delay` cycles ahead.
+                    0 | 1 => {
+                        for _ in 0..count {
+                            let at = cur + delay;
+                            let entry = reference.entry(at).or_default();
+                            if delay > mask {
+                                entry.1.push((id, at));
+                            } else {
+                                entry.0.push((id, at));
+                            }
+                            q.push(at, (id, at));
+                            id += 1;
+                        }
+                    }
+                    // Step one cycle.
+                    2 => {
+                        cur += 1;
+                        let (wheel, overflowed) = reference.remove(&cur).unwrap_or_default();
+                        let expected: Vec<_> = wheel.into_iter().chain(overflowed).collect();
+                        assert_eq!(take_all(&mut q, cur), expected, "step to {cur}");
+                    }
+                    // Jump to the next scheduled cycle.
+                    _ => {
+                        let expected = reference.keys().next().copied();
+                        assert_eq!(q.next_cycle(), expected, "at {cur}");
+                        if let Some(at) = expected {
+                            cur = at;
+                            let (wheel, overflowed) = reference.remove(&at).unwrap_or_default();
+                            let expected: Vec<_> = wheel.into_iter().chain(overflowed).collect();
+                            assert_eq!(take_all(&mut q, at), expected, "jump to {at}");
+                        }
+                    }
+                }
+            }
+            assert_eq!(q.next_cycle(), reference.keys().next().copied());
+        }
+    }
+
+    #[test]
+    fn an_empty_wheel_answers_from_the_overflow_alone() {
+        let mut q = EventQueue::with_horizon(10, 4);
+        let far = q.mask + 50;
+        q.push(far, (1, 0));
+        q.push(3, (2, 0));
+        assert_eq!(q.next_cycle(), Some(3));
+        assert_eq!(take_all(&mut q, 3), vec![(2, 0)]);
+        // Only the overflowed event is left.
+        assert_eq!(q.next_cycle(), Some(far));
+        assert!(q.take(4).is_none());
+        assert_eq!(q.next_cycle(), Some(far));
+        assert_eq!(take_all(&mut q, far), vec![(1, 0)]);
+        assert_eq!(q.next_cycle(), None);
     }
 
     #[test]

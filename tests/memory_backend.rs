@@ -2,6 +2,8 @@
 //! the paper's flat model, the DRAM/MSHR back-pressure axis, and the
 //! configuration plumbing through `MemoryConfig`.
 
+use koc_bench::experiments::mlp_sensitivity;
+use koc_mem::MemoryStats;
 use koc_sim::{sweep, BackendKind, CommitConfig, DramConfig, MemoryConfig, ProcessorConfig, Suite};
 use koc_workloads::kernels;
 
@@ -146,4 +148,73 @@ fn backend_knobs_flow_through_the_builder() {
     // The whole-backend override wins over per-knob upgrades.
     let flat_again = mem.with_backend(BackendKind::Flat);
     assert_eq!(flat_again.backend, BackendKind::Flat);
+}
+
+/// The `memory_bound` benchmark's four jobs (baseline-32 and cooo 32/2048
+/// on the 16-bank, 16-MSHR DRAM part at 1000-cycle memory, each running
+/// `pointer_chase` and `stream_mlp` at 8000 instructions) must keep their
+/// cycles, retired counts and every memory counter. The cycle and retired
+/// columns are the benchmark's pinned fingerprints; the memory counters
+/// were recorded from the same runs. Nothing else in tier 1 pins DRAM
+/// timing this exactly.
+#[test]
+fn memory_bound_jobs_keep_their_dram_timing() {
+    let machines = [
+        ProcessorConfig::baseline(32, 1000),
+        ProcessorConfig::cooo(32, 2048, 1000),
+    ]
+    .map(|mut c| {
+        c.memory = c.memory.with_dram(mlp_sensitivity::dram(16));
+        c
+    });
+    let results = sweep(machines, &Suite::mlp_contrast().specs(8_000));
+    let got: Vec<_> = results
+        .iter()
+        .flat_map(|r| &r.per_workload)
+        .map(|w| {
+            (
+                w.workload.as_str(),
+                w.stats.cycles,
+                w.stats.committed_instructions,
+                w.stats.memory,
+            )
+        })
+        .collect();
+    let pointer_chase = MemoryStats {
+        data_accesses: 6_400,
+        dl1_hits: 1,
+        dl1_misses: 6_399,
+        l2_hits: 17,
+        l2_misses: 6_382,
+        row_buffer_hits: 9,
+        row_buffer_misses: 16,
+        row_buffer_conflicts: 6_357,
+        ..MemoryStats::default()
+    };
+    let stream_mlp = MemoryStats {
+        data_accesses: 3_776,
+        dl1_misses: 3_776,
+        l2_misses: 3_776,
+        row_buffer_hits: 3_716,
+        row_buffer_misses: 16,
+        row_buffer_conflicts: 44,
+        ..MemoryStats::default()
+    };
+    let expected = vec![
+        // baseline-32+dram
+        ("pointer_chase", 6_967_994, 8_000, pointer_chase),
+        ("stream_mlp", 241_649, 8_024, stream_mlp),
+        // cooo-32/2048+dram: only its window fills every MSHR.
+        ("pointer_chase", 6_967_995, 8_000, pointer_chase),
+        (
+            "stream_mlp",
+            236_581,
+            8_024,
+            MemoryStats {
+                mshr_full_stalls: 242_759_160,
+                ..stream_mlp
+            },
+        ),
+    ];
+    assert_eq!(got, expected);
 }
