@@ -379,7 +379,8 @@ impl InstructionQueue {
     /// (squash on rollback or branch recovery), returning their slots to the
     /// free list. Returns the removed entries in program order.
     pub fn squash_from(&mut self, from: InstId) -> Vec<IqEntry> {
-        let mut out = Vec::new(); // koc-lint: allow(hot-path-alloc, "branch-recovery squash, not per cycle")
+        // Allocates on a branch-recovery squash, not per cycle.
+        let mut out = Vec::new();
         for slot in 0..self.slots.len() {
             let s = &self.slots[slot];
             if s.token != VACANT && s.entry.inst >= from {

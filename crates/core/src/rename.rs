@@ -155,7 +155,9 @@ impl CamRenameMap {
         self.future_free_list
             .drain(..)
             .filter(|p| std::mem::replace(&mut future_free[p.index()], false))
-            .collect() // koc-lint: allow(hot-path-alloc, "once per checkpoint taken: the drained set becomes the closed window's free-on-commit list")
+            // Allocates once per checkpoint taken: the drained set becomes
+            // the closed window's free-on-commit list.
+            .collect()
     }
 
     /// Restores the rename state from a checkpoint snapshot (rollback), and

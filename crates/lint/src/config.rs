@@ -1,6 +1,6 @@
-//! The `lint.toml` configuration: which directories to scan, which modules
-//! are on the per-cycle hot path, which crates the determinism and panic
-//! policies govern.
+//! The `lint.toml` configuration: which directories to scan, which crates
+//! the determinism and panic policies govern, which crate roots must
+//! forbid `unsafe`, and which stats structs the bench report must cover.
 //!
 //! Like everything in this workspace that reads a config format, the parser
 //! is hand-rolled (no external TOML crate): it accepts the small TOML
@@ -18,19 +18,6 @@ pub struct Config {
     pub roots: Vec<String>,
     /// Path prefixes excluded from the scan (fixture trees).
     pub exclude: Vec<String>,
-    /// Per-cycle entry points seeding the call-graph reachability pass:
-    /// `Type::method`, `Trait::method` (fans out to every impl), or a bare
-    /// free-function name.
-    pub entry_points: Vec<String>,
-    /// The pre-reachability hand-listed hot-path files, kept as a
-    /// regression guard: the derived hot set must still cover every file
-    /// here (each must contain at least one hot function).
-    pub legacy_files: Vec<String>,
-    /// Reachability cut points: when the hot walk reaches a function whose
-    /// name (or `Type::name`) is listed here, it is neither enforced nor
-    /// traversed — constructors and other cold code that legitimately
-    /// allocates.
-    pub cold_fns: Vec<String>,
     /// Crate directories where `std::time` and `rand` are forbidden.
     pub determinism_crates: Vec<String>,
     /// Crate directories where `HashMap`/`HashSet` use is policed: point
@@ -79,7 +66,6 @@ impl Config {
                 section = name.trim().to_string();
                 let known = [
                     "workspace",
-                    "hot-path-alloc",
                     "determinism",
                     "panic",
                     "unsafe-policy",
@@ -111,9 +97,6 @@ impl Config {
             match (section.as_str(), key) {
                 ("workspace", "roots") => config.roots = place(&value)?,
                 ("workspace", "exclude") => config.exclude = place(&value)?,
-                ("hot-path-alloc", "entry_points") => config.entry_points = place(&value)?,
-                ("hot-path-alloc", "legacy_files") => config.legacy_files = place(&value)?,
-                ("hot-path-alloc", "cold_fns") => config.cold_fns = place(&value)?,
                 ("determinism", "crates") => config.determinism_crates = place(&value)?,
                 ("determinism", "map_crates") => config.map_crates = place(&value)?,
                 ("panic", "crates") => config.panic_crates = place(&value)?,
@@ -183,17 +166,12 @@ mod tests {
 roots = ["src", "crates"]
 exclude = ["crates/lint/tests/fixtures"]
 
-[hot-path-alloc]
-entry_points = ["Processor::run_capped_observed", "CommitEngine::wake"]
-legacy_files = [
-    "crates/core/src/sliq.rs",  # per-line comment
-    "crates/core/src/iq.rs",
-]
-cold_fns = ["new"]
-
 [determinism]
 crates = ["crates/core"]
-map_crates = ["crates/sim"]
+map_crates = [
+    "crates/sim",  # per-line comment
+    "crates/mem",
+]
 
 [panic]
 crates = ["crates/isa"]
@@ -208,14 +186,7 @@ consumer = "crates/bench/src/report.rs"
         )
         .unwrap();
         assert_eq!(c.roots, ["src", "crates"]);
-        assert_eq!(
-            c.entry_points,
-            ["Processor::run_capped_observed", "CommitEngine::wake"]
-        );
-        assert_eq!(
-            c.legacy_files,
-            ["crates/core/src/sliq.rs", "crates/core/src/iq.rs"]
-        );
+        assert_eq!(c.map_crates, ["crates/sim", "crates/mem"]);
         assert_eq!(c.stats_consumer, "crates/bench/src/report.rs");
     }
 

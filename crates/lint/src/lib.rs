@@ -1,46 +1,41 @@
 //! `koc-lint`: repo-native static analysis for the koc workspace.
 //!
 //! The simulator's correctness claims rest on properties `rustc` does not
-//! check: the per-cycle hot path must not allocate, cycle counts must be
-//! bit-exact across runs (so no hash-order iteration, no wall-clock, no
-//! unseeded randomness in the simulation crates), library code must not
-//! panic without a written justification, and no crate may contain
-//! `unsafe`. This crate turns each of those conventions into a named,
+//! check: cycle counts must be bit-exact across runs (so no hash-order
+//! iteration, no wall-clock, no unseeded randomness in the simulation
+//! crates), library code must not panic without a written justification,
+//! no crate may contain `unsafe`, and every public stat must reach the
+//! bench report. This crate turns each of those conventions into a named,
 //! machine-checked rule over a hand-rolled Rust lexer — in the same
 //! no-external-dependencies style as `koc_isa::json` — so CI fails when a
 //! change violates one, instead of a human noticing in review (or a
-//! nondeterministic benchmark noticing much later).
+//! nondeterministic benchmark noticing much later). Each rule is scoped to
+//! the crates `lint.toml` names.
 //!
-//! The hot-path rules are *derived*, not hand-listed: a workspace call
-//! graph ([`graph`]) is built from the same token streams, seeded from the
-//! per-cycle `entry_points` declared in `lint.toml`, and walked into a hot
-//! set ([`reach`]) cut at `cold_fns`. Allocation, determinism, and panic
-//! enforcement then follow the hot path wherever it actually goes —
-//! including files the old hand list never named (`hot-path-indirect`) —
-//! and every finding cites its seeding chain.
+//! "Steady-state simulation does not allocate" is not a lint rule: a
+//! token pattern misses every spelling it does not list (a turbofish,
+//! `.to_string()`) and every allocation behind a trait method or in
+//! another crate. `tests/alloc_gate.rs` measures it instead, with a
+//! counting global allocator over the whole simulator.
 //!
 //! Rules are suppressible per line with
 //! `// koc-lint: allow(<rule>, "reason")`; the reason is mandatory, and a
 //! marker that suppresses nothing is itself reported, so the set of waivers
 //! in the tree stays live and auditable. Findings are emitted both
 //! human-readable and as machine-readable JSON (the `koc-lint/1` schema)
-//! for CI artifacts; the derived call graph ships as `koc-callgraph/1`.
+//! for CI artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod graph;
 pub mod lex;
-pub mod reach;
 pub mod rules;
 pub mod scan;
 
 pub use config::Config;
 pub use rules::Finding;
 
-use graph::CallGraph;
-use reach::{GraphReport, HotMarks, Reachability};
 use scan::FileScan;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -58,8 +53,6 @@ pub struct LintReport {
     pub errors: usize,
     /// Unsuppressed findings with severity `warning`.
     pub warnings: usize,
-    /// Functions on the derived per-cycle hot path.
-    pub hot_fns: usize,
     /// The unsuppressed findings, sorted by file, line, rule.
     pub findings: Vec<Finding>,
 }
@@ -89,24 +82,18 @@ pub struct Waiver {
     pub live: bool,
 }
 
-/// Everything one lint run produces: the gating report, the derived call
-/// graph, the waiver inventory, and how long graph construction took.
+/// Everything one lint run produces: the gating report and the waiver
+/// inventory.
 #[derive(Debug)]
 pub struct Analysis {
     /// The findings report (the `koc-lint/1` document).
     pub report: LintReport,
-    /// The derived call graph with hot marks (the `koc-callgraph/1`
-    /// document, written by `--out-graph`).
-    pub graph: GraphReport,
     /// Every suppression marker in the tree, live or stale.
     pub waivers: Vec<Waiver>,
-    /// Wall-clock seconds spent building the graph and reachability (kept
-    /// visible so graph-construction cost shows up in CI logs).
-    pub graph_seconds: f64,
 }
 
-/// Lints the workspace at `root` under `config`: scan, build the call
-/// graph, derive the hot set, run every rule, apply suppressions.
+/// Lints the workspace at `root` under `config`: scan, run every rule,
+/// apply suppressions.
 ///
 /// # Errors
 /// Returns a message when a configured scan root cannot be read. Rule
@@ -134,67 +121,9 @@ pub fn analyze(root: &Path, config: &Config) -> Result<Analysis, String> {
         scans.push(FileScan::new(rel, &source));
     }
 
-    // std::time is fine here: koc-lint is tooling, not a simulation crate
-    // (and lint.toml's determinism scope does not include it).
-    let t0 = std::time::Instant::now();
-    let graph = CallGraph::build(&scans);
-    let reach = Reachability::compute(&graph, &config.entry_points, &config.cold_fns);
-    let graph_seconds = t0.elapsed().as_secs_f64();
-
     let mut findings = Vec::new();
-    // Configuration errors in the graph seeding are findings under the
-    // unsuppressable `callgraph` rule: a typo'd entry point must fail the
-    // run, not silently shrink the protected set.
-    for spec in &reach.unresolved {
-        findings.push(Finding {
-            rule: "callgraph".to_string(),
-            severity: "error".to_string(),
-            file: "lint.toml".to_string(),
-            line: 1,
-            message: format!(
-                "entry point `{spec}` resolves to no function in the scan — \
-                 fix the spec or remove it from entry_points"
-            ),
-        });
-    }
-    // Regression guard for the hand-list → derived transition: every file
-    // the old list protected must still contain at least one hot function.
-    for legacy in &config.legacy_files {
-        let Some(fi) = scans.iter().position(|s| &s.path == legacy) else {
-            findings.push(Finding {
-                rule: "callgraph".to_string(),
-                severity: "error".to_string(),
-                file: legacy.clone(),
-                line: 1,
-                message: "legacy_files entry was not found in the scan — \
-                          fix the path or drop it"
-                    .to_string(),
-            });
-            continue;
-        };
-        let any_hot = graph.global_of[fi]
-            .iter()
-            .any(|&gid| reach.hot[gid as usize]);
-        if !any_hot {
-            findings.push(Finding {
-                rule: "callgraph".to_string(),
-                severity: "error".to_string(),
-                file: legacy.clone(),
-                line: 1,
-                message: "no function in this legacy hot-path file is \
-                          reachable from the configured entry_points — the \
-                          derived hot set regressed below the hand-listed \
-                          baseline; add the missing entry point (or drop \
-                          the file from legacy_files if it is genuinely \
-                          cold now)"
-                    .to_string(),
-            });
-        }
-    }
-
-    for (fi, scan) in scans.iter().enumerate() {
-        let hot = HotMarks::for_file(&graph, &reach, fi);
-        rules::check_file(scan, config, &hot, &mut findings);
+    for scan in &scans {
+        rules::check_file(scan, config, &mut findings);
         for (line, message) in &scan.bad_markers {
             findings.push(Finding {
                 rule: "suppression".to_string(),
@@ -208,20 +137,12 @@ pub fn analyze(root: &Path, config: &Config) -> Result<Analysis, String> {
     rules::check_crate_roots(&scans, config, &mut findings);
     rules::check_stats_coverage(&scans, config, &mut findings);
 
-    let paths: Vec<String> = scans.iter().map(|s| s.path.clone()).collect();
-    let graph_report = GraphReport::new(&graph, &reach, &paths);
-    let (mut report, waivers) = apply_suppressions(scans, findings);
-    report.hot_fns = reach.hot_count();
-    Ok(Analysis {
-        report,
-        graph: graph_report,
-        waivers,
-        graph_seconds,
-    })
+    let (report, waivers) = apply_suppressions(scans, findings);
+    Ok(Analysis { report, waivers })
 }
 
 /// Lints the workspace and returns just the findings report. See
-/// [`analyze`] for the full result (graph, waivers, timing).
+/// [`analyze`] for the waiver inventory too.
 ///
 /// # Errors
 /// Returns a message when a configured scan root cannot be read.
@@ -238,9 +159,8 @@ fn apply_suppressions(scans: Vec<FileScan>, raw: Vec<Finding>) -> (LintReport, V
     let mut used: Vec<Vec<bool>> = scans.iter().map(|s| vec![false; s.allows.len()]).collect();
 
     for finding in raw {
-        // Malformed-marker and graph-infrastructure findings are
-        // themselves unsuppressable.
-        let covering = (finding.rule != "suppression" && finding.rule != "callgraph")
+        // Malformed-marker findings are themselves unsuppressable.
+        let covering = (finding.rule != "suppression")
             .then(|| {
                 scans.iter().enumerate().find_map(|(si, s)| {
                     if s.path != finding.file {
@@ -306,7 +226,6 @@ fn apply_suppressions(scans: Vec<FileScan>, raw: Vec<Finding>) -> (LintReport, V
         suppressed,
         errors,
         warnings,
-        hot_fns: 0,
         findings: live,
     };
     (report, waivers)
@@ -397,22 +316,5 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"schema\":\"koc-lint/1\""), "{json}");
         assert!(json.contains("\"findings\":[]"), "{json}");
-    }
-
-    #[test]
-    fn callgraph_findings_cannot_be_waived() {
-        let scans = vec![FileScan::new(
-            "lint.toml.rs".into(), // any scanned file
-            "fn f() {}\n",
-        )];
-        let raw = vec![Finding {
-            rule: "callgraph".into(),
-            severity: "error".into(),
-            file: "lint.toml".into(),
-            line: 1,
-            message: "m".into(),
-        }];
-        let (report, _) = apply_suppressions(scans, raw);
-        assert_eq!(report.errors, 1);
     }
 }

@@ -1,17 +1,14 @@
 //! `koc-lint` — static analysis gate for the koc workspace.
 //!
 //! ```text
-//! koc-lint [--root DIR] [--config PATH] [--out PATH] [--out-graph PATH]
-//!          [--list-waivers] [--quiet]
+//! koc-lint [--root DIR] [--config PATH] [--out PATH] [--list-waivers]
+//!          [--quiet]
 //! ```
 //!
-//! Scans the workspace, derives the per-cycle hot set from the call graph
-//! seeded at `lint.toml`'s `entry_points`, checks the hot-path-alloc /
-//! hot-path-indirect, determinism, panic, unsafe-policy and stats-coverage
-//! rules, prints human-readable findings (each citing its seeding chain),
-//! optionally writes the machine-readable JSON report (`--out`) and the
-//! derived call graph (`--out-graph`, `koc-callgraph/1`), and exits nonzero
-//! when any unsuppressed finding remains. `--list-waivers` enumerates every
+//! Scans the workspace, checks the determinism, panic, unsafe-policy and
+//! stats-coverage rules, prints human-readable findings, optionally writes
+//! the machine-readable JSON report (`--out`), and exits nonzero when any
+//! unsuppressed finding remains. `--list-waivers` enumerates every
 //! `// koc-lint: allow(...)` marker in the tree with its justification.
 
 #![forbid(unsafe_code)]
@@ -22,12 +19,11 @@ use std::process::ExitCode;
 
 fn usage() -> &'static str {
     "usage: koc-lint [--root DIR] [--config PATH] [--out PATH] \
-     [--out-graph PATH] [--list-waivers] [--quiet]\n\
+     [--list-waivers] [--quiet]\n\
      \n\
      --root DIR       workspace root to scan (default: current directory)\n\
      --config PATH    lint config (default: <root>/lint.toml)\n\
      --out PATH       also write the JSON findings report here\n\
-     --out-graph PATH also write the derived call graph (koc-callgraph/1)\n\
      --list-waivers   list every allow marker with its reason, then exit\n\
      --quiet          print only the summary line"
 }
@@ -36,7 +32,6 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut config_path: Option<PathBuf> = None;
     let mut out_path: Option<PathBuf> = None;
-    let mut graph_path: Option<PathBuf> = None;
     let mut list_waivers = false;
     let mut quiet = false;
 
@@ -54,10 +49,6 @@ fn main() -> ExitCode {
             "--out" => match args.next() {
                 Some(v) => out_path = Some(PathBuf::from(v)),
                 None => return fail("--out needs a value"),
-            },
-            "--out-graph" => match args.next() {
-                Some(v) => graph_path = Some(PathBuf::from(v)),
-                None => return fail("--out-graph needs a value"),
             },
             "--list-waivers" => list_waivers = true,
             "--quiet" => quiet = true,
@@ -108,11 +99,6 @@ fn main() -> ExitCode {
             return fail(&format!("cannot write {}: {e}", out.display()));
         }
     }
-    if let Some(out) = &graph_path {
-        if let Err(e) = std::fs::write(out, analysis.graph.to_json()) {
-            return fail(&format!("cannot write {}: {e}", out.display()));
-        }
-    }
 
     if !quiet {
         for f in &report.findings {
@@ -123,16 +109,14 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "koc-lint: {} files, {} hot fns, {} errors, {} warnings, {} \
-         suppressed — {} ({:.2}s total, {:.2}s call graph)",
+        "koc-lint: {} files, {} errors, {} warnings, {} suppressed — {} \
+         ({:.2}s)",
         report.files_scanned,
-        report.hot_fns,
         report.errors,
         report.warnings,
         report.suppressed,
         if report.passed() { "clean" } else { "FAILED" },
         total_seconds,
-        analysis.graph_seconds,
     );
     if report.passed() {
         ExitCode::SUCCESS

@@ -5,16 +5,14 @@
 
 use crate::config::Config;
 use crate::lex::TokKind;
-use crate::reach::HotMarks;
 use crate::scan::FileScan;
 use serde::Serialize;
 
 /// One reported violation.
 #[derive(Debug, Clone, Serialize)]
 pub struct Finding {
-    /// Rule name (`hot-path-alloc`, `hot-path-indirect`, `determinism`,
-    /// `panic`, `unsafe-policy`, `stats-coverage`, `suppression`,
-    /// `callgraph`).
+    /// Rule name (`determinism`, `panic`, `unsafe-policy`,
+    /// `stats-coverage`, `suppression`).
     pub rule: String,
     /// `"error"` or `"warning"` — informational only: *any* unsuppressed
     /// finding fails the run.
@@ -79,125 +77,36 @@ fn is_bin(path: &str) -> bool {
     path.contains("/bin/") || path.ends_with("/main.rs")
 }
 
-/// Runs every per-file rule on one scan. `hot` carries the call-graph
-/// reachability marks for this file: the alloc rule is enforced on exactly
-/// the hot functions, and the determinism/panic rules — normally scoped to
-/// the crates configured in `lint.toml` — additionally follow the hot path
-/// into any crate it escapes to.
-pub fn check_file(scan: &FileScan, config: &Config, hot: &HotMarks, findings: &mut Vec<Finding>) {
-    hot_path_alloc(scan, config, hot, findings);
+/// Runs every per-file rule on one scan, each within the crates
+/// `lint.toml` scopes it to.
+pub fn check_file(scan: &FileScan, config: &Config, findings: &mut Vec<Finding>) {
     if in_crate_src(&scan.path, &config.determinism_crates) {
-        determinism_sources(scan, None, findings);
-    } else if hot.any_hot() {
-        determinism_sources(scan, Some(hot), findings);
+        determinism_sources(scan, findings);
     }
     if in_crate_src(&scan.path, &config.map_crates) {
-        determinism_maps(scan, None, findings);
-    } else if hot.any_hot() {
-        determinism_maps(scan, Some(hot), findings);
+        determinism_maps(scan, findings);
     }
     if in_crate_src(&scan.path, &config.panic_crates) && !is_bin(&scan.path) {
-        panic_policy(scan, None, findings);
-    } else if hot.any_hot() && !is_bin(&scan.path) {
-        panic_policy(scan, Some(hot), findings);
+        panic_policy(scan, findings);
     }
     unsafe_tokens(scan, findings);
 }
 
-/// `hot-path-alloc` / `hot-path-indirect`: allocation constructors are
-/// banned in every function reachable from the configured `entry_points`
-/// (cut at `cold_fns`). Findings in files the old hand-list knew about keep
-/// the `hot-path-alloc` name (so existing waivers stay valid); findings in
-/// files the list missed get `hot-path-indirect` — the wider net the
-/// call graph casts. Either way the message cites the seeding chain.
-fn hot_path_alloc(scan: &FileScan, config: &Config, hot: &HotMarks, findings: &mut Vec<Finding>) {
-    let legacy = config.legacy_files.iter().any(|f| f == &scan.path);
-    for i in 0..scan.code.len() {
-        if scan.in_test[i] {
-            continue;
-        }
-        let Some(chain) = hot.chain_at(i) else {
-            continue;
-        };
-        let what = if scan.matches(i, &["Vec", ":", ":", "new"])
-            || scan.matches(i, &["Vec", ":", ":", "with_capacity"])
-        {
-            Some("Vec construction")
-        } else if scan.matches(i, &["Box", ":", ":", "new"]) {
-            Some("Box::new")
-        } else if scan.matches(i, &["String", ":", ":", "from"])
-            || scan.matches(i, &["String", ":", ":", "new"])
-        {
-            Some("String construction")
-        } else if scan.matches(i, &["vec", "!"]) {
-            Some("vec! macro")
-        } else if scan.matches(i, &["format", "!"]) {
-            Some("format! macro")
-        } else if scan.matches(i, &[".", "collect"]) {
-            Some(".collect()")
-        } else if scan.matches(i, &[".", "to_vec"]) {
-            Some(".to_vec()")
-        } else {
-            None
-        };
-        if let Some(what) = what {
-            let line = scan.tok(i).line;
-            let rule = if legacy {
-                "hot-path-alloc"
-            } else {
-                "hot-path-indirect"
-            };
-            findings.push(Finding::error(
-                rule,
-                scan,
-                line,
-                format!(
-                    "{what} in per-cycle code (hot via {chain}) — allocate \
-                     in a constructor (cold fn) instead, justify with \
-                     `// koc-lint: allow({rule}, \"reason\")`, or cut the \
-                     function with a `cold_fns` entry if it is genuinely \
-                     cold"
-                ),
-            ));
-        }
-    }
-}
-
-/// Scope suffix for a finding outside the rule's crate list that was
-/// reached through the hot path.
-fn via(chain: Option<&str>) -> String {
-    match chain {
-        Some(c) => format!(" (hot via {c})"),
-        None => String::new(),
-    }
-}
-
 /// `determinism` (sources): wall-clock time and unseeded randomness are
-/// banned in the simulation crates outright, and — when `hot` is given —
-/// in any hot function elsewhere.
-fn determinism_sources(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<Finding>) {
+/// banned in the simulation crates.
+fn determinism_sources(scan: &FileScan, findings: &mut Vec<Finding>) {
     for i in 0..scan.code.len() {
         if scan.in_test[i] {
             continue;
         }
-        let chain = match hot {
-            None => None,
-            Some(h) => match h.chain_at(i) {
-                Some(c) => Some(c),
-                None => continue,
-            },
-        };
         if scan.matches(i, &["std", ":", ":", "time"]) {
             findings.push(Finding::error(
                 "determinism",
                 scan,
                 scan.tok(i).line,
-                format!(
-                    "std::time in simulation code{} — wall-clock reads break \
-                     bit-exact reproducibility; derive timing from cycle \
-                     counts",
-                    via(chain)
-                ),
+                "std::time in simulation code — wall-clock reads break \
+                 bit-exact reproducibility; derive timing from cycle counts"
+                    .to_string(),
             ));
         }
         if scan.tok(i).is_ident("rand")
@@ -207,11 +116,9 @@ fn determinism_sources(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut V
                 "determinism",
                 scan,
                 scan.tok(i).line,
-                format!(
-                    "`rand` in simulation code{} — randomness belongs only \
-                     in seeded workload generation (koc-workloads)",
-                    via(chain)
-                ),
+                "`rand` in simulation code — randomness belongs only in \
+                 seeded workload generation (koc-workloads)"
+                    .to_string(),
             ));
         }
     }
@@ -219,15 +126,8 @@ fn determinism_sources(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut V
 
 /// `determinism` (maps): `HashMap`/`HashSet` presence is a warning (prefer
 /// a `BTreeMap`/`BTreeSet` or a dense `Vec`); iterating one is a hard error, because iteration
-/// order depends on the hasher and breaks cycle-exact determinism. With
-/// `hot` given, only violations inside hot functions are reported (the
-/// bindings are still collected file-wide, so a hot loop over a cold-side
-/// field is caught).
-fn determinism_maps(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<Finding>) {
-    let gate = |i: usize| match hot {
-        None => Some(None),
-        Some(h) => h.chain_at(i).map(Some),
-    };
+/// order depends on the hasher and breaks cycle-exact determinism.
+fn determinism_maps(scan: &FileScan, findings: &mut Vec<Finding>) {
     // Pass 1: flag every type mention and collect the binding names
     // declared with a hash-map type (`name: HashMap<…>`, possibly behind a
     // `std::collections::` path, or `let name = HashMap::new()`).
@@ -240,20 +140,17 @@ fn determinism_maps(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<
         if t.kind != TokKind::Ident || (t.text != "HashMap" && t.text != "HashSet") {
             continue;
         }
-        if let Some(chain) = gate(i) {
-            findings.push(Finding::warning(
-                "determinism",
-                scan,
-                t.line,
-                format!(
-                    "{} in simulation code{} — use a BTreeMap/BTreeSet \
-                     (ordered, no hashing) or a dense Vec indexed by \
-                     handle; iteration over it is a hard error",
-                    t.text,
-                    via(chain)
-                ),
-            ));
-        }
+        findings.push(Finding::warning(
+            "determinism",
+            scan,
+            t.line,
+            format!(
+                "{} in simulation code — use a BTreeMap/BTreeSet (ordered, \
+                 no hashing) or a dense Vec indexed by handle; iteration \
+                 over it is a hard error",
+                t.text
+            ),
+        ));
         // Walk back over `ident ::` path segments to the head of the path.
         let mut j = i;
         while j >= 3
@@ -283,9 +180,6 @@ fn determinism_maps(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<
         if t.kind != TokKind::Ident || !bindings.contains(&t.text) {
             continue;
         }
-        let Some(chain) = gate(i) else {
-            continue;
-        };
         if scan.code.get(i + 1).is_some() && scan.tok(i + 1).is_punct('.') {
             let m = &scan.tok(i + 2);
             if m.kind == TokKind::Ident && MAP_ITER_METHODS.contains(&m.text.as_str()) {
@@ -294,12 +188,10 @@ fn determinism_maps(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<
                     scan,
                     t.line,
                     format!(
-                        ".{}() iterates hash-map `{}` in storage order{} — \
+                        ".{}() iterates hash-map `{}` in storage order — \
                          nondeterministic; use a BTreeMap or a dense Vec \
                          with stable indices",
-                        m.text,
-                        t.text,
-                        via(chain)
+                        m.text, t.text
                     ),
                 ));
             }
@@ -324,10 +216,9 @@ fn determinism_maps(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<
                     t.line,
                     format!(
                         "`for … in {}` iterates a hash map in storage \
-                         order{} — nondeterministic; use a BTreeMap or a \
+                         order — nondeterministic; use a BTreeMap or a \
                          dense Vec with stable indices",
-                        t.text,
-                        via(chain)
+                        t.text
                     ),
                 ));
             }
@@ -336,20 +227,11 @@ fn determinism_maps(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<
 }
 
 /// `panic`: library code must justify every `unwrap`/`expect`/`panic!`.
-/// With `hot` given, enforcement follows the hot path into crates outside
-/// the configured `panic` crate list.
-fn panic_policy(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<Finding>) {
+fn panic_policy(scan: &FileScan, findings: &mut Vec<Finding>) {
     for i in 0..scan.code.len() {
         if scan.in_test[i] {
             continue;
         }
-        let chain = match hot {
-            None => None,
-            Some(h) => match h.chain_at(i) {
-                Some(c) => Some(c),
-                None => continue,
-            },
-        };
         let what = if scan.matches(i, &[".", "unwrap", "("]) {
             Some(".unwrap()")
         } else if scan.matches(i, &[".", "expect", "("]) {
@@ -365,10 +247,9 @@ fn panic_policy(scan: &FileScan, hot: Option<&HotMarks>, findings: &mut Vec<Find
                 scan,
                 scan.tok(i).line,
                 format!(
-                    "{what} in library code{} — return an error or justify \
+                    "{what} in library code — return an error or justify \
                      the invariant with `// koc-lint: allow(panic, \
-                     \"reason\")`",
-                    via(chain)
+                     \"reason\")`"
                 ),
             ));
         }
@@ -534,8 +415,6 @@ fn pub_fields(scan: &FileScan, struct_name: &str) -> Vec<(String, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::CallGraph;
-    use crate::reach::Reachability;
 
     fn scan(src: &str) -> FileScan {
         FileScan::new("crates/sim/src/x.rs".into(), src)
@@ -544,9 +423,6 @@ mod tests {
     fn cfg() -> Config {
         Config {
             roots: vec!["crates".into()],
-            entry_points: vec!["X::tick".into(), "S::tick".into(), "tick".into()],
-            legacy_files: vec!["crates/sim/src/x.rs".into()],
-            cold_fns: vec!["new".into()],
             determinism_crates: vec!["crates/sim".into()],
             map_crates: vec!["crates/sim".into()],
             panic_crates: vec!["crates/sim".into()],
@@ -554,61 +430,10 @@ mod tests {
         }
     }
 
-    fn run_at(path: &str, src: &str, config: &Config) -> Vec<Finding> {
-        let scans = vec![FileScan::new(path.into(), src)];
-        let graph = CallGraph::build(&scans);
-        let reach = Reachability::compute(&graph, &config.entry_points, &config.cold_fns);
-        let hot = HotMarks::for_file(&graph, &reach, 0);
-        let mut f = Vec::new();
-        check_file(&scans[0], config, &hot, &mut f);
-        f
-    }
-
     fn run(src: &str) -> Vec<Finding> {
-        run_at("crates/sim/src/x.rs", src, &cfg())
-    }
-
-    #[test]
-    fn allocs_flagged_in_hot_fns_not_cold_or_tests() {
-        let f = run("impl X {\n fn new() -> X { let v = Vec::new(); X }\n fn tick(&mut self) { let v = Vec::new(); }\n}\n#[cfg(test)]\nmod t { fn u() { let v = Vec::new(); } }\n");
-        let hot: Vec<_> = f.iter().filter(|f| f.rule == "hot-path-alloc").collect();
-        assert_eq!(hot.len(), 1, "{f:?}");
-        assert_eq!(hot[0].line, 3);
-        assert!(
-            hot[0].message.contains("hot via X::tick"),
-            "{}",
-            hot[0].message
-        );
-    }
-
-    #[test]
-    fn indirect_rule_names_the_chain_outside_legacy_files() {
-        // File outside every crate scope and outside legacy_files: the
-        // call graph alone convicts `helper` via X::tick.
-        let src = "struct X;\nimpl X {\n fn tick(&mut self) { helper(); }\n}\n\
-                   fn helper(x: Option<u8>) { let v = Vec::new(); let _ = x.unwrap(); }\n";
-        let f = run_at("crates/bench/src/helper.rs", src, &cfg());
-        let alloc: Vec<_> = f.iter().filter(|f| f.rule == "hot-path-indirect").collect();
-        assert_eq!(alloc.len(), 1, "{f:?}");
-        assert!(
-            alloc[0].message.contains("X::tick → helper"),
-            "{}",
-            alloc[0].message
-        );
-        // The panic rule follows the hot path out of the configured crates.
-        let p: Vec<_> = f.iter().filter(|f| f.rule == "panic").collect();
-        assert_eq!(p.len(), 1, "{f:?}");
-        assert!(p[0].message.contains("hot via X::tick → helper"));
-    }
-
-    #[test]
-    fn cold_fn_cut_point_suppresses_indirect_findings() {
-        let src = "struct X;\nimpl X {\n fn tick(&mut self) { helper(); }\n}\n\
-                   fn helper() { let v = Vec::new(); }\n";
-        let mut config = cfg();
-        config.cold_fns.push("helper".into());
-        let f = run_at("crates/bench/src/helper.rs", src, &config);
-        assert!(!f.iter().any(|f| f.rule.starts_with("hot-path")), "{f:?}");
+        let mut f = Vec::new();
+        check_file(&scan(src), &cfg(), &mut f);
+        f
     }
 
     #[test]

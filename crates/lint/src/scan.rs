@@ -4,17 +4,10 @@
 
 use crate::lex::{lex, TokKind, Token};
 
-/// The rule names suppressions may reference. (`suppression` and
-/// `callgraph` findings are infrastructure errors and deliberately absent:
-/// they cannot be waived.)
-pub const RULES: &[&str] = &[
-    "hot-path-alloc",
-    "hot-path-indirect",
-    "determinism",
-    "panic",
-    "unsafe-policy",
-    "stats-coverage",
-];
+/// The rule names suppressions may reference. (`suppression` findings
+/// report broken markers and are deliberately absent: they cannot be
+/// waived.)
+pub const RULES: &[&str] = &["determinism", "panic", "unsafe-policy", "stats-coverage"];
 
 /// One parsed suppression marker.
 #[derive(Debug, Clone)]

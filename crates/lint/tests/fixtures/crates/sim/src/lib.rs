@@ -3,10 +3,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod driver;
-pub mod engines;
-pub mod graphy;
-pub mod hot;
 pub mod maps;
 pub mod panics;
 pub mod stats;

@@ -2,16 +2,11 @@
 //! the full JSON report against `tests/fixtures/golden.json`.
 //!
 //! The fixture tree holds one deliberate violation (and one deliberate
-//! non-violation) per rule behaviour: hot-path allocations with a cold-fn
-//! and `#[cfg(test)]` exemption, hash-map point use vs iteration, wall-clock
-//! and `rand` bans, unjustified panics, a crate root missing
-//! `#![forbid(unsafe_code)]`, an uncovered stats field, and malformed /
-//! stale suppression markers. The call-graph cases live in `driver.rs`
-//! (the `Driver::cycle` entry point), `graphy.rs` (cross-module helper,
-//! closure-attributed call, self-recursion, `setup` cut point), and
-//! `engines.rs` (trait-dispatch fan-out convicting one impl of two); the
-//! unresolvable `Ghost::cycle` entry pins the `callgraph` finding.
-//! Regenerate the golden after an intentional rule change with:
+//! non-violation) per rule behaviour: hash-map point use vs iteration,
+//! wall-clock and `rand` bans, unjustified panics with a `#[cfg(test)]`
+//! exemption, a crate root missing `#![forbid(unsafe_code)]`, an uncovered
+//! stats field, and malformed / stale suppression markers. Regenerate the
+//! golden after an intentional rule change with:
 //!
 //! ```text
 //! cargo run -p koc-lint -- --root crates/lint/tests/fixtures \
@@ -56,23 +51,20 @@ fn fixture_tree_fails_and_counts_line_up() {
     // Every rule (and the suppression meta-rule) appears at least once, so
     // the fixture keeps exercising the full rule set.
     for rule in [
-        "hot-path-alloc",
-        "hot-path-indirect",
         "determinism",
         "panic",
         "unsafe-policy",
         "stats-coverage",
         "suppression",
-        "callgraph",
     ] {
         assert!(
             report.findings.iter().any(|f| f.rule == rule),
             "no fixture finding for rule {rule}"
         );
     }
-    // The three well-formed markers (hot.rs to_vec, maps.rs use-line
-    // HashMap warning, panics.rs expect) all suppress something.
-    assert_eq!(report.suppressed, 3);
+    // The two well-formed live markers (maps.rs use-line HashMap warning,
+    // panics.rs expect) both suppress something.
+    assert_eq!(report.suppressed, 2);
 }
 
 #[test]
@@ -85,7 +77,7 @@ fn suppressions_are_line_and_rule_scoped() {
     assert!(!report
         .findings
         .iter()
-        .any(|f| f.file.ends_with("hot.rs") && f.rule == "hot-path-alloc" && f.line == 30));
+        .any(|f| f.file.ends_with("maps.rs") && f.rule == "determinism" && f.line == 4));
     assert!(!report
         .findings
         .iter()
@@ -94,46 +86,9 @@ fn suppressions_are_line_and_rule_scoped() {
     assert!(report
         .findings
         .iter()
-        .any(|f| f.file.ends_with("hot.rs") && f.rule == "hot-path-alloc"));
+        .any(|f| f.file.ends_with("maps.rs") && f.rule == "determinism"));
     assert!(report
         .findings
         .iter()
         .any(|f| f.file.ends_with("panics.rs") && f.rule == "panic"));
-}
-
-#[test]
-fn callgraph_cases_resolve_as_designed() {
-    let root = fixture_root();
-    let config = Config::load(&root.join("lint.toml")).expect("fixture lint.toml parses");
-    let report = lint_root(&root, &config).expect("fixture tree lints");
-
-    // Trait fan-out: the generic `e.kick()` call convicts the allocating
-    // impl and names the seeding chain; the clean impl stays clean.
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.file.ends_with("engines.rs")
-            && f.rule == "hot-path-indirect"
-            && f.message.contains("Driver::cycle → drive → Bursty::kick")));
-    // Closure attribution: `leaf` is reached only through a closure body.
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.file.ends_with("graphy.rs") && f.message.contains("closure_capture → leaf")));
-    // The `setup` cold-fn cut: everything at or below it is unenforced.
-    assert!(!report
-        .findings
-        .iter()
-        .any(|f| f.file.ends_with("graphy.rs") && f.line >= 45));
-    // Files in legacy_files keep the legacy rule name.
-    assert!(report
-        .findings
-        .iter()
-        .filter(|f| f.file.ends_with("hot.rs"))
-        .all(|f| f.rule == "hot-path-alloc"));
-    // The unresolvable entry point surfaces as an unwaivable config error.
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.rule == "callgraph" && f.message.contains("Ghost::cycle")));
 }

@@ -1,19 +1,19 @@
-//! Property test: the item parser and call-graph builder never panic, no
-//! matter how mangled the input source is. The parser walks raw token
-//! streams with hand-maintained depth counters and index arithmetic — the
-//! classic place for an off-by-one on unbalanced braces or a truncated
-//! `impl` header — so we throw random fragment soup at it and require
-//! graceful degradation (garbage in, empty-or-partial graph out, never a
-//! crash).
+//! Property test: the lexer, the structural scan and the token rules
+//! never panic, no matter how mangled the input source is. They walk raw
+//! token streams with hand-maintained depth counters and index arithmetic
+//! — the classic place for an off-by-one on unbalanced braces, a truncated
+//! attribute or a pattern that runs off the end of the stream — so we
+//! throw random fragment soup at them and require graceful degradation
+//! (garbage in, some findings out, never a crash).
 
-use koc_lint::graph::{parse_items, CallGraph};
-use koc_lint::reach::Reachability;
+use koc_lint::config::Config;
+use koc_lint::rules;
 use koc_lint::scan::FileScan;
 use proptest::prelude::*;
 
-/// Fragments chosen to hit the parser's decision points: item keywords,
-/// receivers, qualified paths, closures, generics, and stray delimiters
-/// that never balance.
+/// Fragments chosen to hit the scanner's and the rules' decision points:
+/// item keywords, attributes, paths, hash-map bindings and iteration,
+/// panicking calls, comments and stray delimiters that never balance.
 const FRAGMENTS: &[&str] = &[
     "fn",
     "impl",
@@ -63,6 +63,21 @@ const FRAGMENTS: &[&str] = &[
     "self.m()",
     "vec![",
     "// c\n",
+    "HashMap",
+    "m: HashMap<u64, u64>",
+    "in",
+    "in &self.m",
+    ".values()",
+    "std::time",
+    "rand::",
+    "use",
+    ".unwrap(",
+    ".expect(",
+    "panic!",
+    "unsafe",
+    "#![forbid(unsafe_code)]",
+    "// koc-lint: allow(panic, \"r\")\n",
+    "// koc-lint: allow(nope)\n",
 ];
 
 fn soup() -> impl Strategy<Value = String> {
@@ -83,31 +98,25 @@ fn soup() -> impl Strategy<Value = String> {
 proptest! {
     #[test]
     fn parser_never_panics_on_fragment_soup(src in soup()) {
-        let scan = FileScan::new("crates/sim/src/fuzz.rs".to_string(), &src);
-        let items = parse_items(&scan);
-        // Whatever was recovered must stay consistent with the scan: the
-        // attribution map is parallel to the code-token list and only
-        // points at functions that exist.
-        prop_assert_eq!(items.node_at.len(), scan.code.len());
-        for local in items.node_at.iter().flatten() {
-            prop_assert!((*local as usize) < items.fns.len());
-        }
-        for f in &items.fns {
+        let path = "crates/sim/src/fuzz.rs";
+        let scan = FileScan::new(path.to_string(), &src);
+        // The test-region marks are parallel to the code-token list.
+        prop_assert_eq!(scan.in_test.len(), scan.code.len());
+        // Every token rule runs on the soup: the file sits in each rule's
+        // crate scope.
+        let scope = vec!["crates/sim".to_string()];
+        let config = Config {
+            roots: vec!["crates".to_string()],
+            determinism_crates: scope.clone(),
+            map_crates: scope.clone(),
+            panic_crates: scope,
+            ..Config::default()
+        };
+        let mut findings = Vec::new();
+        rules::check_file(&scan, &config, &mut findings);
+        for f in &findings {
             prop_assert!(f.line >= 1);
+            prop_assert_eq!(f.file.as_str(), path);
         }
-    }
-
-    #[test]
-    fn graph_and_reachability_never_panic(src in soup(), src2 in soup()) {
-        let scans = vec![
-            FileScan::new("crates/sim/src/a.rs".to_string(), &src),
-            FileScan::new("crates/core/src/b.rs".to_string(), &src2),
-        ];
-        let graph = CallGraph::build(&scans);
-        let entries = ["tick".to_string(), "Type::cycle".to_string()];
-        let cold = ["new".to_string()];
-        let reach = Reachability::compute(&graph, &entries, &cold);
-        // Hot count can never exceed the number of parsed functions.
-        prop_assert!(reach.hot_count() <= graph.nodes.len());
     }
 }

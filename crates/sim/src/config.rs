@@ -23,8 +23,13 @@ pub enum RegisterModel {
         phys_regs: usize,
     },
     /// Ephemeral / virtual registers (Figure 14): rename only needs a virtual
-    /// tag; a physical register is occupied from write-back until the
-    /// superseding definition's checkpoint commits.
+    /// tag. The write-back stage acquires a physical register when a
+    /// definition writes back (retrying next cycle if none is free), and
+    /// recycles one register at that same write-back when the definition
+    /// supersedes an earlier one of the same logical register. Nothing is
+    /// released at commit or squash. The paper's rule, holding a register
+    /// until the superseding definition's checkpoint commits, is not yet
+    /// modelled (ROADMAP item 4).
     Virtual {
         /// Number of virtual tags.
         virtual_tags: usize,
@@ -269,6 +274,13 @@ impl ProcessorConfig {
         if self.registers.rename_pool_size() < 64 {
             return Err("register pool must cover at least the 64 logical registers".into());
         }
+        if let RegisterModel::Virtual { phys_regs, .. } = self.registers {
+            if phys_regs < 64 {
+                return Err(
+                    "physical register pool must cover at least the 64 logical registers".into(),
+                );
+            }
+        }
         if let CommitConfig::Checkpointed {
             checkpoint_entries,
             pseudo_rob_size,
@@ -440,6 +452,22 @@ mod tests {
             }
             CommitConfig::InOrderRob { .. } => unreachable!(),
         }
+    }
+
+    #[test]
+    fn virtual_physical_pool_must_cover_the_logical_registers() {
+        // Fewer physical registers than logical ones deadlocks write-back.
+        let virtual_regs = |phys_regs| {
+            ProcessorConfig::cooo(128, 2048, 1000).with_registers(RegisterModel::Virtual {
+                virtual_tags: 2048,
+                phys_regs,
+            })
+        };
+        for phys_regs in [16, 63] {
+            let err = virtual_regs(phys_regs).validate().unwrap_err();
+            assert!(err.contains("physical register pool"), "{err}");
+        }
+        assert!(virtual_regs(64).validate().is_ok());
     }
 
     #[test]

@@ -159,7 +159,9 @@ impl<O: Observer> EngineCtx<'_, '_, O> {
     /// first, for engine-side accounting.
     pub fn squash_younger_than(&mut self, boundary: InstId) -> Vec<InFlight> {
         let doomed = self.inflight.ids_at_or_after(boundary + 1);
-        let mut squashed = Vec::with_capacity(doomed.len()); // koc-lint: allow(hot-path-alloc, "recovery path; sized once per squash, not per cycle")
+        // Allocates on the recovery path: sized once per squash, not per
+        // cycle.
+        let mut squashed = Vec::with_capacity(doomed.len());
         for &inst in doomed.iter().rev() {
             let Some(fl) = self.forget_inflight(inst) else {
                 continue;

@@ -268,7 +268,9 @@ impl InFlightTable {
             .enumerate()
             .skip(start)
             .filter_map(|(i, s)| s.as_ref().map(|_| self.base + i))
-            .collect() // koc-lint: allow(hot-path-alloc, "recovery path; collects the squash set, not per cycle")
+            // Allocates on the recovery path: collects the squash set, not
+            // per cycle.
+            .collect()
     }
 
     /// Removes every record with trace position below `frontier` and returns

@@ -986,7 +986,9 @@ impl<'a, O: Observer> Processor<'a, O> {
         let src_phys: RegList = inst
             .sources()
             .filter_map(|s| self.rename.lookup(s))
-            .collect(); // koc-lint: allow(hot-path-alloc, "RegList is a fixed inline array; this collect does not heap-allocate")
+            // RegList is a fixed inline array: this collect does not
+            // heap-allocate.
+            .collect();
         let renamed = match inst.dest {
             Some(dest) => Some(
                 self.rename
