@@ -17,7 +17,6 @@
 //! figure. Host speed is not measured here: `perfbench/` times the
 //! simulator.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

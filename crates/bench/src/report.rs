@@ -1,11 +1,15 @@
 //! Plain-text tabular reports, one per experiment, plus the full
 //! per-run statistics table ([`stats_table`]) that gives every public
-//! counter in [`SimStats`] a formatted row. `koc-lint`'s `stats-coverage`
-//! rule checks this file mentions every public stat field, so a newly
-//! added counter cannot silently stay invisible in bench output.
+//! counter in [`SimStats`] a formatted row. Coverage is checked at compile
+//! time: each stats struct is destructured without `..`, so a new field is
+//! a compile error here, and a field bound but left unformatted is an
+//! unused-variable warning (an error under CI's `clippy -D warnings`).
 
 use koc_core::RetireClass;
-use koc_sim::{CycleBuckets, Distribution, IntervalRecord, SimStats, WindowStats};
+use koc_sim::{
+    BranchStats, CycleBuckets, Distribution, IntervalRecord, MemoryStats, RecoveryStats, SimStats,
+    StallStats, WindowStats,
+};
 
 /// A formatted experiment report: a title, column headers, data rows and
 /// free-form notes relating the result to the paper.
@@ -107,105 +111,146 @@ fn distribution_rows(prefix: &str, d: &Distribution, rows: &mut Vec<(String, Str
 /// Every public field of [`SimStats`] (including the nested recovery,
 /// stall, branch and memory statistics) as `(name, formatted value)` rows.
 ///
-/// This is the exhaustive-coverage point the `stats-coverage` lint rule
-/// anchors on: adding a public field to a stats struct without formatting
-/// it here fails `koc-lint`.
+/// The exhaustive destructuring below is the coverage check: adding a
+/// public field to any of these structs without formatting it here fails
+/// to compile.
 pub fn stats_rows(stats: &SimStats) -> Vec<(String, String)> {
+    let SimStats {
+        cycles,
+        committed_instructions,
+        dispatched_instructions,
+        checkpoints_taken,
+        checkpoints_committed,
+        checkpoints_squashed,
+        sliq_moved,
+        sliq_high_water,
+        inflight_sum,
+        peak_inflight,
+        retire_breakdown,
+        branches: BranchStats {
+            predicted,
+            mispredicted,
+        },
+        recoveries:
+            RecoveryStats {
+                near_recoveries,
+                checkpoint_rollbacks,
+                exceptions,
+                squashed_instructions,
+                reexecuted_instructions,
+            },
+        memory:
+            MemoryStats {
+                data_accesses,
+                store_accesses,
+                dl1_hits,
+                dl1_misses,
+                l2_hits,
+                l2_misses,
+                inst_accesses,
+                mshr_full_stalls,
+                row_buffer_hits,
+                row_buffer_misses,
+                row_buffer_conflicts,
+            },
+        stalls:
+            StallStats {
+                iq_full,
+                rob_full,
+                lsq_full,
+                regs_full,
+                redirect,
+                checkpoint_full,
+            },
+        replay_window_peak,
+        budget_exhausted,
+    } = stats;
     let mut rows: Vec<(String, String)> = Vec::new();
     let mut push = |name: &str, value: String| rows.push((name.to_string(), value));
 
-    push("cycles", stats.cycles.to_string());
-    push(
-        "committed_instructions",
-        stats.committed_instructions.to_string(),
-    );
+    push("cycles", cycles.to_string());
+    push("committed_instructions", committed_instructions.to_string());
     push(
         "dispatched_instructions",
-        stats.dispatched_instructions.to_string(),
+        dispatched_instructions.to_string(),
     );
     push("ipc", format!("{:.4}", stats.ipc()));
-    push("checkpoints_taken", stats.checkpoints_taken.to_string());
-    push(
-        "checkpoints_committed",
-        stats.checkpoints_committed.to_string(),
-    );
-    push(
-        "checkpoints_squashed",
-        stats.checkpoints_squashed.to_string(),
-    );
-    push("sliq_moved", stats.sliq_moved.to_string());
-    push("sliq_high_water", stats.sliq_high_water.to_string());
-    push("replay_window_peak", stats.replay_window_peak.to_string());
-    push("budget_exhausted", stats.budget_exhausted.to_string());
-    push("inflight_sum", stats.inflight_sum.to_string());
+    push("checkpoints_taken", checkpoints_taken.to_string());
+    push("checkpoints_committed", checkpoints_committed.to_string());
+    push("checkpoints_squashed", checkpoints_squashed.to_string());
+    push("sliq_moved", sliq_moved.to_string());
+    push("sliq_high_water", sliq_high_water.to_string());
+    push("replay_window_peak", replay_window_peak.to_string());
+    push("budget_exhausted", budget_exhausted.to_string());
+    push("inflight_sum", inflight_sum.to_string());
     push("inflight.mean", format!("{:.2}", stats.avg_inflight()));
-    push("peak_inflight", stats.peak_inflight.to_string());
+    push("peak_inflight", peak_inflight.to_string());
 
     for &class in RetireClass::all() {
         push(
             &format!("retire_breakdown.{class:?}"),
-            format!("{:.4}", stats.retire_breakdown.fraction(class)),
+            format!("{:.4}", retire_breakdown.fraction(class)),
         );
     }
 
-    push("branches.predicted", stats.branches.predicted.to_string());
-    push(
-        "branches.mispredicted",
-        stats.branches.mispredicted.to_string(),
-    );
+    push("branches.predicted", predicted.to_string());
+    push("branches.mispredicted", mispredicted.to_string());
 
-    let r = &stats.recoveries;
-    push("recoveries.near_recoveries", r.near_recoveries.to_string());
+    push("recoveries.near_recoveries", near_recoveries.to_string());
     push(
         "recoveries.checkpoint_rollbacks",
-        r.checkpoint_rollbacks.to_string(),
+        checkpoint_rollbacks.to_string(),
     );
-    push("recoveries.exceptions", r.exceptions.to_string());
+    push("recoveries.exceptions", exceptions.to_string());
     push(
         "recoveries.squashed_instructions",
-        r.squashed_instructions.to_string(),
+        squashed_instructions.to_string(),
     );
     push(
         "recoveries.reexecuted_instructions",
-        r.reexecuted_instructions.to_string(),
+        reexecuted_instructions.to_string(),
     );
 
-    let s = &stats.stalls;
-    push("stalls.iq_full", s.iq_full.to_string());
-    push("stalls.rob_full", s.rob_full.to_string());
-    push("stalls.lsq_full", s.lsq_full.to_string());
-    push("stalls.regs_full", s.regs_full.to_string());
-    push("stalls.redirect", s.redirect.to_string());
-    push("stalls.checkpoint_full", s.checkpoint_full.to_string());
+    push("stalls.iq_full", iq_full.to_string());
+    push("stalls.rob_full", rob_full.to_string());
+    push("stalls.lsq_full", lsq_full.to_string());
+    push("stalls.regs_full", regs_full.to_string());
+    push("stalls.redirect", redirect.to_string());
+    push("stalls.checkpoint_full", checkpoint_full.to_string());
 
-    let m = &stats.memory;
-    push("memory.data_accesses", m.data_accesses.to_string());
-    push("memory.store_accesses", m.store_accesses.to_string());
-    push("memory.inst_accesses", m.inst_accesses.to_string());
-    push("memory.dl1_hits", m.dl1_hits.to_string());
-    push("memory.dl1_misses", m.dl1_misses.to_string());
-    push("memory.l2_hits", m.l2_hits.to_string());
-    push("memory.l2_misses", m.l2_misses.to_string());
-    push("memory.mshr_full_stalls", m.mshr_full_stalls.to_string());
-    push("memory.row_buffer_hits", m.row_buffer_hits.to_string());
-    push("memory.row_buffer_misses", m.row_buffer_misses.to_string());
+    push("memory.data_accesses", data_accesses.to_string());
+    push("memory.store_accesses", store_accesses.to_string());
+    push("memory.inst_accesses", inst_accesses.to_string());
+    push("memory.dl1_hits", dl1_hits.to_string());
+    push("memory.dl1_misses", dl1_misses.to_string());
+    push("memory.l2_hits", l2_hits.to_string());
+    push("memory.l2_misses", l2_misses.to_string());
+    push("memory.mshr_full_stalls", mshr_full_stalls.to_string());
+    push("memory.row_buffer_hits", row_buffer_hits.to_string());
+    push("memory.row_buffer_misses", row_buffer_misses.to_string());
     push(
         "memory.row_buffer_conflicts",
-        m.row_buffer_conflicts.to_string(),
+        row_buffer_conflicts.to_string(),
     );
 
     rows
 }
 
 /// Every public field of [`WindowStats`] — Figure 7's window distributions
-/// — as mean / p50 / p90 / max rows per distribution. Anchored by the
-/// `stats-coverage` lint rule exactly like [`stats_rows`].
+/// — as mean / p50 / p90 / max rows per distribution. Destructured
+/// exhaustively, like [`stats_rows`], so a new field fails to compile.
 pub fn window_rows(window: &WindowStats) -> Vec<(String, String)> {
+    let WindowStats {
+        inflight,
+        live,
+        live_long,
+        live_short,
+    } = window;
     let mut rows: Vec<(String, String)> = Vec::new();
-    distribution_rows("inflight", &window.inflight, &mut rows);
-    distribution_rows("live", &window.live, &mut rows);
-    distribution_rows("live_long", &window.live_long, &mut rows);
-    distribution_rows("live_short", &window.live_short, &mut rows);
+    distribution_rows("inflight", inflight, &mut rows);
+    distribution_rows("live", live, &mut rows);
+    distribution_rows("live_long", live_long, &mut rows);
+    distribution_rows("live_short", live_short, &mut rows);
     rows
 }
 
@@ -228,15 +273,26 @@ pub fn stats_table(title: impl Into<String>, stats: &SimStats) -> Report {
     for (name, value) in stats_rows(stats) {
         report.push_row(vec![name, value]);
     }
-    report.push_note("every public SimStats field has a row (enforced by koc-lint stats-coverage)");
+    report.push_note("every public SimStats field has a row (checked at compile time)");
     report
 }
 
 /// Every public field of [`CycleBuckets`] — the top-down cycle-accounting
 /// result — as `(bucket, formatted value)` rows, each with its share of the
-/// total. Anchored by the `stats-coverage` lint rule exactly like
-/// [`stats_rows`]: a new bucket cannot stay invisible in bench output.
+/// total. Destructured exhaustively, like [`stats_rows`]: a new bucket
+/// cannot stay invisible in bench output.
 pub fn accounting_rows(buckets: &CycleBuckets) -> Vec<(String, String)> {
+    let &CycleBuckets {
+        committing,
+        window_full,
+        iq_full,
+        regfile_exhausted,
+        checkpoint_table_full,
+        mshr_full,
+        memory_wait,
+        fetch_starved,
+        execute_wait,
+    } = buckets;
     let total = buckets.total();
     let mut rows: Vec<(String, String)> = Vec::new();
     let mut push = |name: &str, value: u64| {
@@ -247,15 +303,15 @@ pub fn accounting_rows(buckets: &CycleBuckets) -> Vec<(String, String)> {
         };
         rows.push((name.to_string(), format!("{value} ({pct:.1}%)")));
     };
-    push("committing", buckets.committing);
-    push("window_full", buckets.window_full);
-    push("iq_full", buckets.iq_full);
-    push("regfile_exhausted", buckets.regfile_exhausted);
-    push("checkpoint_table_full", buckets.checkpoint_table_full);
-    push("mshr_full", buckets.mshr_full);
-    push("memory_wait", buckets.memory_wait);
-    push("fetch_starved", buckets.fetch_starved);
-    push("execute_wait", buckets.execute_wait);
+    push("committing", committing);
+    push("window_full", window_full);
+    push("iq_full", iq_full);
+    push("regfile_exhausted", regfile_exhausted);
+    push("checkpoint_table_full", checkpoint_table_full);
+    push("mshr_full", mshr_full);
+    push("memory_wait", memory_wait);
+    push("fetch_starved", fetch_starved);
+    push("execute_wait", execute_wait);
     rows
 }
 
@@ -275,6 +331,7 @@ pub fn accounting_table(title: impl Into<String>, buckets: &CycleBuckets) -> Rep
 /// An interval time-series (see `koc_obs::TimelineRecorder`) as a rendered
 /// [`Report`]: one row per interval with per-cycle rates derived from each
 /// [`IntervalRecord`]'s sums, plus the interval's dominant stall bucket.
+/// Each record is destructured exhaustively, like [`stats_rows`].
 pub fn timeline_table(title: impl Into<String>, records: &[IntervalRecord]) -> Report {
     let mut report = Report::new(
         title,
@@ -291,24 +348,35 @@ pub fn timeline_table(title: impl Into<String>, records: &[IntervalRecord]) -> R
             "top-stall",
         ],
     );
-    for r in records {
-        let per_cycle = |sum: u64| sum as f64 / r.cycles.max(1) as f64;
-        let (top_name, top_cycles) = r
-            .stall
+    for &IntervalRecord {
+        start_cycle,
+        cycles,
+        committed,
+        dispatched,
+        inflight_sum,
+        live_sum,
+        live_checkpoints_sum,
+        mshr_sum,
+        replay_window_sum,
+        stall,
+    } in records
+    {
+        let per_cycle = |sum: u64| sum as f64 / cycles.max(1) as f64;
+        let (top_name, top_cycles) = stall
             .named()
             .into_iter()
             .max_by_key(|&(_, v)| v)
             .unwrap_or(("-", 0));
         report.push_row(vec![
-            r.start_cycle.to_string(),
-            r.cycles.to_string(),
-            format!("{:.3}", per_cycle(r.committed)),
-            format!("{:.3}", per_cycle(r.dispatched)),
-            format!("{:.1}", per_cycle(r.inflight_sum)),
-            format!("{:.1}", per_cycle(r.live_sum)),
-            format!("{:.2}", per_cycle(r.live_checkpoints_sum)),
-            format!("{:.2}", per_cycle(r.mshr_sum)),
-            format!("{:.1}", per_cycle(r.replay_window_sum)),
+            start_cycle.to_string(),
+            cycles.to_string(),
+            format!("{:.3}", per_cycle(committed)),
+            format!("{:.3}", per_cycle(dispatched)),
+            format!("{:.1}", per_cycle(inflight_sum)),
+            format!("{:.1}", per_cycle(live_sum)),
+            format!("{:.2}", per_cycle(live_checkpoints_sum)),
+            format!("{:.2}", per_cycle(mshr_sum)),
+            format!("{:.1}", per_cycle(replay_window_sum)),
             if top_cycles == 0 {
                 "-".to_string()
             } else {

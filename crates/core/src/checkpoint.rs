@@ -245,10 +245,14 @@ impl CheckpointTable {
     /// checkpoint before dispatching (the paper's "there must always exist a
     /// checkpoint").
     pub fn on_dispatch(&mut self, is_store: bool) -> CheckpointId {
+        #[expect(
+            clippy::expect_used,
+            reason = "pipeline dispatches only with a live checkpoint"
+        )]
         let c = self
             .entries
             .back_mut()
-            .expect("dispatch requires a live checkpoint"); // koc-lint: allow(panic, "pipeline dispatches only with a live checkpoint")
+            .expect("dispatch requires a live checkpoint");
         c.pending += 1;
         c.total_insts += 1;
         if is_store {
@@ -264,7 +268,11 @@ impl CheckpointTable {
     /// Panics if the checkpoint does not exist or its counter would
     /// underflow — both indicate a bookkeeping bug in the pipeline.
     pub fn on_complete(&mut self, id: CheckpointId) {
-        let c = self.get_mut(id).expect("completion for unknown checkpoint"); // koc-lint: allow(panic, "completion events come only from dispatched instructions")
+        #[expect(
+            clippy::expect_used,
+            reason = "completion events come only from dispatched instructions"
+        )]
+        let c = self.get_mut(id).expect("completion for unknown checkpoint");
         assert!(c.pending > 0, "checkpoint {id} pending counter underflow");
         c.pending -= 1;
     }
@@ -337,7 +345,8 @@ impl CheckpointTable {
     /// `false` with `trace_done == true` semantics disabled; callers are
     /// expected to check first.
     pub fn commit_oldest(&mut self) -> Checkpoint {
-        let c = self.entries.pop_front().expect("no checkpoint to commit"); // koc-lint: allow(panic, "caller checks has_committable first")
+        #[expect(clippy::expect_used, reason = "caller checks has_committable first")]
+        let c = self.entries.pop_front().expect("no checkpoint to commit");
         assert!(
             c.pending == 0,
             "committing a checkpoint with pending instructions"
@@ -355,11 +364,19 @@ impl CheckpointTable {
     /// # Panics
     /// Panics if `id` is not a live checkpoint.
     pub fn rollback_to(&mut self, id: CheckpointId) -> (RenameCheckpoint, InstId) {
+        #[expect(
+            clippy::expect_used,
+            reason = "rollback targets a checkpoint this table handed out"
+        )]
         let pos = self
             .position_of(id)
-            .expect("rollback target checkpoint not found"); // koc-lint: allow(panic, "rollback targets a checkpoint this table handed out")
+            .expect("rollback target checkpoint not found");
         self.entries.truncate(pos + 1);
-        let c = self.entries.back_mut().expect("target survives truncation"); // koc-lint: allow(panic, "truncate keeps the target as the back entry")
+        #[expect(
+            clippy::expect_used,
+            reason = "truncate keeps the target as the back entry"
+        )]
+        let c = self.entries.back_mut().expect("target survives truncation");
         c.pending = 0;
         c.total_insts = 0;
         c.stores = 0;

@@ -26,7 +26,7 @@
 //! pipeline in `koc-sim`; they own no global state and are directly unit- and
 //! property-testable.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

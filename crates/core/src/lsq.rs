@@ -114,7 +114,8 @@ impl LoadStoreQueue {
             if front.inst >= frontier {
                 return None;
             }
-            let e = self.entries.pop_front().expect("front exists"); // koc-lint: allow(panic, "front was just peeked as Some")
+            #[expect(clippy::expect_used, reason = "front was just peeked as Some")]
+            let e = self.entries.pop_front().expect("front exists");
             if e.is_store {
                 self.stores_released += 1;
                 return Some(e);

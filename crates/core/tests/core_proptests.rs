@@ -155,7 +155,7 @@ proptest! {
     #[test]
     fn dependence_mask_matches_reference(seed in arb_reg(), ops in proptest::collection::vec((arb_reg(), arb_reg(), arb_reg()), 1..100)) {
         let mut mask = DependenceMask::seeded(seed);
-        let mut reference: std::collections::HashSet<ArchReg> = [seed].into_iter().collect();
+        let mut reference: std::collections::BTreeSet<ArchReg> = [seed].into_iter().collect();
         for (dest, s1, s2) in ops {
             let inst = Instruction::op(0, OpKind::FpAlu, Some(dest), &[s1, s2]);
             let dependent = mask.classify_and_update(&inst);
@@ -192,7 +192,7 @@ proptest! {
             cycle += 1;
         }
         prop_assert_eq!(woken.len(), count, "every entry is returned exactly once");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for w in &woken {
             prop_assert!(seen.insert(*w), "duplicate wake-up for {}", w);
         }
@@ -222,7 +222,7 @@ proptest! {
         for s in 0u32..8 {
             iq.wakeup(PhysReg(s));
         }
-        let mut removed = std::collections::HashSet::new();
+        let mut removed = std::collections::BTreeSet::new();
         for (i, &slot) in slots.iter().enumerate() {
             if removals[i] {
                 prop_assert_eq!(iq.remove(slot, i).map(|e| e.inst), Some(i));
@@ -233,7 +233,7 @@ proptest! {
         for s in 8u32..16 {
             iq.wakeup(PhysReg(s));
         }
-        let mut issued = std::collections::HashSet::new();
+        let mut issued = std::collections::BTreeSet::new();
         loop {
             let picked = iq.select_ready(&mut [4, 4, 4, 4], 4);
             if picked.is_empty() {

@@ -20,7 +20,7 @@
 //! assert!(p.predict(0x40));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod gshare;

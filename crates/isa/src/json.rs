@@ -223,7 +223,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                         // Multi-byte UTF-8: copy the whole code point.
                         let rest = std::str::from_utf8(&bytes[*pos..])
                             .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                        let c = rest.chars().next().expect("non-empty"); // koc-lint: allow(panic, "from_utf8 succeeded on a non-empty suffix")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "from_utf8 succeeded on a non-empty suffix"
+                        )]
+                        let c = rest.chars().next().expect("non-empty");
                         s.push(c);
                         *pos += c.len_utf8();
                     }
@@ -249,8 +253,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
             }) {
                 *pos += 1;
             }
-            let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII"); // koc-lint: allow(panic, "the scanned range is ASCII digits and signs")
-                                                                                 // Keep integers exact; only genuine floats go through f64.
+            #[expect(
+                clippy::expect_used,
+                reason = "the scanned range is ASCII digits and signs"
+            )]
+            let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII");
+            // Keep integers exact; only genuine floats go through f64.
             if let Ok(i) = text.parse::<u64>() {
                 return Ok(Json::Int(i));
             }

@@ -30,7 +30,7 @@
 //! assert_eq!(trace[ld].kind, OpKind::Load);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod builder;

@@ -289,6 +289,10 @@ impl<'a> ReplayWindow<'a> {
     /// Panics if `id` is below the release frontier (the caller promised,
     /// via [`release_to`](Self::release_to), never to look there again) or
     /// at/above the fetch head.
+    #[expect(
+        clippy::panic,
+        reason = "ReplayWindow contract: only fetched ids may be looked up"
+    )]
     pub fn get(&self, id: InstId) -> &Instruction {
         assert!(
             id >= self.base,
@@ -297,7 +301,6 @@ impl<'a> ReplayWindow<'a> {
         );
         self.buf
             .get(id - self.base)
-            // koc-lint: allow(panic, "ReplayWindow contract: only fetched ids may be looked up")
             .unwrap_or_else(|| panic!("instruction {id} has not been fetched yet"))
     }
 

@@ -230,7 +230,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::erasing_op)]
+    #[expect(
+        clippy::erasing_op,
+        reason = "`0 * 64` names line 0 in the same form as lines 2 and 4"
+    )]
     fn lru_evicts_least_recently_used() {
         let mut c = small_cache();
         // Set 0 holds lines with even line index. Lines 0, 2, 4 map to set 0.

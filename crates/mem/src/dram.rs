@@ -157,9 +157,13 @@ impl DramBackend {
     /// # Panics
     /// Panics if the configuration fails [`DramConfig::validate`].
     pub fn new(config: DramConfig, base_latency: u32) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid DRAM configuration: {e}"); // koc-lint: allow(panic, "invalid configuration is a caller bug; validate() names the field")
-        }
+        #[expect(
+            clippy::panic,
+            reason = "invalid configuration is a caller bug; validate() names the field"
+        )]
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid DRAM configuration: {e}"));
         DramBackend {
             banks: vec![Bank::default(); config.banks],
             config,
@@ -266,7 +270,8 @@ impl MemoryBackend for DramBackend {
                 if head.arrival > now {
                     break;
                 }
-                let p = bank.queue.pop_front().expect("checked non-empty"); // koc-lint: allow(panic, "pop follows a non-empty check")
+                #[expect(clippy::expect_used, reason = "pop follows a non-empty check")]
+                let p = bank.queue.pop_front().expect("checked non-empty");
                 let extra = Self::row_latency(&mut self.stats, bank, p.row, &self.config);
                 let latency = self.base_latency as u64 + extra as u64;
                 bank.busy_until = now + self.config.bank_busy as u64;

@@ -87,9 +87,13 @@ impl MemoryHierarchy {
     /// # Panics
     /// Panics if the configuration fails [`MemoryConfig::validate`].
     pub fn new(config: MemoryConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid memory configuration: {e}"); // koc-lint: allow(panic, "invalid configuration is a caller bug; validate() names the field")
-        }
+        #[expect(
+            clippy::panic,
+            reason = "invalid configuration is a caller bug; validate() names the field"
+        )]
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid memory configuration: {e}"));
         MemoryHierarchy {
             il1: Cache::new(config.il1),
             dl1: Cache::new(config.dl1),

@@ -38,7 +38,7 @@
 //! assert!(limited.validate().is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod backend;

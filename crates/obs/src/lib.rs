@@ -38,7 +38,7 @@
 //! sample and the gap length, and the bundled observers expand that into the
 //! same stream a cycle-by-cycle run would have produced.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod accounting;

@@ -187,8 +187,12 @@ impl ProcessorConfig {
             CommitConfig::Checkpointed {
                 checkpoint_entries, ..
             } => *checkpoint_entries = entries,
+            #[expect(
+                clippy::panic,
+                reason = "setter contract: applies only to the checkpointed engine"
+            )]
             CommitConfig::InOrderRob { .. } => {
-                panic!("checkpoint count applies to the checkpointed engine") // koc-lint: allow(panic, "setter contract: applies only to the checkpointed engine")
+                panic!("checkpoint count applies to the checkpointed engine")
             }
         }
         self
@@ -201,8 +205,12 @@ impl ProcessorConfig {
     pub fn with_reinsert_delay(mut self, delay: u32) -> Self {
         match &mut self.commit {
             CommitConfig::Checkpointed { sliq, .. } => sliq.reinsert_delay = delay,
+            #[expect(
+                clippy::panic,
+                reason = "setter contract: applies only to the checkpointed engine"
+            )]
             CommitConfig::InOrderRob { .. } => {
-                panic!("re-insertion delay applies to the checkpointed engine") // koc-lint: allow(panic, "setter contract: applies only to the checkpointed engine")
+                panic!("re-insertion delay applies to the checkpointed engine")
             }
         }
         self
@@ -215,8 +223,12 @@ impl ProcessorConfig {
     pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
         match &mut self.commit {
             CommitConfig::Checkpointed { policy: p, .. } => *p = policy,
+            #[expect(
+                clippy::panic,
+                reason = "setter contract: applies only to the checkpointed engine"
+            )]
             CommitConfig::InOrderRob { .. } => {
-                panic!("checkpoint policy applies to the checkpointed engine") // koc-lint: allow(panic, "setter contract: applies only to the checkpointed engine")
+                panic!("checkpoint policy applies to the checkpointed engine")
             }
         }
         self

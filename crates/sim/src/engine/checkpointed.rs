@@ -262,9 +262,10 @@ impl<O: Observer> CommitEngine<O> for CheckpointedEngine {
         }
         if take_checkpoint {
             let (snapshot, freed) = ctx.rename.take_checkpoint(ctx.regs);
+            #[expect(clippy::expect_used, reason = "take follows the capacity check above")]
             self.table
                 .take(id, snapshot, freed)
-                .expect("table was not full"); // koc-lint: allow(panic, "take follows the capacity check above")
+                .expect("table was not full");
             ctx.stats.checkpoints_taken += 1;
             if O::ENABLED {
                 if let Some(n) = self.table.newest() {

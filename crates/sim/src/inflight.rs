@@ -299,8 +299,12 @@ impl InFlightTable {
 impl std::ops::Index<InstId> for InFlightTable {
     type Output = InFlight;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "Index contract: untracked ids panic like slice indexing"
+    )]
     fn index(&self, inst: InstId) -> &InFlight {
-        self.get(inst).expect("instruction is in flight") // koc-lint: allow(panic, "Index contract: untracked ids panic like slice indexing")
+        self.get(inst).expect("instruction is in flight")
     }
 }
 

@@ -37,7 +37,7 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod config;
@@ -73,3 +73,7 @@ pub use koc_obs::{
 // Re-exported so the memory-backend knobs (`MemoryConfig::with_dram`,
 // `with_mshr_entries`, …) can be used without importing `koc_mem`.
 pub use koc_mem::{BackendKind, DramConfig, MemoryConfig};
+
+// Re-exported so every group nested in `SimStats` can be named from here.
+pub use koc_frontend::BranchStats;
+pub use koc_mem::MemoryStats;

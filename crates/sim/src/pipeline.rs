@@ -188,7 +188,11 @@ impl EventQueue {
             self.len -= due.len();
         }
         if overflowed {
-            let mut extra = self.overflow.remove(&cycle).expect("checked key"); // koc-lint: allow(panic, "key was just matched by first_key_value")
+            #[expect(
+                clippy::expect_used,
+                reason = "key was just matched by first_key_value"
+            )]
+            let mut extra = self.overflow.remove(&cycle).expect("checked key");
             due.append(&mut extra);
         }
         Some(due)
@@ -392,9 +396,13 @@ impl<'a, O: Observer> Processor<'a, O> {
         engine: Box<dyn CommitEngine<O>>,
         obs: O,
     ) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid processor configuration: {e}"); // koc-lint: allow(panic, "invalid configuration is a caller bug; validate() names the field")
-        }
+        #[expect(
+            clippy::panic,
+            reason = "invalid configuration is a caller bug; validate() names the field"
+        )]
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid processor configuration: {e}"));
         let rename_pool = config.registers.rename_pool_size();
         let vregs = match config.registers {
             RegisterModel::Conventional { .. } => None,
@@ -846,16 +854,21 @@ impl<'a, O: Observer> Processor<'a, O> {
         // Issued instructions are in flight, which pins them inside the
         // replay window (release never overtakes the oldest recovery point).
         let trace_inst = *self.fetch.get(inst);
+        #[expect(
+            clippy::expect_used,
+            reason = "issue operates on in-flight instructions"
+        )]
         let seq = self
             .inflight
             .get(inst)
-            .expect("issued instruction is in flight") // koc-lint: allow(panic, "issue operates on in-flight instructions")
+            .expect("issued instruction is in flight")
             .seq;
         // `completion` is the known finish latency, or None when the load
         // went to the timed backend and will complete via `memory_stage`.
         let (completion, level) = match trace_inst.kind {
             OpKind::Load => {
-                let addr = trace_inst.mem.expect("load has address").addr; // koc-lint: allow(panic, "loads always carry a memory operand")
+                #[expect(clippy::expect_used, reason = "loads always carry a memory operand")]
+                let addr = trace_inst.mem.expect("load has address").addr;
                 match self
                     .mem
                     .access_data_timed_obs(addr, seq, self.cycle, &mut self.obs)
@@ -871,10 +884,14 @@ impl<'a, O: Observer> Processor<'a, O> {
             OpKind::Store => (Some(1), None),
             kind => (Some(kind.latency().latency), None),
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "issue operates on in-flight instructions"
+        )]
         let fl = self
             .inflight
             .get_mut(inst)
-            .expect("issued instruction is in flight"); // koc-lint: allow(panic, "issue operates on in-flight instructions")
+            .expect("issued instruction is in flight");
         debug_assert!(fl.is_live(), "issuing an instruction that is not waiting");
         fl.state = InstState::Executing;
         fl.mem_level = level;
@@ -989,11 +1006,12 @@ impl<'a, O: Observer> Processor<'a, O> {
             // RegList is a fixed inline array: this collect does not
             // heap-allocate.
             .collect();
+        #[expect(clippy::expect_used, reason = "dispatch checked a free register above")]
         let renamed = match inst.dest {
             Some(dest) => Some(
                 self.rename
                     .rename_dest(dest, &mut self.regs)
-                    .expect("free register was checked"), // koc-lint: allow(panic, "dispatch checked a free register above")
+                    .expect("free register was checked"),
             ),
             None => None,
         };
@@ -1014,13 +1032,14 @@ impl<'a, O: Observer> Processor<'a, O> {
         let seq = self.next_seq;
         self.next_seq += 1;
         if let Some(mem) = inst.mem {
+            #[expect(clippy::expect_used, reason = "dispatch checked LSQ space above")]
             self.lsq
                 .allocate(LsqEntry {
                     inst: id,
                     is_store: inst.is_store(),
                     addr: mem.addr,
                 })
-                .expect("LSQ space was checked"); // koc-lint: allow(panic, "dispatch checked LSQ space above")
+                .expect("LSQ space was checked");
         }
         let d = Dispatched {
             id,
@@ -1032,6 +1051,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             srcs: src_phys,
             fu: inst.kind.fu_class(),
         };
+        #[expect(clippy::expect_used, reason = "dispatch checked queue space above")]
         let iq_slot = {
             let regs = &self.regs;
             let queue = if needs_fp_queue {
@@ -1041,7 +1061,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             };
             queue
                 .insert(iq_entry, |p| regs.is_ready(p))
-                .expect("queue space was checked") // koc-lint: allow(panic, "dispatch checked queue space above")
+                .expect("queue space was checked")
         };
         self.engine.dispatched(&d, ckpt, &mut engine_ctx!(self));
         self.inflight.insert(

@@ -223,8 +223,8 @@ mod tests {
             }
         }
         // Each array's stream touches a fresh 64-byte line every element.
-        let mut per_stream: std::collections::HashMap<u64, Vec<u64>> =
-            std::collections::HashMap::new();
+        let mut per_stream: std::collections::BTreeMap<u64, Vec<u64>> =
+            std::collections::BTreeMap::new();
         for l in &loads {
             let addr = l.mem.unwrap().addr;
             per_stream.entry(addr >> 30).or_default().push(addr);

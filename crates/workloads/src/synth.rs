@@ -79,9 +79,13 @@ impl KernelSource {
     /// Panics if `config.validate()` fails; experiment code constructs
     /// configs from the vetted constructors in [`crate::kernels`].
     pub fn new(name: impl Into<String>, config: KernelConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid kernel configuration: {e}"); // koc-lint: allow(panic, "invalid kernel configuration is a caller bug; validate() names the field")
-        }
+        #[expect(
+            clippy::panic,
+            reason = "invalid kernel configuration is a caller bug; validate() names the field"
+        )]
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid kernel configuration: {e}"));
         KernelSource {
             name: name.into(),
             rng: StdRng::seed_from_u64(config.seed),

@@ -28,6 +28,10 @@ fn main() {
         "streaming {} instructions through the replay window...",
         source.len_hint().expect("stream_add length is exact")
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the example prints its own wall time; no simulated value reads it"
+    )]
     let start = std::time::Instant::now();
     let stats = Processor::new(machine, source).run();
     println!(

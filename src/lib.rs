@@ -17,7 +17,6 @@
 //!   [`obs::Observer`] seam plus the pipeline event tracer, the interval
 //!   time-series recorder and top-down cycle accounting.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use koc_core as core;
