@@ -21,8 +21,8 @@
 use koc_bench::harness;
 use koc_isa::json::{parse_json, Json};
 use koc_obs::{timeline_json, CycleAccounting, PipelineTracer, TimelineRecorder};
-use koc_sim::Processor;
-use serde::Serialize;
+use koc_sim::{Processor, ProcessorConfig};
+use koc_workloads::WorkloadSpec;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -117,66 +117,118 @@ fn run_harness(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The options `stats`, `trace` and `timeline` share: which canonical run
+/// to simulate and where its output goes.
+struct RunArgs {
+    workload: Option<String>,
+    engine: String,
+    trace_len: usize,
+    out: Option<PathBuf>,
+}
+
+/// A subcommand's answer for one of its command-line arguments.
+enum Own {
+    /// One of its own options, consuming this many arguments.
+    Took(usize),
+    /// One of its own options with a missing or bad value.
+    Bad(&'static str),
+    /// Not its own: one of the shared run options, or unknown.
+    Shared,
+    /// An option the subcommand refuses, even a shared one.
+    Unknown,
+}
+
+impl RunArgs {
+    /// Parses `cmd`'s arguments and resolves the run they select against
+    /// the canonical suite and machines. `own` sees each option first; the
+    /// shared `--workload`, `--engine`, `--len` and `--out` are taken here.
+    /// Prints the problem and fails on a bad value, an unknown option or an
+    /// unknown workload or engine.
+    fn parse(
+        cmd: &str,
+        args: &[String],
+        trace_len: usize,
+        mut own: impl FnMut(&mut Self, &str, Option<&String>) -> Own,
+    ) -> Result<(Self, WorkloadSpec, ProcessorConfig), ExitCode> {
+        let mut run = RunArgs {
+            workload: None,
+            engine: "cooo".to_string(),
+            trace_len,
+            out: None,
+        };
+        let mut i = 0;
+        while i < args.len() {
+            let (flag, value) = (args[i].as_str(), args.get(i + 1));
+            let answer = match own(&mut run, flag, value) {
+                Own::Shared => run.shared(flag, value),
+                answer => answer,
+            };
+            match answer {
+                Own::Took(n) => i += n,
+                Own::Bad(message) => {
+                    eprintln!("{message}");
+                    return Err(ExitCode::FAILURE);
+                }
+                Own::Shared | Own::Unknown => {
+                    eprintln!("unknown {cmd} option '{flag}'");
+                    print_usage();
+                    return Err(ExitCode::FAILURE);
+                }
+            }
+        }
+        match harness::resolve(run.workload.as_deref(), &run.engine, run.trace_len) {
+            Ok((spec, config)) => Ok((run, spec, config)),
+            Err(e) => {
+                eprintln!("{e}");
+                Err(ExitCode::FAILURE)
+            }
+        }
+    }
+
+    fn shared(&mut self, flag: &str, value: Option<&String>) -> Own {
+        match (flag, value) {
+            ("--workload", Some(name)) => self.workload = Some(name.clone()),
+            ("--workload", None) => {
+                return Own::Bad("--workload requires a name (see harness --list)")
+            }
+            ("--engine", Some(name)) => self.engine = name.clone(),
+            ("--engine", None) => return Own::Bad("--engine requires 'baseline' or 'cooo'"),
+            ("--len", _) => match value.and_then(|v| v.parse().ok()) {
+                Some(n) => self.trace_len = n,
+                None => return Own::Bad("--len requires an instruction count"),
+            },
+            ("--out", Some(path)) => self.out = Some(PathBuf::from(path)),
+            ("--out", None) => return Own::Bad("--out requires a path"),
+            _ => return Own::Unknown,
+        }
+        Own::Took(2)
+    }
+}
+
 /// `koc-bench stats`: run one (workload, engine) pair and print the full
 /// per-run statistics table — every public `SimStats` counter, one row
 /// each (see `report::stats_table`) — and the `WindowStats` distributions.
 fn run_stats(args: &[String]) -> ExitCode {
-    let mut workload: Option<String> = None;
-    let mut engine_name = "cooo".to_string();
-    let mut quick = true;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workload" => {
-                let Some(name) = args.get(i + 1) else {
-                    eprintln!("--workload requires a name (see harness --list)");
-                    return ExitCode::FAILURE;
-                };
-                workload = Some(name.clone());
-                i += 2;
-            }
-            "--engine" => {
-                let Some(name) = args.get(i + 1) else {
-                    eprintln!("--engine requires 'baseline' or 'cooo'");
-                    return ExitCode::FAILURE;
-                };
-                engine_name = name.clone();
-                i += 2;
-            }
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--full" => {
-                quick = false;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown stats option '{other}'");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
+    // The run is sized by --quick/--full, and the tables only print.
+    let parsed = RunArgs::parse("stats", args, harness::QUICK_TRACE_LEN, |run, flag, _| {
+        match flag {
+            "--quick" => run.trace_len = harness::QUICK_TRACE_LEN,
+            "--full" => run.trace_len = harness::FULL_TRACE_LEN,
+            "--len" | "--out" => return Own::Unknown,
+            _ => return Own::Shared,
         }
-    }
-    let trace_len = if quick {
-        harness::QUICK_TRACE_LEN
-    } else {
-        harness::FULL_TRACE_LEN
-    };
-    let (spec, config) = match harness::resolve(workload.as_deref(), &engine_name, trace_len) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Own::Took(1)
+    });
+    let (run, spec, config) = match parsed {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
     let w = spec.materialize();
     let (stats, window) =
-        koc_sim::Processor::with_observer(config, &w.trace, koc_sim::WindowStats::new())
-            .run_observed();
-    let title = format!("Run statistics — {} / {engine_name}", spec.name());
+        Processor::with_observer(config, &w.trace, koc_sim::WindowStats::new()).run_observed();
+    let title = format!("Run statistics — {} / {}", spec.name(), run.engine);
     println!("{}", koc_bench::report::stats_table(title, &stats));
-    let title = format!("Window distributions — {} / {engine_name}", spec.name());
+    let title = format!("Window distributions — {} / {}", spec.name(), run.engine);
     println!("{}", koc_bench::report::window_table(title, &window));
     ExitCode::SUCCESS
 }
@@ -203,78 +255,32 @@ fn emit(out: Option<PathBuf>, text: &str) -> ExitCode {
 /// event tracer attached and emit the stream as `koc-ptrace/1` JSON or
 /// Kanata/Konata text. Attaching the tracer never perturbs simulated time.
 fn run_trace(args: &[String]) -> ExitCode {
-    let mut workload: Option<String> = None;
-    let mut engine_name = "cooo".to_string();
-    let mut trace_len = 2_000usize;
-    let mut format = "ptrace".to_string();
-    let mut out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workload" => {
-                let Some(name) = args.get(i + 1) else {
-                    eprintln!("--workload requires a name (see harness --list)");
-                    return ExitCode::FAILURE;
-                };
-                workload = Some(name.clone());
-                i += 2;
+    let mut kanata = false;
+    let parsed = RunArgs::parse("trace", args, 2_000, |_, flag, value| match flag {
+        "--format" => match value.map(String::as_str) {
+            Some(format @ ("ptrace" | "kanata")) => {
+                kanata = format == "kanata";
+                Own::Took(2)
             }
-            "--engine" => {
-                let Some(name) = args.get(i + 1) else {
-                    eprintln!("--engine requires 'baseline' or 'cooo'");
-                    return ExitCode::FAILURE;
-                };
-                engine_name = name.clone();
-                i += 2;
-            }
-            "--len" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    eprintln!("--len requires an instruction count");
-                    return ExitCode::FAILURE;
-                };
-                trace_len = n;
-                i += 2;
-            }
-            "--format" => {
-                let Some(f) = args.get(i + 1).filter(|f| *f == "ptrace" || *f == "kanata") else {
-                    eprintln!("--format requires 'ptrace' or 'kanata'");
-                    return ExitCode::FAILURE;
-                };
-                format = f.clone();
-                i += 2;
-            }
-            "--out" => {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                };
-                out = Some(PathBuf::from(path));
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown trace option '{other}'");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (spec, config) = match harness::resolve(workload.as_deref(), &engine_name, trace_len) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+            _ => Own::Bad("--format requires 'ptrace' or 'kanata'"),
+        },
+        _ => Own::Shared,
+    });
+    let (run, spec, config) = match parsed {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
     let w = spec.materialize();
     let (stats, tracer) =
         Processor::with_observer(config, &w.trace, PipelineTracer::new()).run_observed();
     eprintln!(
-        "traced {} / {engine_name}: {} events over {} cycles",
+        "traced {} / {}: {} events over {} cycles",
         spec.name(),
+        run.engine,
         tracer.len(),
         stats.cycles
     );
-    let text = if format == "kanata" {
+    let text = if kanata {
         tracer.to_kanata()
     } else {
         let json = tracer.to_ptrace_json();
@@ -286,7 +292,19 @@ fn run_trace(args: &[String]) -> ExitCode {
         }
         json
     };
-    emit(out, &text)
+    emit(run.out, &text)
+}
+
+/// The `--interval` value of `timeline`: a cycle count of at least 1.
+fn interval_option(value: Option<&String>, interval: &mut u64) -> Own {
+    match value.and_then(|v| v.parse().ok()) {
+        Some(0) => Own::Bad("--interval must be at least 1 cycle"),
+        Some(n) => {
+            *interval = n;
+            Own::Took(2)
+        }
+        None => Own::Bad("--interval requires a cycle count"),
+    }
 }
 
 /// `koc-bench timeline`: run one (workload, engine) pair with the interval
@@ -294,67 +312,19 @@ fn run_trace(args: &[String]) -> ExitCode {
 /// Prints both tables, emits the `koc-timeline/1` JSON, and hard-checks the
 /// accounting invariant (bucket sum == total cycles) before exiting.
 fn run_timeline(args: &[String]) -> ExitCode {
-    let mut workload: Option<String> = None;
-    let mut engine_name = "cooo".to_string();
-    let mut trace_len = harness::QUICK_TRACE_LEN;
     let mut interval = 256u64;
-    let mut out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workload" => {
-                let Some(name) = args.get(i + 1) else {
-                    eprintln!("--workload requires a name (see harness --list)");
-                    return ExitCode::FAILURE;
-                };
-                workload = Some(name.clone());
-                i += 2;
-            }
-            "--engine" => {
-                let Some(name) = args.get(i + 1) else {
-                    eprintln!("--engine requires 'baseline' or 'cooo'");
-                    return ExitCode::FAILURE;
-                };
-                engine_name = name.clone();
-                i += 2;
-            }
-            "--len" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    eprintln!("--len requires an instruction count");
-                    return ExitCode::FAILURE;
-                };
-                trace_len = n;
-                i += 2;
-            }
-            "--interval" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    eprintln!("--interval requires a cycle count");
-                    return ExitCode::FAILURE;
-                };
-                interval = n;
-                i += 2;
-            }
-            "--out" => {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                };
-                out = Some(PathBuf::from(path));
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown timeline option '{other}'");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (spec, config) = match harness::resolve(workload.as_deref(), &engine_name, trace_len) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    let parsed = RunArgs::parse(
+        "timeline",
+        args,
+        harness::QUICK_TRACE_LEN,
+        |_, flag, value| match flag {
+            "--interval" => interval_option(value, &mut interval),
+            _ => Own::Shared,
+        },
+    );
+    let (run, spec, config) = match parsed {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
     let w = spec.materialize();
     let obs = (TimelineRecorder::new(interval), CycleAccounting::new());
@@ -371,7 +341,7 @@ fn run_timeline(args: &[String]) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let title = format!("{} / {engine_name}", spec.name());
+    let title = format!("{} / {}", spec.name(), run.engine);
     println!(
         "{}",
         koc_bench::report::accounting_table(format!("Cycle accounting — {title}"), &buckets)
@@ -406,7 +376,7 @@ fn run_timeline(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    emit(out, &json)
+    emit(run.out, &json)
 }
 
 fn run_compare(args: &[String]) -> ExitCode {
@@ -471,5 +441,52 @@ fn run_compare(args: &[String]) -> ExitCode {
             eprintln!("compare: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn shared_run_options_parse_into_one_selection() {
+        let words = args(&["--workload", "gather", "--engine", "baseline"]);
+        let (run, spec, _) = RunArgs::parse("trace", &words, 2_000, |_, _, _| Own::Shared).unwrap();
+        assert_eq!((spec.name(), run.engine.as_str()), ("gather", "baseline"));
+        assert_eq!((run.trace_len, run.out), (2_000, None));
+        let words = args(&["--len", "99", "--out", "t.json"]);
+        let (run, spec, _) = RunArgs::parse("trace", &words, 2_000, |_, _, _| Own::Shared).unwrap();
+        assert_eq!((spec.name(), run.engine.as_str()), ("stream_add", "cooo"));
+        assert_eq!(
+            (run.trace_len, run.out),
+            (99, Some(PathBuf::from("t.json")))
+        );
+        for bad in [
+            &["--len", "x"][..],
+            &["--engine"],
+            &["--bogus"],
+            &["--engine", "vliw"],
+        ] {
+            let parsed = RunArgs::parse("trace", &args(bad), 2_000, |_, _, _| Own::Shared);
+            assert!(parsed.is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_zero_timeline_interval_is_rejected_naming_the_flag() {
+        let mut interval = 256;
+        let zero = interval_option(Some(&"0".to_string()), &mut interval);
+        assert!(matches!(zero, Own::Bad(m) if m.starts_with("--interval")));
+        assert_eq!(interval, 256);
+        assert!(matches!(
+            interval_option(Some(&"1".to_string()), &mut interval),
+            Own::Took(2)
+        ));
+        assert_eq!(interval, 1);
+        assert_eq!(run_timeline(&args(&["--interval", "0"])), ExitCode::FAILURE);
     }
 }

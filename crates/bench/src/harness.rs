@@ -37,10 +37,10 @@
 //! missing `source` defaults to `"materialized"`.
 
 use crate::report::Report;
-use koc_isa::json::{parse_versioned, Json};
+use koc_isa::json::{parse_versioned, write_str, Json};
 use koc_sim::{sweep, ProcessorConfig};
 use koc_workloads::{Suite, WorkloadSpec};
-use serde::Serialize;
+use std::fmt::Write;
 
 /// Dynamic trace length of the quick suite (CI's accuracy gate).
 pub const QUICK_TRACE_LEN: usize = 8_000;
@@ -51,7 +51,7 @@ pub const FULL_TRACE_LEN: usize = 30_000;
 pub const SCHEMA: &str = "koc-bench-harness/1";
 
 /// One simulation: a workload under one commit engine.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BenchEntry {
     /// Workload name (suite name of the kernel).
     pub workload: String,
@@ -71,7 +71,7 @@ pub struct BenchEntry {
 
 /// A full harness run: every workload of the canonical suite under both
 /// commit engines.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Schema identifier ([`SCHEMA`]).
     pub schema: String,
@@ -369,6 +369,38 @@ fn compare_parsed(baseline: &BenchReport, current: &BenchReport) -> CompareOutco
     outcome
 }
 
+impl BenchReport {
+    /// Renders the report as `koc-bench-harness/1` JSON (the schema in the
+    /// module docs), the document [`compare`] reads back.
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(128 + self.results.len() * 128);
+        out.push_str("{\"schema\":");
+        write_str(&mut out, &self.schema);
+        out.push_str(",\"suite\":");
+        write_str(&mut out, &self.suite);
+        let _ = write!(out, ",\"trace_len\":{},\"source\":", self.trace_len);
+        write_str(&mut out, &self.source);
+        out.push_str(",\"results\":[");
+        for (i, e) in self.results.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"workload\":");
+            write_str(&mut out, &e.workload);
+            out.push_str(",\"engine\":");
+            write_str(&mut out, &e.engine);
+            // `{:?}` keeps an integral IPC a float: `2.0`, not `2`.
+            let _ = write!(
+                out,
+                ",\"cycles\":{},\"retired\":{},\"ipc\":{:?},\"peak_inflight\":{}}}",
+                e.cycles, e.retired, e.ipc, e.peak_inflight
+            );
+        }
+        out.push_str("]}");
+        out
+    }
+}
+
 fn parse_report(text: &str) -> Result<BenchReport, String> {
     // The shared versioned front door: one place rejects empty files,
     // truncated JSON, depth bombs, and wrong/missing schema fields with
@@ -463,6 +495,21 @@ mod tests {
         assert_eq!(e.retired, 100);
         assert_eq!(e.peak_inflight, 64);
         assert!((e.ipc - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn report_json_is_compact_and_an_integral_ipc_stays_a_float() {
+        let mut report = tiny_report();
+        report.results[0].ipc = 2.0;
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"schema":"koc-bench-harness/1","suite":"quick","trace_len":100,"#,
+                r#""source":"materialized","results":[{"workload":"stream_add","#,
+                r#""engine":"baseline","cycles":1000,"retired":100,"ipc":2.0,"#,
+                r#""peak_inflight":64}]}"#
+            )
+        );
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use crate::rename::RenameCheckpoint;
 use koc_isa::{InstId, PhysReg};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Identifier of a checkpoint (monotonically increasing, never reused).
@@ -21,7 +20,7 @@ pub type CheckpointId = u64;
 
 /// The heuristic that decides where checkpoints are taken (Section 2,
 /// "Taking Checkpoints").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Take a checkpoint at the first branch after this many instructions
     /// since the previous checkpoint (64 in the paper).
@@ -82,7 +81,7 @@ impl Default for CheckpointPolicy {
 
 /// One checkpoint: a snapshot of the rename state plus the bookkeeping for
 /// the instructions associated with it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Unique identifier.
     pub id: CheckpointId,
@@ -124,7 +123,7 @@ impl Checkpoint {
 
 /// The checkpoint table: a small in-order queue of live checkpoints
 /// (8 entries in the paper's main configuration, 4–128 in Figure 13).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CheckpointTable {
     capacity: usize,
     entries: VecDeque<Checkpoint>,

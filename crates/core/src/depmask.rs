@@ -14,10 +14,9 @@
 //! FP registers.
 
 use koc_isa::{ArchReg, Instruction};
-use serde::{Deserialize, Serialize};
 
 /// A dependence mask over the 64 logical registers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DependenceMask {
     bits: u64,
 }

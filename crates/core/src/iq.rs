@@ -28,12 +28,11 @@
 //! of them every cycle).
 
 use koc_isa::{FuClass, InstId, PhysReg, RegList};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// An instruction waiting in (or being inserted into) an instruction queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IqEntry {
     /// The dynamic instruction.
     pub inst: InstId,
@@ -71,7 +70,7 @@ const NIL: u32 = u32::MAX;
 /// One pooled waiter record: the occupant of `slot` (incarnation `token`)
 /// waits on the register whose chain this node is linked into. Freed nodes
 /// are chained through `next` onto the free list.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct WaiterNode {
     slot: IqSlot,
     token: u64,

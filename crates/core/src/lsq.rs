@@ -8,11 +8,10 @@
 //! order of stores for draining to memory at commit time.
 
 use koc_isa::InstId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One LSQ entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LsqEntry {
     /// The dynamic instruction.
     pub inst: InstId,
@@ -35,7 +34,7 @@ impl std::fmt::Display for LsqFull {
 impl std::error::Error for LsqFull {}
 
 /// A program-ordered load/store queue.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoadStoreQueue {
     capacity: usize,
     entries: VecDeque<LsqEntry>,

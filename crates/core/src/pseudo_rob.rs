@@ -15,11 +15,10 @@
 //! walk-back covers exactly the in-flight instructions after the branch.
 
 use koc_isa::InstId;
-use serde::{Deserialize, Serialize};
 
 /// The status classes of instructions retired from the pseudo-ROB
 /// (the six sections of Figure 12, bottom to top).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RetireClass {
     /// Moved from the instruction queue into the SLIQ (long-latency
     /// dependent work).
@@ -73,7 +72,7 @@ impl RetireClass {
 /// contiguous in trace order. The band therefore needs no per-instruction
 /// record: what an entry renamed and which checkpoint owns it live in the
 /// pipeline's in-flight table, which holds every instruction of the band.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PseudoRob {
     capacity: usize,
     /// Trace position of the oldest entry.

@@ -2,7 +2,6 @@
 //! virtual/ephemeral register variant used by Figure 14.
 
 use koc_isa::PhysReg;
-use serde::{Deserialize, Serialize};
 
 /// Free list + ready (scoreboard) bits for a pool of physical registers.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// longer grows with window occupancy. With Table 1's 4096 registers and a
 /// kilo-instruction window in flight, the old scan walked ~4000 slots per
 /// rename.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhysRegFile {
     /// Bit set = register free, 64 registers per word.
     free_words: Vec<u64>,
@@ -157,7 +156,7 @@ impl PhysRegFile {
 /// and is released early. The virtual tags are the rename pool itself
 /// (`RegisterModel::rename_pool_size` in koc-sim), so this structure tracks
 /// only the physical-register occupancy the write-back stage stalls on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VirtualRegisterFile {
     physical_capacity: usize,
     physical_in_use: usize,

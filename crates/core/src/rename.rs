@@ -19,10 +19,9 @@
 
 use crate::regfile::PhysRegFile;
 use koc_isa::{ArchReg, PhysReg, NUM_ARCH_REGS};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of renaming one instruction's destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenamedInst {
     /// The physical register newly allocated for the destination.
     pub new_phys: PhysReg,
@@ -36,7 +35,7 @@ pub struct RenamedInst {
 /// A snapshot of the rename state taken when a checkpoint is created. Both
 /// columns are bit words: bit `i % 64` of word `i / 64` belongs to physical
 /// register `i`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RenameCheckpoint {
     /// The valid column at checkpoint time.
     pub valid: Vec<u64>,
@@ -50,7 +49,7 @@ fn bit(words: &[u64], i: usize) -> bool {
 }
 
 /// The CAM rename map extended with future-free bits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CamRenameMap {
     /// Logical register mapped by each physical register (meaningful only
     /// while `valid` or `future_free` is set, mirroring the paper's figures).

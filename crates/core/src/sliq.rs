@@ -31,11 +31,10 @@
 use crate::depmask::DependenceMask;
 use crate::iq::IqEntry;
 use koc_isa::{ArchReg, InstId, Instruction, PhysReg};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Configuration of the SLIQ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliqConfig {
     /// Number of entries (512 / 1024 / 2048 in the paper).
     pub capacity: usize,
@@ -59,7 +58,7 @@ impl SliqConfig {
 
 /// A trigger whose register has been produced and whose dependent entries
 /// will start re-inserting once the re-insertion delay has elapsed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WakeupWalker {
     /// The trigger register being processed.
     pub trigger: PhysReg,
@@ -74,7 +73,7 @@ const NIL: u32 = u32::MAX;
 /// its trigger's bucket list. Freed nodes are chained through `next` onto
 /// the intrusive free list; `gen` is bumped at free time so stale age-stack
 /// records can be detected without a scan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SliqNode {
     entry: IqEntry,
     trigger: PhysReg,
@@ -85,7 +84,7 @@ struct SliqNode {
 
 /// Head/tail of one trigger's bucket, plus the pending-walker dedupe flag
 /// (replaces the linear membership scan of the walker FIFO).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct TriggerBucket {
     head: u32,
     tail: u32,
@@ -102,7 +101,7 @@ impl TriggerBucket {
 
 /// One record of the insertion-ordered age stack: enough to find and unlink
 /// the youngest live entries on a squash without touching anything older.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct AgeRecord {
     inst: InstId,
     node: u32,
@@ -110,7 +109,7 @@ struct AgeRecord {
 }
 
 /// The Slow Lane Instruction Queue.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SliqBuffer {
     config: SliqConfig,
     /// Node slab; free nodes are chained through `next` from `free_head`.
@@ -417,7 +416,7 @@ impl SliqBuffer {
 /// (transitively) depends on. This is the pseudo-ROB extraction logic's
 /// dependence computation: the bit mask of Section 3 plus the trigger
 /// association needed to tag SLIQ entries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DependenceTracker {
     mask: DependenceMask,
     trigger_of: Vec<Option<PhysReg>>,

@@ -8,7 +8,6 @@
 //! * [`GsharePredictor`] — the Table 1 predictor (16K two-bit counters,
 //!   global history XOR pc),
 //! * [`PerfectPredictor`] — used for limit studies,
-//! * [`StaticTakenPredictor`] — a pessimistic baseline used in tests,
 //! * the [`BranchPredictor`] trait that the fetch stage of `koc-sim` drives.
 //!
 //! ```
@@ -27,4 +26,4 @@ pub mod gshare;
 pub mod predictor;
 
 pub use gshare::GsharePredictor;
-pub use predictor::{BranchPredictor, BranchStats, PerfectPredictor, StaticTakenPredictor};
+pub use predictor::{BranchPredictor, BranchStats, PerfectPredictor};

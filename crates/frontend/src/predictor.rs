@@ -1,7 +1,5 @@
 //! The branch-predictor interface and trivial reference predictors.
 
-use serde::{Deserialize, Serialize};
-
 /// A conditional-branch direction predictor.
 ///
 /// The fetch stage calls [`predict`](BranchPredictor::predict) when it
@@ -28,7 +26,7 @@ pub trait BranchPredictor {
 }
 
 /// Aggregate branch-prediction statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Number of predicted conditional branches.
     pub predicted: u64,
@@ -82,24 +80,6 @@ impl BranchPredictor for PerfectPredictor {
     }
 }
 
-/// A static predict-taken predictor (pessimistic reference).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticTakenPredictor;
-
-impl StaticTakenPredictor {
-    /// Creates the static predictor.
-    pub fn new() -> Self {
-        StaticTakenPredictor
-    }
-}
-
-impl BranchPredictor for StaticTakenPredictor {
-    fn predict(&mut self, _pc: u64) -> bool {
-        true
-    }
-    fn update(&mut self, _pc: u64, _taken: bool) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,16 +94,6 @@ mod tests {
         assert_eq!(stats.mispredicted, 0);
         assert_eq!(stats.predicted, 100);
         assert_eq!(stats.misprediction_rate(), 0.0);
-    }
-
-    #[test]
-    fn static_taken_mispredicts_not_taken_branches() {
-        let mut p = StaticTakenPredictor::new();
-        let mut stats = BranchStats::default();
-        assert!(p.predict_and_train(0x40, true, &mut stats));
-        assert!(!p.predict_and_train(0x40, false, &mut stats));
-        assert_eq!(stats.mispredicted, 1);
-        assert!((stats.misprediction_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::op::OpKind;
 use crate::reg::ArchReg;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of register sources a dynamic instruction may have.
@@ -11,7 +10,7 @@ use std::fmt;
 pub const MAX_SRCS: usize = 3;
 
 /// A memory access performed by a load or store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemAccess {
     /// Byte address accessed.
     pub addr: u64,
@@ -27,7 +26,7 @@ impl MemAccess {
 }
 
 /// The resolved outcome of a branch in the dynamic trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchInfo {
     /// Whether the branch was actually taken.
     pub taken: bool,
@@ -62,7 +61,7 @@ impl BranchInfo {
 /// The simulator is trace driven: register *values* are not modelled, only
 /// dependences (via architectural register names), memory addresses and
 /// branch outcomes — everything the pipeline timing depends on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instruction {
     /// Program counter of the instruction (used by the branch predictor).
     pub pc: u64,

@@ -1,11 +1,14 @@
-//! A minimal JSON reader shared by every crate that parses the workspace's
+//! The workspace's JSON: a minimal reader and the string escaping its
+//! writers share, for every crate that reads or writes the repository's
 //! JSON artifacts (bench reports, timelines, pipeline traces).
 //!
-//! The workspace serde stub only *writes* JSON, so reading is hand-rolled:
 //! [`parse_json`] produces a [`Json`] tree with just enough accessors to
 //! decode the repository's formats. Integers that fit `u64` are kept exact
 //! ([`Json::Int`]) rather than routed through `f64`, so 64-bit counters and
-//! addresses round-trip bit for bit.
+//! addresses round-trip bit for bit. The writers format numbers and keys
+//! themselves and quote every string value through [`write_str`].
+
+use std::fmt::Write;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,6 +112,27 @@ pub fn parse_versioned(text: &str, schema: &str) -> Result<Json, String> {
             )),
         },
     }
+}
+
+/// Appends `s` to `out` as a quoted JSON string, escaping `"`, `\` and
+/// every control character below U+0020; [`parse_json`] reads it back as
+/// `s`.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -288,6 +312,26 @@ mod tests {
         assert!(parse_json("{\"unterminated\": ").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("[1] trailing").is_err());
+    }
+
+    #[test]
+    fn written_strings_round_trip_every_escape() {
+        for s in [
+            "plain",
+            "a\"b",
+            "back\\slash",
+            "line\nfeed",
+            "tab\there",
+            "bell\u{7}",
+            "\r\u{1f}é",
+        ] {
+            let mut out = String::new();
+            write_str(&mut out, s);
+            assert_eq!(parse_json(&out), Ok(Json::Str(s.to_string())), "{out}");
+        }
+        let mut out = String::new();
+        write_str(&mut out, "a\"b\\c\n\u{1}");
+        assert_eq!(out, r#""a\"b\\c\n\u0001""#);
     }
 
     #[test]

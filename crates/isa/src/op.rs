@@ -10,11 +10,10 @@
 //! | FP functional units   | 4     | 2 / 1            |
 //! | Memory ports          | 2     | cache-dependent  |
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The operation class of a dynamic instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Simple integer ALU operation (add, logic, shift, compare).
     IntAlu,
@@ -113,7 +112,7 @@ impl fmt::Display for OpKind {
 }
 
 /// The class of functional unit an operation issues to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FuClass {
     /// Integer general-purpose ALUs (4 in Table 1).
     IntAlu,
@@ -146,7 +145,7 @@ impl FuClass {
 }
 
 /// Execution latency and repeat (initiation) interval of an operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpLatency {
     /// Cycles from issue until the result is available.
     pub latency: u32,

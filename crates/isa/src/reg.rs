@@ -5,7 +5,6 @@
 //! (we do not model a hard-wired zero register; the workload generators
 //! simply never read what they did not write).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of integer logical registers.
@@ -20,7 +19,7 @@ pub const NUM_ARCH_REGS: usize = NUM_INT_REGS + NUM_FP_REGS;
 /// The paper sizes the integer and floating-point instruction queues
 /// separately, and the SLIQ dependence mask in Section 3 is a bit mask over
 /// logical registers, so the class is part of a register's identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RegClass {
     /// Integer register (`R0`–`R31`).
     Int,
@@ -50,7 +49,7 @@ impl fmt::Display for RegClass {
 /// assert_eq!(r.number(), 3);
 /// assert_eq!(ArchReg::fp(3).flat_index(), 32 + 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArchReg(u8);
 
 impl ArchReg {
@@ -130,7 +129,7 @@ impl fmt::Display for ArchReg {
 /// Physical registers are a single flat pool shared by both classes, exactly
 /// as in the paper's CAM register-mapping figures, where the mapping table is
 /// indexed by physical register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhysReg(pub u32);
 
 impl PhysReg {
@@ -233,15 +232,6 @@ impl<'a> IntoIterator for &'a RegList {
         self.as_slice().iter()
     }
 }
-
-// Serialized as a plain JSON array (the unused capacity is not data).
-impl Serialize for RegList {
-    fn write_json(&self, out: &mut String) {
-        self.as_slice().write_json(out);
-    }
-}
-
-impl<'de> Deserialize<'de> for RegList {}
 
 #[cfg(test)]
 mod tests {

@@ -7,14 +7,13 @@
 //! discovered after its entry has left the pseudo-ROB.
 
 use crate::inst::Instruction;
-use serde::{Deserialize, Serialize};
 use std::ops::Index;
 
 /// Identifier of a dynamic instruction: its position in the trace.
 pub type InstId = usize;
 
 /// A finite dynamic instruction stream.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     name: String,
     insts: Vec<Instruction>,
@@ -120,7 +119,7 @@ impl<'a> IntoIterator for &'a Trace {
 }
 
 /// Instruction-mix summary of a trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceMix {
     /// Total dynamic instructions.
     pub total: usize,

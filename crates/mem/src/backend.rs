@@ -14,7 +14,6 @@
 //! * [`crate::DramBackend`] — N banks with open-row buffers, per-bank FIFO
 //!   queues and a finite MSHR file that back-pressures the core when full.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -23,7 +22,7 @@ use std::collections::BinaryHeap;
 pub const INTERNAL_TOKEN_BIT: u64 = 1 << 63;
 
 /// One request handed to a backend: an L2 miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemReq {
     /// Caller-chosen identifier, echoed in the matching [`Completion`].
     /// Demand tokens must not have [`INTERNAL_TOKEN_BIT`] set.
@@ -80,7 +79,7 @@ pub struct Completion {
 }
 
 /// Counters every backend maintains.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendStats {
     /// Demand reads accepted.
     pub demand_reads: u64,

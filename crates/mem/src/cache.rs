@@ -8,10 +8,8 @@
 //! at the front. The array is allocated once at construction, so accesses
 //! never allocate and every set is one contiguous run of memory.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of a single cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -68,7 +66,7 @@ impl CacheConfig {
 }
 
 /// Whether an access hit or missed in a cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessOutcome {
     /// The line was present.
     Hit,

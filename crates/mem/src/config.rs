@@ -3,10 +3,9 @@
 
 use crate::cache::CacheConfig;
 use crate::dram::DramConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which timed backend models main memory (everything beyond the L2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BackendKind {
     /// A flat `memory_latency` with unlimited outstanding misses — exactly
     /// the paper's model and the default.
@@ -28,7 +27,7 @@ impl BackendKind {
 }
 
 /// Configuration of the whole data/instruction memory hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryConfig {
     /// Instruction L1 cache.
     pub il1: CacheConfig,

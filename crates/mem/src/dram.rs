@@ -11,11 +11,10 @@
 //! [`crate::FlatLatency`] — the conformance anchor the tests pin down.
 
 use crate::backend::{Admit, BackendStats, Completion, MemReq, MemoryBackend, SelfSchedule};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Geometry and timing of the banked DRAM backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Miss-status-holding registers: the maximum number of outstanding
     /// reads. Use [`DramConfig::UNLIMITED_MSHRS`] for an

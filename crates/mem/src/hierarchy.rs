@@ -7,11 +7,10 @@ use crate::config::{BackendKind, MemoryConfig};
 use crate::dram::DramBackend;
 use crate::stats::MemoryStats;
 use koc_obs::{Event, NullObserver, Observer};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The level that served a data access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemLevel {
     /// Served by the data L1.
     L1,
@@ -22,7 +21,7 @@ pub enum MemLevel {
 }
 
 /// Result of a data access: where it was served and its total latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataAccessResult {
     /// The level that served the access.
     pub level: MemLevel,

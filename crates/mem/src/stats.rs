@@ -1,9 +1,7 @@
 //! Memory-hierarchy statistics counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by a [`MemoryHierarchy`](crate::MemoryHierarchy).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
     /// Total data-side accesses (loads + stores).
     pub data_accesses: u64,

@@ -1,13 +1,12 @@
 //! Top-down cycle accounting: where did every cycle go?
 
 use crate::observer::{CycleBucket, CycleSample, Observer};
-use serde::{Deserialize, Serialize};
 
 /// Per-bucket cycle totals. The pipeline attributes every simulated cycle
 /// to exactly one [`CycleBucket`], so [`CycleBuckets::total`] equals
 /// `SimStats::cycles` for any completed run — a hard invariant the test
 /// suite and CI assert.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CycleBuckets {
     /// Cycles in which at least one instruction committed.
     pub committing: u64,

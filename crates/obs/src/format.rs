@@ -16,7 +16,6 @@
 use crate::observer::Event;
 use crate::timeline::IntervalRecord;
 use crate::trace::PipelineTracer;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -30,11 +29,46 @@ pub fn timeline_json(interval: u64, records: &[IntervalRecord]) -> String {
     let mut out = String::with_capacity(64 + records.len() * 256);
     let _ = write!(
         out,
-        "{{\"schema\":\"{TIMELINE_SCHEMA}\",\"interval\":{interval},\"records\":"
+        "{{\"schema\":\"{TIMELINE_SCHEMA}\",\"interval\":{interval},\"records\":["
     );
-    records.write_json(&mut out);
-    out.push('}');
+    for (i, record) in records.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_record(&mut out, record);
+    }
+    out.push_str("]}");
     out
+}
+
+fn write_record(out: &mut String, record: &IntervalRecord) {
+    // No `..`: a new field fails to compile until it is written here.
+    let IntervalRecord {
+        start_cycle,
+        cycles,
+        committed,
+        dispatched,
+        inflight_sum,
+        live_sum,
+        live_checkpoints_sum,
+        mshr_sum,
+        replay_window_sum,
+        stall,
+    } = record;
+    let _ = write!(
+        out,
+        "{{\"start_cycle\":{start_cycle},\"cycles\":{cycles},\"committed\":{committed},\
+         \"dispatched\":{dispatched},\"inflight_sum\":{inflight_sum},\"live_sum\":{live_sum},\
+         \"live_checkpoints_sum\":{live_checkpoints_sum},\"mshr_sum\":{mshr_sum},\
+         \"replay_window_sum\":{replay_window_sum},\"stall\":{{"
+    );
+    for (i, (name, n)) in stall.named().into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{name}\":{n}");
+    }
+    out.push_str("}}");
 }
 
 fn write_event(out: &mut String, cycle: u64, ev: Event) {
@@ -309,9 +343,17 @@ mod tests {
             ..Default::default()
         }];
         let json = timeline_json(4, &recs);
-        assert!(json.starts_with("{\"schema\":\"koc-timeline/1\",\"interval\":4,\"records\":["));
-        assert!(json.contains("\"start_cycle\":1"));
-        assert!(json.ends_with("]}"));
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"schema":"koc-timeline/1","interval":4,"records":[{"start_cycle":1,"#,
+                r#""cycles":4,"committed":0,"dispatched":0,"inflight_sum":0,"live_sum":0,"#,
+                r#""live_checkpoints_sum":0,"mshr_sum":0,"replay_window_sum":0,"stall":{"#,
+                r#""committing":0,"window_full":0,"iq_full":0,"regfile_exhausted":0,"#,
+                r#""checkpoint_table_full":0,"mshr_full":0,"memory_wait":0,"fetch_starved":0,"#,
+                r#""execute_wait":0}}]}"#
+            )
+        );
     }
 
     #[test]

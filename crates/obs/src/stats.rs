@@ -3,7 +3,6 @@
 //! pay nothing for them.
 
 use crate::observer::{CycleSample, Observer};
-use serde::{Deserialize, Serialize};
 
 /// Cycle interval of the live-instruction breakdown: the split walks the
 /// whole window, so it is sampled only on cycles that are a multiple of
@@ -23,7 +22,7 @@ pub fn breakdown_points(first: u64, n: u64) -> u64 {
 /// instead of O(simulated cycles), recording is branch-light, and a
 /// fast-forwarded gap of identical cycles records in O(1) via
 /// [`record_n`](Distribution::record_n).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Distribution {
     /// `counts[v]` = number of samples with value `v`.
     counts: Vec<u64>,

@@ -2,12 +2,11 @@
 
 use crate::accounting::CycleBuckets;
 use crate::observer::{CycleSample, Observer};
-use serde::{Deserialize, Serialize};
 
 /// One interval of the time-series. All fields are exact integers so the
 /// `koc-timeline/1` JSON round-trips losslessly through `koc_isa::json`
 /// (averages are left to consumers: `inflight_sum / cycles` etc.).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IntervalRecord {
     /// First cycle of the interval.
     pub start_cycle: u64,

@@ -2,10 +2,9 @@
 
 use koc_core::{CheckpointPolicy, SliqConfig};
 use koc_mem::MemoryConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which branch predictor the front end uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BranchPredictorKind {
     /// The Table 1 predictor: 16K-entry gshare.
     Gshare16k,
@@ -14,7 +13,7 @@ pub enum BranchPredictorKind {
 }
 
 /// How destination registers are backed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegisterModel {
     /// Conventional renaming: a physical register is allocated at rename and
     /// the pool size bounds the number of in-flight definitions.
@@ -53,7 +52,7 @@ impl RegisterModel {
 
 /// The commit engine: conventional in-order ROB commit, or the paper's
 /// checkpointed out-of-order commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitConfig {
     /// Conventional in-order commit from a ROB of the given size.
     InOrderRob {
@@ -88,7 +87,7 @@ impl CommitConfig {
 }
 
 /// Full processor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessorConfig {
     /// Instructions fetched/decoded/renamed per cycle (4 in Table 1).
     pub fetch_width: usize,

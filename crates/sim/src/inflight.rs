@@ -15,11 +15,10 @@
 use koc_core::{CheckpointId, IqSlot};
 use koc_isa::{InstId, OpKind, PhysReg, RegList};
 use koc_mem::MemLevel;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The execution state of an in-flight instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstState {
     /// Dispatched; waiting in an instruction queue.
     Waiting,
@@ -38,7 +37,7 @@ pub enum InstState {
 /// Rollback re-execution can create a new instance of the same trace
 /// position, so each instance carries a unique `seq` number; stale
 /// completion events are matched against it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InFlight {
     /// Trace position of the instruction.
     pub inst: InstId,

@@ -3,10 +3,9 @@
 use koc_core::RetireClass;
 use koc_frontend::BranchStats;
 use koc_mem::MemoryStats;
-use serde::{Deserialize, Serialize};
 
 /// Counters for the pseudo-ROB retirement breakdown (Figure 12).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetireBreakdown {
     counts: [u64; RetireClass::COUNT],
 }
@@ -39,7 +38,7 @@ impl RetireBreakdown {
 }
 
 /// Recovery-event counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Mispredicted branches recovered inside the pseudo-ROB (or via the ROB
     /// in the baseline): selective squash.
@@ -57,9 +56,8 @@ pub struct RecoveryStats {
 /// Everything measured during one simulation run.
 ///
 /// `SimStats` is `PartialEq` so determinism tests can assert bit-identical
-/// results, and `Serialize` (the workspace serde stub emits real JSON) so
-/// harnesses dump it without hand-formatting fields.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// results.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Cycles simulated.
     pub cycles: u64,
@@ -109,7 +107,7 @@ pub struct SimStats {
 }
 
 /// Dispatch-stall cycle counters by cause.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallStats {
     /// Stalled because the target instruction queue was full.
     pub iq_full: u64,
@@ -148,20 +146,6 @@ impl SimStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_serialize_to_json_via_the_derive() {
-        let stats = SimStats {
-            cycles: 200,
-            committed_instructions: 500,
-            ..Default::default()
-        };
-        let json = serde::Serialize::to_json(&stats);
-        assert!(json.starts_with('{'), "{json}");
-        assert!(json.contains("\"cycles\":200"), "{json}");
-        assert!(json.contains("\"committed_instructions\":500"), "{json}");
-        assert!(json.contains("\"memory\":{"), "{json}");
-    }
 
     #[test]
     fn retire_breakdown_fractions_sum_to_one() {

@@ -1,9 +1,7 @@
 //! Parameters describing a synthetic loop-nest kernel.
 
-use serde::{Deserialize, Serialize};
-
 /// The memory-access pattern of a kernel's loop body.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemoryPattern {
     /// Unit-stride streaming over arrays much larger than L2 (swim/mgrid
     /// style). Spatial locality within a cache line, no temporal reuse.
@@ -27,7 +25,7 @@ pub enum MemoryPattern {
 
 /// The dependence structure between the floating-point operations of one
 /// loop iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DependencePattern {
     /// Each FP operation depends only on loaded values: iterations are fully
     /// independent and ILP is bounded by the window, not by dependences.
@@ -52,7 +50,7 @@ pub enum DependencePattern {
 /// operations and `stores_per_unit` stores. One conditional back-edge branch
 /// terminates the body, and optionally a small number of data-dependent
 /// inner branches model the (rare) unpredictable control flow of FP codes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelConfig {
     /// Number of outer-loop iterations (bodies) to emit.
     pub iterations: usize,
