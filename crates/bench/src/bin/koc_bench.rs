@@ -1,24 +1,17 @@
-//! Command-line driver for the cycle-fingerprint harness and the
-//! observability subcommands.
+//! Command-line driver for one run of the canonical quick suite with an
+//! observer attached.
 //!
 //! ```text
-//! koc-bench harness --quick --out fresh.json  # run, write the JSON report
-//! koc-bench harness --full --out full.json
-//! koc-bench harness --list                    # canonical workload names
-//! koc-bench harness --source streamed --out s.json  # lazy O(window) ingestion
 //! koc-bench stats --workload gather --engine cooo   # every SimStats counter
 //! koc-bench trace --workload gather --format kanata   # pipeline event trace
 //! koc-bench timeline --workload gather --interval 256  # interval time-series
-//! koc-bench compare --baseline bench/baseline.json --current fresh.json
 //! ```
 //!
-//! `harness` prints the human-readable table and writes the JSON report;
-//! `compare` exits non-zero on any cycle or retired-count drift (CI's
-//! cycle gate). Streamed and materialized harness runs must agree cycle
-//! for cycle, so CI cross-compares one against the other. Host speed is
-//! measured by `perfbench/`, not here.
+//! The quick suite's cycle counts are pinned by `cargo test`
+//! (`tests/common/mod.rs`); host speed is measured by `perfbench/`, not
+//! here.
 
-use koc_bench::harness;
+use koc_bench::{harness, print};
 use koc_isa::json::{parse_json, Json};
 use koc_obs::{timeline_json, CycleAccounting, PipelineTracer, TimelineRecorder};
 use koc_sim::{Processor, ProcessorConfig};
@@ -27,94 +20,29 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn print_usage() {
-    eprintln!("usage: koc-bench harness [--quick|--full] --out PATH [--list]");
-    eprintln!("                         [--source streamed|materialized]");
-    eprintln!("       koc-bench stats [--workload NAME] [--engine baseline|cooo] [--full]");
+    eprintln!("usage: koc-bench stats [--workload NAME] [--engine baseline|cooo] [--len N]");
     eprintln!("       koc-bench trace [--workload NAME] [--engine baseline|cooo] [--len N]");
     eprintln!("                       [--format ptrace|kanata] [--out PATH]");
     eprintln!("       koc-bench timeline [--workload NAME] [--engine baseline|cooo] [--len N]");
     eprintln!("                          [--interval N] [--out PATH]");
-    eprintln!("       koc-bench compare --baseline PATH --current PATH");
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("harness") => run_harness(&args[1..]),
+    let done = match args.first().map(String::as_str) {
         Some("stats") => run_stats(&args[1..]),
         Some("trace") => run_trace(&args[1..]),
         Some("timeline") => run_timeline(&args[1..]),
-        Some("compare") => run_compare(&args[1..]),
         Some("--help") | Some("-h") => {
             print_usage();
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
         _ => {
             print_usage();
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
-}
-
-fn run_harness(args: &[String]) -> ExitCode {
-    let mut quick = true;
-    let mut source = harness::Source::Materialized;
-    let mut out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--full" => {
-                quick = false;
-                i += 1;
-            }
-            "--list" => {
-                for name in harness::workload_names() {
-                    println!("{name}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--source" => {
-                source = match args.get(i + 1).map(String::as_str) {
-                    Some("streamed") => harness::Source::Streamed,
-                    Some("materialized") => harness::Source::Materialized,
-                    other => {
-                        eprintln!("--source requires 'streamed' or 'materialized', got {other:?}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                i += 2;
-            }
-            "--out" => {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                };
-                out = Some(PathBuf::from(path));
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown harness option '{other}'");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(path) = out else {
-        eprintln!("harness requires --out PATH");
-        return ExitCode::FAILURE;
     };
-    let report = harness::run(quick, source);
-    println!("{}", report.to_table());
-    if let Err(e) = std::fs::write(&path, report.to_json()) {
-        eprintln!("failed to write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", path.display());
-    ExitCode::SUCCESS
+    done.err().unwrap_or(ExitCode::SUCCESS)
 }
 
 /// The options `stats`, `trace` and `timeline` share: which canonical run
@@ -128,8 +56,8 @@ struct RunArgs {
 
 /// A subcommand's answer for one of its command-line arguments.
 enum Own {
-    /// One of its own options, consuming this many arguments.
-    Took(usize),
+    /// An option taken, with its value.
+    Took,
     /// One of its own options with a missing or bad value.
     Bad(&'static str),
     /// Not its own: one of the shared run options, or unknown.
@@ -148,7 +76,7 @@ impl RunArgs {
         cmd: &str,
         args: &[String],
         trace_len: usize,
-        mut own: impl FnMut(&mut Self, &str, Option<&String>) -> Own,
+        mut own: impl FnMut(&str, Option<&String>) -> Own,
     ) -> Result<(Self, WorkloadSpec, ProcessorConfig), ExitCode> {
         let mut run = RunArgs {
             workload: None,
@@ -159,12 +87,12 @@ impl RunArgs {
         let mut i = 0;
         while i < args.len() {
             let (flag, value) = (args[i].as_str(), args.get(i + 1));
-            let answer = match own(&mut run, flag, value) {
+            let answer = match own(flag, value) {
                 Own::Shared => run.shared(flag, value),
                 answer => answer,
             };
             match answer {
-                Own::Took(n) => i += n,
+                Own::Took => i += 2,
                 Own::Bad(message) => {
                     eprintln!("{message}");
                     return Err(ExitCode::FAILURE);
@@ -188,9 +116,7 @@ impl RunArgs {
     fn shared(&mut self, flag: &str, value: Option<&String>) -> Own {
         match (flag, value) {
             ("--workload", Some(name)) => self.workload = Some(name.clone()),
-            ("--workload", None) => {
-                return Own::Bad("--workload requires a name (see harness --list)")
-            }
+            ("--workload", None) => return Own::Bad("--workload requires a name"),
             ("--engine", Some(name)) => self.engine = name.clone(),
             ("--engine", None) => return Own::Bad("--engine requires 'baseline' or 'cooo'"),
             ("--len", _) => match value.and_then(|v| v.parse().ok()) {
@@ -201,75 +127,66 @@ impl RunArgs {
             ("--out", None) => return Own::Bad("--out requires a path"),
             _ => return Own::Unknown,
         }
-        Own::Took(2)
+        Own::Took
+    }
+}
+
+/// The options of `stats`: the shared ones but `--out`, as its tables only
+/// print.
+fn stats_option(flag: &str, _: Option<&String>) -> Own {
+    match flag {
+        "--out" => Own::Unknown,
+        _ => Own::Shared,
     }
 }
 
 /// `koc-bench stats`: run one (workload, engine) pair and print the full
 /// per-run statistics table — every public `SimStats` counter, one row
 /// each (see `report::stats_table`) — and the `WindowStats` distributions.
-fn run_stats(args: &[String]) -> ExitCode {
-    // The run is sized by --quick/--full, and the tables only print.
-    let parsed = RunArgs::parse("stats", args, harness::QUICK_TRACE_LEN, |run, flag, _| {
-        match flag {
-            "--quick" => run.trace_len = harness::QUICK_TRACE_LEN,
-            "--full" => run.trace_len = harness::FULL_TRACE_LEN,
-            "--len" | "--out" => return Own::Unknown,
-            _ => return Own::Shared,
-        }
-        Own::Took(1)
-    });
-    let (run, spec, config) = match parsed {
-        Ok(parsed) => parsed,
-        Err(code) => return code,
-    };
+fn run_stats(args: &[String]) -> Result<(), ExitCode> {
+    let (run, spec, config) =
+        RunArgs::parse("stats", args, harness::QUICK_TRACE_LEN, stats_option)?;
     let w = spec.materialize();
     let (stats, window) =
         Processor::with_observer(config, &w.trace, koc_sim::WindowStats::new()).run_observed();
     let title = format!("Run statistics — {} / {}", spec.name(), run.engine);
-    println!("{}", koc_bench::report::stats_table(title, &stats));
+    print(koc_bench::report::stats_table(title, &stats))?;
     let title = format!("Window distributions — {} / {}", spec.name(), run.engine);
-    println!("{}", koc_bench::report::window_table(title, &window));
-    ExitCode::SUCCESS
+    print(koc_bench::report::window_table(title, &window))
+}
+
+/// Prints `message` to stderr and fails.
+fn fail(message: impl std::fmt::Display) -> Result<(), ExitCode> {
+    eprintln!("{message}");
+    Err(ExitCode::FAILURE)
 }
 
 /// Writes `text` to `out` if given, otherwise prints it.
-fn emit(out: Option<PathBuf>, text: &str) -> ExitCode {
+fn emit(out: Option<PathBuf>, text: &str) -> Result<(), ExitCode> {
     match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, text) {
-                eprintln!("failed to write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        None => {
-            println!("{text}");
-            ExitCode::SUCCESS
-        }
+        Some(path) => match std::fs::write(&path, text) {
+            Ok(()) => print(format_args!("wrote {}", path.display())),
+            Err(e) => fail(format_args!("failed to write {}: {e}", path.display())),
+        },
+        None => print(text),
     }
 }
 
 /// `koc-bench trace`: run one (workload, engine) pair with the pipeline
 /// event tracer attached and emit the stream as `koc-ptrace/1` JSON or
 /// Kanata/Konata text. Attaching the tracer never perturbs simulated time.
-fn run_trace(args: &[String]) -> ExitCode {
+fn run_trace(args: &[String]) -> Result<(), ExitCode> {
     let mut kanata = false;
-    let parsed = RunArgs::parse("trace", args, 2_000, |_, flag, value| match flag {
+    let (run, spec, config) = RunArgs::parse("trace", args, 2_000, |flag, value| match flag {
         "--format" => match value.map(String::as_str) {
             Some(format @ ("ptrace" | "kanata")) => {
                 kanata = format == "kanata";
-                Own::Took(2)
+                Own::Took
             }
             _ => Own::Bad("--format requires 'ptrace' or 'kanata'"),
         },
         _ => Own::Shared,
-    });
-    let (run, spec, config) = match parsed {
-        Ok(parsed) => parsed,
-        Err(code) => return code,
-    };
+    })?;
     let w = spec.materialize();
     let (stats, tracer) =
         Processor::with_observer(config, &w.trace, PipelineTracer::new()).run_observed();
@@ -287,8 +204,9 @@ fn run_trace(args: &[String]) -> ExitCode {
         // Self-validation: the emitted document must round-trip through the
         // workspace JSON parser before anything downstream consumes it.
         if let Err(e) = parse_json(&json) {
-            eprintln!("internal error: emitted koc-ptrace JSON does not parse: {e}");
-            return ExitCode::FAILURE;
+            return fail(format_args!(
+                "internal error: emitted koc-ptrace JSON does not parse: {e}"
+            ));
         }
         json
     };
@@ -301,7 +219,7 @@ fn interval_option(value: Option<&String>, interval: &mut u64) -> Own {
         Some(0) => Own::Bad("--interval must be at least 1 cycle"),
         Some(n) => {
             *interval = n;
-            Own::Took(2)
+            Own::Took
         }
         None => Own::Bad("--interval requires a cycle count"),
     }
@@ -311,21 +229,17 @@ fn interval_option(value: Option<&String>, interval: &mut u64) -> Own {
 /// time-series recorder and the top-down cycle-accounting observer attached.
 /// Prints both tables, emits the `koc-timeline/1` JSON, and hard-checks the
 /// accounting invariant (bucket sum == total cycles) before exiting.
-fn run_timeline(args: &[String]) -> ExitCode {
+fn run_timeline(args: &[String]) -> Result<(), ExitCode> {
     let mut interval = 256u64;
-    let parsed = RunArgs::parse(
+    let (run, spec, config) = RunArgs::parse(
         "timeline",
         args,
         harness::QUICK_TRACE_LEN,
-        |_, flag, value| match flag {
+        |flag, value| match flag {
             "--interval" => interval_option(value, &mut interval),
             _ => Own::Shared,
         },
-    );
-    let (run, spec, config) = match parsed {
-        Ok(parsed) => parsed,
-        Err(code) => return code,
-    };
+    )?;
     let w = spec.materialize();
     let obs = (TimelineRecorder::new(interval), CycleAccounting::new());
     let (stats, (timeline, accounting)) =
@@ -334,114 +248,38 @@ fn run_timeline(args: &[String]) -> ExitCode {
     // The accounting invariant is hard: every cycle lands in exactly one
     // bucket, so the sum must equal the run's cycle count.
     if buckets.total() != stats.cycles {
-        eprintln!(
+        return fail(format_args!(
             "internal error: cycle-accounting buckets sum to {} but the run took {} cycles",
             buckets.total(),
             stats.cycles
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     let title = format!("{} / {}", spec.name(), run.engine);
-    println!(
-        "{}",
-        koc_bench::report::accounting_table(format!("Cycle accounting — {title}"), &buckets)
-    );
+    print(koc_bench::report::accounting_table(
+        format!("Cycle accounting — {title}"),
+        &buckets,
+    ))?;
     let records = timeline.into_records();
-    println!(
-        "{}",
-        koc_bench::report::timeline_table(
-            format!("Timeline — {title} (interval {interval})"),
-            &records
-        )
-    );
+    print(koc_bench::report::timeline_table(
+        format!("Timeline — {title} (interval {interval})"),
+        &records,
+    ))?;
     let json = timeline_json(interval, &records);
     // Self-validation: the emitted document must parse and carry the
     // interval structure it claims.
     match parse_json(&json) {
-        Ok(doc) => {
-            let records_len = match doc.get("records") {
-                Some(Json::Arr(items)) => items.len(),
-                _ => {
-                    eprintln!("internal error: koc-timeline JSON has no records array");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if records_len != records.len() {
-                eprintln!("internal error: koc-timeline JSON dropped records");
-                return ExitCode::FAILURE;
-            }
-        }
+        Ok(doc) => match doc.get("records") {
+            Some(Json::Arr(items)) if items.len() == records.len() => {}
+            Some(Json::Arr(_)) => return fail("internal error: koc-timeline JSON dropped records"),
+            _ => return fail("internal error: koc-timeline JSON has no records array"),
+        },
         Err(e) => {
-            eprintln!("internal error: emitted koc-timeline JSON does not parse: {e}");
-            return ExitCode::FAILURE;
+            return fail(format_args!(
+                "internal error: emitted koc-timeline JSON does not parse: {e}"
+            ))
         }
     }
     emit(run.out, &json)
-}
-
-fn run_compare(args: &[String]) -> ExitCode {
-    let mut baseline: Option<PathBuf> = None;
-    let mut current: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let take_value = |i: usize| -> Option<&String> { args.get(i + 1) };
-        match args[i].as_str() {
-            "--baseline" => {
-                let Some(v) = take_value(i) else {
-                    eprintln!("--baseline requires a path");
-                    return ExitCode::FAILURE;
-                };
-                baseline = Some(PathBuf::from(v));
-                i += 2;
-            }
-            "--current" => {
-                let Some(v) = take_value(i) else {
-                    eprintln!("--current requires a path");
-                    return ExitCode::FAILURE;
-                };
-                current = Some(PathBuf::from(v));
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown compare option '{other}'");
-                print_usage();
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (Some(baseline), Some(current)) = (baseline, current) else {
-        eprintln!("compare requires --baseline and --current");
-        return ExitCode::FAILURE;
-    };
-    // compare_files owns the whole missing/truncated/corrupt-file surface:
-    // every structural problem exits non-zero with the file path and the
-    // reason, and drift verdicts are only ever computed from two
-    // well-formed reports.
-    match harness::compare_files(&baseline, &current) {
-        Ok(outcome) => {
-            for note in &outcome.notes {
-                println!("note: {note}");
-            }
-            if outcome.passed() {
-                println!("compare: OK ({} entries checked)", outcome.checked);
-                ExitCode::SUCCESS
-            } else {
-                for failure in &outcome.failures {
-                    eprintln!("FAIL: {failure}");
-                }
-                eprintln!(
-                    "compare: {} failure(s) vs {}",
-                    outcome.failures.len(),
-                    baseline.display()
-                );
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("compare: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 #[cfg(test)]
@@ -454,12 +292,17 @@ mod tests {
 
     #[test]
     fn shared_run_options_parse_into_one_selection() {
+        let shared = |_: &str, _: Option<&String>| Own::Shared;
         let words = args(&["--workload", "gather", "--engine", "baseline"]);
-        let (run, spec, _) = RunArgs::parse("trace", &words, 2_000, |_, _, _| Own::Shared).unwrap();
+        let (mut run, spec, _) = RunArgs::parse("trace", &words, 2_000, shared).unwrap();
         assert_eq!((spec.name(), run.engine.as_str()), ("gather", "baseline"));
+        assert!(matches!(
+            run.shared("--workload", None),
+            Own::Bad("--workload requires a name")
+        ));
         assert_eq!((run.trace_len, run.out), (2_000, None));
         let words = args(&["--len", "99", "--out", "t.json"]);
-        let (run, spec, _) = RunArgs::parse("trace", &words, 2_000, |_, _, _| Own::Shared).unwrap();
+        let (run, spec, _) = RunArgs::parse("trace", &words, 2_000, shared).unwrap();
         assert_eq!((spec.name(), run.engine.as_str()), ("stream_add", "cooo"));
         assert_eq!(
             (run.trace_len, run.out),
@@ -471,7 +314,19 @@ mod tests {
             &["--bogus"],
             &["--engine", "vliw"],
         ] {
-            let parsed = RunArgs::parse("trace", &args(bad), 2_000, |_, _, _| Own::Shared);
+            let parsed = RunArgs::parse("trace", &args(bad), 2_000, shared);
+            assert!(parsed.is_err(), "{bad:?}");
+        }
+
+        // `stats` is sized by `--len` alone, 8000 instructions by default,
+        // and refuses `--out`.
+        let (run, _, _) = RunArgs::parse("stats", &[], 8_000, stats_option).unwrap();
+        assert_eq!((run.trace_len, run.out), (8_000, None));
+        let words = args(&["--len", "500"]);
+        let (run, _, _) = RunArgs::parse("stats", &words, 8_000, stats_option).unwrap();
+        assert_eq!(run.trace_len, 500);
+        for bad in [&["--out", "s.txt"][..], &["--quick"], &["--full"]] {
+            let parsed = RunArgs::parse("stats", &args(bad), 8_000, stats_option);
             assert!(parsed.is_err(), "{bad:?}");
         }
     }
@@ -484,9 +339,12 @@ mod tests {
         assert_eq!(interval, 256);
         assert!(matches!(
             interval_option(Some(&"1".to_string()), &mut interval),
-            Own::Took(2)
+            Own::Took
         ));
         assert_eq!(interval, 1);
-        assert_eq!(run_timeline(&args(&["--interval", "0"])), ExitCode::FAILURE);
+        assert_eq!(
+            run_timeline(&args(&["--interval", "0"])),
+            Err(ExitCode::FAILURE)
+        );
     }
 }

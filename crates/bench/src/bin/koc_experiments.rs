@@ -59,7 +59,9 @@ fn main() -> ExitCode {
     for name in &names {
         match experiments::run_by_name(name, trace_len) {
             Ok(report) => {
-                println!("{report}");
+                if let Err(code) = koc_bench::print(report) {
+                    return code;
+                }
             }
             Err(e) => {
                 eprintln!("{e}");

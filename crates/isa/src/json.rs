@@ -1,6 +1,6 @@
 //! The workspace's JSON: a minimal reader and the string escaping its
 //! writers share, for every crate that reads or writes the repository's
-//! JSON artifacts (bench reports, timelines, pipeline traces).
+//! JSON artifacts (timelines and pipeline traces).
 //!
 //! [`parse_json`] produces a [`Json`] tree with just enough accessors to
 //! decode the repository's formats. Integers that fit `u64` are kept exact
@@ -56,15 +56,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The value as a float ([`Json::Int`] is widened).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
 }
 
 /// Maximum container nesting accepted by [`parse_json`]. The parser is
@@ -88,30 +79,6 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
         return Err(format!("trailing content at byte {pos}"));
     }
     Ok(value)
-}
-
-/// Parses a versioned workspace artifact: a JSON object whose `"schema"`
-/// field must equal `schema`. This is the shared front door for every
-/// on-disk format (`koc-bench-harness/1`, ...), so schema
-/// mismatches fail uniformly and early.
-///
-/// # Errors
-/// Returns the underlying syntax error, or a description of the missing or
-/// mismatched `"schema"` field.
-pub fn parse_versioned(text: &str, schema: &str) -> Result<Json, String> {
-    let value = parse_json(text)?;
-    match value.get("schema").and_then(Json::as_str) {
-        Some(found) if found == schema => Ok(value),
-        Some(found) => Err(format!(
-            "schema mismatch: expected '{schema}', found '{found}'"
-        )),
-        None => match value {
-            Json::Obj(_) => Err(format!("missing 'schema' field (expected '{schema}')")),
-            _ => Err(format!(
-                "expected a '{schema}' object, found a non-object document"
-            )),
-        },
-    }
 }
 
 /// Appends `s` to `out` as a quoted JSON string, escaping `"`, `\` and
@@ -359,24 +326,12 @@ mod tests {
     }
 
     #[test]
-    fn parse_versioned_checks_the_schema_field() {
-        assert!(parse_versioned(r#"{"schema":"koc-x/1","v":1}"#, "koc-x/1").is_ok());
-        let err = parse_versioned(r#"{"schema":"koc-x/2"}"#, "koc-x/1").unwrap_err();
-        assert!(err.contains("expected 'koc-x/1'"), "{err}");
-        let err = parse_versioned(r#"{"v":1}"#, "koc-x/1").unwrap_err();
-        assert!(err.contains("missing 'schema'"), "{err}");
-        let err = parse_versioned("[1,2]", "koc-x/1").unwrap_err();
-        assert!(err.contains("non-object"), "{err}");
-        assert!(parse_versioned("{", "koc-x/1").is_err());
-    }
-
-    #[test]
     fn negative_and_scientific_numbers_parse_as_floats() {
         let v = parse_json("[-3, 1e3, -2.5]").unwrap();
         let Json::Arr(items) = v else { panic!() };
-        assert_eq!(items[0].as_f64(), Some(-3.0));
+        assert_eq!(items[0], Json::Num(-3.0));
         assert_eq!(items[0].as_u64(), None, "negative is not a u64");
-        assert_eq!(items[1].as_f64(), Some(1000.0));
+        assert_eq!(items[1], Json::Num(1000.0));
         assert_eq!(items[1].as_u64(), Some(1000), "whole float still reads");
         assert_eq!(items[2].as_u64(), None);
     }

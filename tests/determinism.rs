@@ -1,8 +1,9 @@
-//! Determinism and fast-forward-equivalence gates.
+//! Determinism, fast-forward-equivalence and cycle gates.
 //!
-//! The CI `cycle-regression` job compares cycle counts against a committed
-//! baseline at zero tolerance; these tests pin the two properties that gate
-//! depends on:
+//! `cooo_quick_suite_cycles_are_pinned_in_all_modes` is the repository's
+//! cycle gate: the quick suite must land on the counts pinned in
+//! `tests/common/mod.rs`, at zero tolerance. The other tests pin the two
+//! properties that gate depends on:
 //!
 //! 1. **Determinism** — the same configuration over the same workloads
 //!    yields *bit-identical* `SimStats`, run directly or through a rayon
@@ -13,6 +14,10 @@
 //!    many cycles the pipeline steps: every statistic, including per-cycle distributions and stall
 //!    counters, matches the per-cycle-stepping run exactly.
 
+mod common;
+
+use common::{assert_pinned, PINNED};
+use koc_bench::harness::{engines, specs, QUICK_TRACE_LEN};
 use koc_sim::{sweep, CycleSample, DramConfig, Observer, Processor, ProcessorConfig, Suite};
 use koc_workloads::kernels;
 
@@ -183,78 +188,59 @@ fn fast_forward_speeds_up_the_memory_bound_kernel() {
     );
 }
 
-/// The committed `bench/baseline.json` cycle counts over the full quick
-/// suite, pinned in-source so any hot-path refactor is proved cycle-neutral
-/// by `cargo test` alone — before the CI bench gate even runs. Solo cooo
-/// runs must land on exactly these numbers in every combination of
-/// ingestion mode and fast-forward, and a `sweep` of both engines in both
-/// ingestion modes.
+/// The cycle gate: the quick suite lands on the counts pinned in
+/// `tests/common/mod.rs`. A `sweep` of both engines does so in both
+/// ingestion modes, with identical `SimStats` either way, and solo cooo
+/// runs do so in every combination of ingestion mode and fast-forward.
 #[test]
 fn cooo_quick_suite_cycles_are_pinned_in_all_modes() {
-    use koc_bench::harness::{engines, specs, QUICK_TRACE_LEN};
-
-    const PINNED: &[(&str, u64, u64, u64)] = &[
-        // (workload, baseline cycles, cooo cycles, retired)
-        ("stream_add", 47_328, 4_183, 8_004),
-        ("stencil27", 61_382, 4_460, 8_100),
-        ("dense_blocked", 57_208, 3_623, 8_140),
-        ("reduction", 59_149, 5_608, 8_008),
-        ("gather", 63_937, 4_516, 8_070),
-        ("pointer_chase", 6_458_794, 6_458_795, 8_000),
-        ("stream_mlp", 63_883, 3_933, 8_024),
-    ];
-    let engine = |wanted: &str| {
-        engines()
-            .iter()
-            .find(|(name, _)| *name == wanted)
-            .expect("harness exposes the engine")
-            .1
-    };
-    let config = engine("cooo");
+    let engines = engines();
     let specs = specs(QUICK_TRACE_LEN);
     assert_eq!(specs.len(), PINNED.len(), "quick suite changed shape");
-    let engines = [engine("baseline"), config];
     let materialized: Vec<_> = specs.iter().map(|s| s.materialize()).collect();
-    for results in [sweep(engines, &specs), sweep(engines, &materialized)] {
-        for (ei, result) in results.iter().enumerate() {
-            for (wr, &(name, base_cycles, cooo_cycles, retired)) in
-                result.per_workload.iter().zip(PINNED)
-            {
-                let cycles = [base_cycles, cooo_cycles][ei];
-                assert_eq!(wr.workload, name);
-                assert_eq!(
-                    (wr.stats.cycles, wr.stats.committed_instructions),
-                    (cycles, retired),
-                    "{name}: swept cycles must stay on bench/baseline.json (engine {ei})"
-                );
-            }
+    let configs = engines.map(|(_, config)| config);
+    let swept = sweep(configs, &specs)
+        .into_iter()
+        .zip(sweep(configs, &materialized));
+    for ((engine, _), (streamed, materialized)) in engines.iter().zip(swept) {
+        let pairs = streamed.per_workload.iter().zip(&materialized.per_workload);
+        for ((s, m), &(name, ..)) in pairs.zip(PINNED) {
+            assert_eq!((s.workload.as_str(), m.workload.as_str()), (name, name));
+            assert_pinned(name, engine, "sweep, streamed", &s.stats);
+            assert_pinned(name, engine, "sweep, materialized", &m.stats);
+            assert_eq!(
+                s.stats, m.stats,
+                "{name}/{engine}: streamed and materialized runs must agree"
+            );
         }
     }
-    for ((spec, workload), &(name, _, cycles, retired)) in
-        specs.iter().zip(&materialized).zip(PINNED)
-    {
+    let (_, cooo) = engines
+        .iter()
+        .find(|(name, _)| *name == "cooo")
+        .expect("harness exposes the cooo engine");
+    for ((spec, workload), &(name, ..)) in specs.iter().zip(&materialized).zip(PINNED) {
         assert_eq!(spec.name(), name, "quick suite changed order");
         for fast_forward in [true, false] {
             // Stepping pointer_chase's ~6.5M almost-all-idle cycles one by
-            // one is prohibitive under debug codegen; the release CI bench
-            // job runs the full matrix, and fast-forward equivalence is
-            // separately pinned above on every engine/backend combination.
+            // one is prohibitive under debug codegen; CI's release test step
+            // (`cargo test --release --test determinism`) runs the full
+            // matrix, and fast-forward equivalence is separately pinned
+            // above on every engine/backend combination.
             if cfg!(debug_assertions) && name == "pointer_chase" && !fast_forward {
                 continue;
             }
-            let config = config.with_fast_forward(fast_forward);
+            let config = cooo.with_fast_forward(fast_forward);
             for streamed in [false, true] {
-                let stats = if streamed {
-                    Processor::new(config, spec.source()).run()
+                let (stats, source) = if streamed {
+                    (Processor::new(config, spec.source()).run(), "streamed")
                 } else {
-                    Processor::new(config, &workload.trace).run()
+                    (
+                        Processor::new(config, &workload.trace).run(),
+                        "materialized",
+                    )
                 };
-                assert_eq!(
-                    (stats.cycles, stats.committed_instructions),
-                    (cycles, retired),
-                    "{name}: cooo cycles must stay pinned \
-                     (streamed={streamed}, fast_forward={fast_forward})"
-                );
+                let mode = format!("solo, {source}, fast_forward={fast_forward}");
+                assert_pinned(name, "cooo", &mode, &stats);
             }
         }
     }

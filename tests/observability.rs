@@ -4,8 +4,8 @@
 //!
 //! 1. **Zero perturbation** — attaching any observer (tracer, timeline,
 //!    cycle accounting, or compositions) leaves every statistic bit-identical
-//!    to the unobserved run, in both ingestion modes, against the committed
-//!    `bench/baseline.json` cycle counts.
+//!    to the unobserved run, in both ingestion modes, and the unobserved
+//!    run lands on the cycle counts pinned in `tests/common/mod.rs`.
 //! 2. **Gap-replay exactness** — the event-driven fast-forward replays
 //!    observer samples for skipped cycles exactly: traces, timelines and
 //!    bucket counts match the per-cycle-stepping run event for event.
@@ -14,6 +14,9 @@
 //!    `koc-timeline/1` JSON round-trips through the workspace parser at
 //!    full u64 precision (including values above 2^53).
 
+mod common;
+
+use common::assert_pinned;
 use koc_bench::harness::{engines, specs, QUICK_TRACE_LEN};
 use koc_isa::json::{parse_json, Json};
 use koc_isa::{ArchReg, TraceBuilder};
@@ -24,35 +27,13 @@ use koc_obs::{
 use koc_sim::{Processor, ProcessorConfig};
 use proptest::prelude::*;
 
-/// The committed harness baseline's cycle count for `(workload, engine)`.
-fn baseline_cycles(workload: &str, engine: &str) -> u64 {
-    let text = std::fs::read_to_string("bench/baseline.json").expect("bench/baseline.json");
-    let json = parse_json(&text).expect("baseline parses");
-    let Some(Json::Arr(results)) = json.get("results") else {
-        panic!("baseline has no results");
-    };
-    results
-        .iter()
-        .find(|e| {
-            e.get("workload").and_then(Json::as_str) == Some(workload)
-                && e.get("engine").and_then(Json::as_str) == Some(engine)
-        })
-        .and_then(|e| e.get("cycles").and_then(Json::as_u64))
-        .unwrap_or_else(|| panic!("no baseline entry for {workload}/{engine}"))
-}
-
 #[test]
 fn observers_are_zero_perturbation_across_the_quick_suite() {
     for (engine, config) in engines() {
         for spec in specs(QUICK_TRACE_LEN) {
             let w = spec.materialize();
             let plain = Processor::new(config, &w.trace).run();
-            assert_eq!(
-                plain.cycles,
-                baseline_cycles(spec.name(), engine),
-                "{}/{engine}: unobserved run drifted from bench/baseline.json",
-                spec.name()
-            );
+            assert_pinned(spec.name(), engine, "materialized, unobserved", &plain);
             // Materialized ingestion with the timeline + accounting pair.
             let obs = (TimelineRecorder::new(512), CycleAccounting::new());
             let (observed, (_, accounting)) =
