@@ -3,7 +3,7 @@
 //! registers, against the 4096-entry ROB limit.
 
 use crate::Report;
-use koc_sim::{sweep, ProcessorConfig, RegisterModel, Suite};
+use koc_sim::{sweep, ProcessorConfig, Suite};
 
 /// Checkpoint counts swept by the figure.
 pub const CHECKPOINTS: &[usize] = &[4, 8, 16, 32, 64, 128];
@@ -17,17 +17,13 @@ pub const MEMORY_LATENCY: u32 = 1000;
 
 /// Runs the Figure 13 sweep.
 pub fn run(trace_len: usize) -> Report {
-    let configs = std::iter::once(
-        ProcessorConfig::baseline(4096, MEMORY_LATENCY)
-            .with_registers(RegisterModel::Conventional { phys_regs: 4096 }),
-    )
-    .chain(CHECKPOINTS.iter().map(|&n| {
-        ProcessorConfig::cooo(IQ_SIZE, 2048, MEMORY_LATENCY)
-            .with_checkpoints(n)
-            .with_registers(RegisterModel::Conventional {
-                phys_regs: PHYS_REGS,
-            })
-    }));
+    let configs = std::iter::once(ProcessorConfig::baseline(4096, MEMORY_LATENCY)).chain(
+        CHECKPOINTS.iter().map(|&n| {
+            ProcessorConfig::cooo(IQ_SIZE, 2048, MEMORY_LATENCY)
+                .with_checkpoints(n)
+                .with_phys_regs(PHYS_REGS)
+        }),
+    );
     let results = sweep(configs, &Suite::paper().generate(trace_len));
     let limit = &results[0];
 

@@ -147,7 +147,6 @@ pub fn stats_rows(stats: &SimStats) -> Vec<(String, String)> {
                 dl1_misses,
                 l2_hits,
                 l2_misses,
-                inst_accesses,
                 mshr_full_stalls,
                 row_buffer_hits,
                 row_buffer_misses,
@@ -220,7 +219,6 @@ pub fn stats_rows(stats: &SimStats) -> Vec<(String, String)> {
 
     push("memory.data_accesses", data_accesses.to_string());
     push("memory.store_accesses", store_accesses.to_string());
-    push("memory.inst_accesses", inst_accesses.to_string());
     push("memory.dl1_hits", dl1_hits.to_string());
     push("memory.dl1_misses", dl1_misses.to_string());
     push("memory.l2_hits", l2_hits.to_string());

@@ -12,9 +12,7 @@
 //!   long-latency-instruction decision and recovers nearby branches, kept
 //!   as a band of trace positions over the pipeline's in-flight table,
 //! * [`sliq`] — Slow Lane Instruction Queuing: the dependence-mask detector
-//!   and the secondary buffer with its wake-up walker (Figure 8),
-//! * [`regfile::VirtualRegisterFile`] — the ephemeral/virtual register model
-//!   used by the combined experiment (Figure 14).
+//!   and the secondary buffer with its wake-up walker (Figure 8).
 //!
 //! **Conventional structures** (shared by both machines):
 //! [`iq::InstructionQueue`], [`lsq::LoadStoreQueue`],
@@ -43,6 +41,6 @@ pub use depmask::DependenceMask;
 pub use iq::{InstructionQueue, IqEntry, IqFull, IqSlot};
 pub use lsq::{LoadStoreQueue, LsqEntry, LsqFull};
 pub use pseudo_rob::{PseudoRob, RetireClass};
-pub use regfile::{PhysRegFile, VirtualRegisterFile};
+pub use regfile::PhysRegFile;
 pub use rename::{CamRenameMap, RenameCheckpoint, RenamedInst};
-pub use sliq::{DependenceTracker, SliqBuffer, SliqConfig, WakeupWalker};
+pub use sliq::{DependenceTracker, SliqBuffer, SliqConfig, WakeupWalker, SLIQ_WAKE_WIDTH};

@@ -1,5 +1,4 @@
-//! Physical register file state: free list, ready bits, and the
-//! virtual/ephemeral register variant used by Figure 14.
+//! Physical register file state: free list and ready bits.
 
 use koc_isa::PhysReg;
 
@@ -148,60 +147,6 @@ impl PhysRegFile {
     }
 }
 
-/// Occupancy model for *ephemeral / virtual registers* (Figure 14).
-///
-/// In the virtual-register scheme (refs. 19 and 21 in the paper) an
-/// instruction only needs a *virtual tag* at rename time; a physical
-/// register is allocated late, when the instruction produces its result,
-/// and is released early. The virtual tags are the rename pool itself
-/// (`RegisterModel::rename_pool_size` in koc-sim), so this structure tracks
-/// only the physical-register occupancy the write-back stage stalls on.
-#[derive(Debug, Clone)]
-pub struct VirtualRegisterFile {
-    physical_capacity: usize,
-    physical_in_use: usize,
-}
-
-impl VirtualRegisterFile {
-    /// Creates a virtual register file backed by `physical_capacity`
-    /// physical registers.
-    pub fn new(physical_capacity: usize) -> Self {
-        VirtualRegisterFile {
-            physical_capacity,
-            physical_in_use: 0,
-        }
-    }
-
-    /// Upgrades a virtual tag to a physical register at write-back.
-    /// Returns `false` (stall the write-back) if no physical register is free.
-    pub fn acquire_physical(&mut self) -> bool {
-        if self.physical_in_use < self.physical_capacity {
-            self.physical_in_use += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Releases a physical register if any is in use; returns whether a
-    /// release happened. The write-back stage uses this to recycle the
-    /// register of the superseded definition, where the occupancy model can
-    /// conservatively under-count acquisitions.
-    pub fn try_release_physical(&mut self) -> bool {
-        if self.physical_in_use > 0 {
-            self.physical_in_use -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Number of physical registers currently occupied.
-    pub fn physical_in_use(&self) -> usize {
-        self.physical_in_use
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,18 +214,5 @@ mod tests {
         assert_eq!(rf.free_count(), 3);
         assert!(rf.is_free(b));
         assert!(rf.is_free(c));
-    }
-
-    #[test]
-    fn virtual_register_file_enforces_its_physical_capacity() {
-        let mut v = VirtualRegisterFile::new(1);
-        assert!(v.acquire_physical());
-        assert!(!v.acquire_physical(), "physical registers exhausted");
-        assert_eq!(v.physical_in_use(), 1);
-        assert!(v.try_release_physical());
-        assert!(v.acquire_physical());
-        assert!(v.try_release_physical());
-        assert!(!v.try_release_physical(), "nothing left to release");
-        assert_eq!(v.physical_in_use(), 0);
     }
 }

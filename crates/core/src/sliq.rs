@@ -33,6 +33,9 @@ use crate::iq::IqEntry;
 use koc_isa::{ArchReg, InstId, Instruction, PhysReg};
 use std::collections::VecDeque;
 
+/// Instructions the wake-up walker re-inserts per cycle (4 in the paper).
+pub const SLIQ_WAKE_WIDTH: usize = 4;
+
 /// Configuration of the SLIQ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliqConfig {
@@ -41,17 +44,14 @@ pub struct SliqConfig {
     /// Cycles between the triggering register being produced and the first
     /// re-insertion (4 in the paper; Figure 10 sweeps 1–12).
     pub reinsert_delay: u32,
-    /// Instructions re-inserted per cycle (4 in the paper).
-    pub wake_width: usize,
 }
 
 impl SliqConfig {
-    /// The paper's default: 4-cycle re-insertion delay, 4 instructions/cycle.
+    /// The paper's default: 4-cycle re-insertion delay.
     pub fn paper(capacity: usize) -> Self {
         SliqConfig {
             capacity,
             reinsert_delay: 4,
-            wake_width: 4,
         }
     }
 }
@@ -136,10 +136,9 @@ impl SliqBuffer {
     /// the configured capacity.
     ///
     /// # Panics
-    /// Panics if the configured capacity or wake width is zero.
+    /// Panics if the configured capacity is zero.
     pub fn new(config: SliqConfig) -> Self {
         assert!(config.capacity > 0, "SLIQ capacity must be non-zero");
-        assert!(config.wake_width > 0, "SLIQ wake width must be non-zero");
         SliqBuffer {
             config,
             nodes: Vec::with_capacity(config.capacity),
@@ -314,7 +313,7 @@ impl SliqBuffer {
     }
 
     /// Advances the wake-up machinery by one cycle and returns the entries to
-    /// re-insert into the instruction queues this cycle: at most `wake_width`
+    /// re-insert into the instruction queues this cycle: at most [`SLIQ_WAKE_WIDTH`]
     /// in total, and never more than the free space of each target queue
     /// (`int_space` for integer/memory entries, `fp_space` for floating-point
     /// entries). Entries of one trigger re-insert oldest first; re-insertion
@@ -335,7 +334,7 @@ impl SliqBuffer {
         mut fp_space: usize,
         out: &mut Vec<IqEntry>,
     ) {
-        let mut budget = self.config.wake_width;
+        let mut budget = SLIQ_WAKE_WIDTH;
         while budget > 0 {
             let Some(front) = self.pending_triggers.front().copied() else {
                 break;
@@ -524,7 +523,6 @@ mod tests {
         SliqConfig {
             capacity,
             reinsert_delay: delay,
-            wake_width: 4,
         }
     }
 
@@ -533,7 +531,7 @@ mod tests {
         let c = SliqConfig::paper(1024);
         assert_eq!(c.capacity, 1024);
         assert_eq!(c.reinsert_delay, 4);
-        assert_eq!(c.wake_width, 4);
+        assert_eq!(SLIQ_WAKE_WIDTH, 4);
     }
 
     #[test]

@@ -26,11 +26,10 @@ impl BackendKind {
     }
 }
 
-/// Configuration of the whole data/instruction memory hierarchy.
+/// Configuration of the data memory hierarchy. Fetch reads the trace, so
+/// there is no instruction cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryConfig {
-    /// Instruction L1 cache.
-    pub il1: CacheConfig,
     /// Data L1 cache.
     pub dl1: CacheConfig,
     /// Unified L2 cache.
@@ -39,8 +38,6 @@ pub struct MemoryConfig {
     /// With a DRAM backend this is the row-buffer-hit access time; row
     /// management adds on top.
     pub memory_latency: u32,
-    /// Number of memory (cache) ports available to the core per cycle.
-    pub memory_ports: usize,
     /// When set, every L2 access hits (Figure 1's "L2 Perfect" bars).
     pub perfect_l2: bool,
     /// The timed backend modelling main memory.
@@ -51,11 +48,9 @@ impl MemoryConfig {
     /// The Table 1 hierarchy with the given main-memory latency.
     pub fn table1(memory_latency: u32) -> Self {
         MemoryConfig {
-            il1: CacheConfig::table1_l1(),
             dl1: CacheConfig::table1_l1(),
             l2: CacheConfig::table1_l2(),
             memory_latency,
-            memory_ports: 2,
             perfect_l2: false,
             backend: BackendKind::Flat,
         }
@@ -155,7 +150,6 @@ mod tests {
         assert_eq!(m.l2.line_bytes, 64);
         assert_eq!(m.l2.latency, 10);
         assert_eq!(m.memory_latency, 1000);
-        assert_eq!(m.memory_ports, 2);
         assert!(!m.perfect_l2);
     }
 

@@ -1,4 +1,4 @@
-//! The multi-level memory hierarchy: IL1, DL1, unified L2, and a pluggable
+//! The multi-level data memory hierarchy: DL1, unified L2, and a pluggable
 //! timed main-memory backend.
 
 use crate::backend::{Admit, Completion, FlatLatency, MemReq, MemoryBackend, SelfSchedule};
@@ -57,7 +57,6 @@ pub enum TimedAccess {
 #[derive(Debug)]
 pub struct MemoryHierarchy {
     config: MemoryConfig,
-    il1: Cache,
     dl1: Cache,
     l2: Cache,
     backend: Box<dyn MemoryBackend>,
@@ -94,7 +93,6 @@ impl MemoryHierarchy {
             .validate()
             .unwrap_or_else(|e| panic!("invalid memory configuration: {e}"));
         MemoryHierarchy {
-            il1: Cache::new(config.il1),
             dl1: Cache::new(config.dl1),
             l2: Cache::new(config.l2),
             backend: backend_from_config(&config),
@@ -369,25 +367,6 @@ impl MemoryHierarchy {
         !self.dl1.contains(addr) && !self.l2.contains(addr)
     }
 
-    /// Accesses the instruction hierarchy at byte address `pc`.
-    ///
-    /// Returns the fetch latency. The FP workloads of the paper fit in IL1
-    /// after the first touch of each line, so this is almost always 2
-    /// cycles; the rare L2 miss is charged the flat latency (instruction
-    /// fetch does not contend for data MSHRs).
-    pub fn access_instruction(&mut self, pc: u64) -> u32 {
-        self.stats.inst_accesses += 1;
-        let l1 = self.il1.access(pc);
-        if l1.is_hit() {
-            return self.config.il1.latency;
-        }
-        let l2 = self.l2.access(pc);
-        if self.config.perfect_l2 || l2.is_hit() {
-            return self.config.il1.latency + self.config.l2.latency;
-        }
-        self.config.il1.latency + self.config.l2.latency + self.config.memory_latency
-    }
-
     /// The L1 data cache (for inspection in tests).
     pub fn dl1(&self) -> &Cache {
         &self.dl1
@@ -445,15 +424,6 @@ mod tests {
         assert!(m.would_miss_l2(0x55_0000));
         m.access_data(0x55_0000, false);
         assert!(!m.would_miss_l2(0x55_0000));
-    }
-
-    #[test]
-    fn instruction_fetches_hit_after_first_touch() {
-        let mut m = MemoryHierarchy::new(MemoryConfig::table1(1000));
-        let cold = m.access_instruction(0x400);
-        let warm = m.access_instruction(0x400);
-        assert!(cold > warm);
-        assert_eq!(warm, 2);
     }
 
     #[test]

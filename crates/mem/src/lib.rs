@@ -3,11 +3,12 @@
 //! Cache and main-memory hierarchy model for the *Out-of-Order Commit
 //! Processors* reproduction.
 //!
-//! The hierarchy follows Table 1 of the paper: split 32 KB 4-way L1 caches
-//! with 32-byte lines and 2-cycle latency, a unified 512 KB 4-way L2 with
+//! The hierarchy follows Table 1 of the paper: a 32 KB 4-way data L1 with
+//! 32-byte lines and 2-cycle latency, a unified 512 KB 4-way L2 with
 //! 64-byte lines and 10-cycle latency, and a configurable main-memory
 //! latency (100 / 500 / 1000 cycles in the evaluation). A *perfect L2* mode
-//! is provided for Figure 1's first bar.
+//! is provided for Figure 1's first bar. Table 1's instruction L1 is not
+//! modelled: fetch is trace driven and never misses.
 //!
 //! Main memory beyond the L2 is a pluggable *timed backend* behind the
 //! [`MemoryBackend`] trait (mirroring the commit-engine seam in `koc-sim`):

@@ -15,8 +15,6 @@ pub struct MemoryStats {
     pub l2_hits: u64,
     /// L2 misses (data side) — long-latency accesses.
     pub l2_misses: u64,
-    /// Instruction-side accesses.
-    pub inst_accesses: u64,
     /// Cycles demand misses spent waiting for a free MSHR (each waiting
     /// request counts one per cycle; always 0 for the flat backend).
     pub mshr_full_stalls: u64,

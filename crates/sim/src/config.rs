@@ -1,7 +1,30 @@
 //! Processor configuration (Table 1) and the commit-engine variants.
+//!
+//! A [`ProcessorConfig`] holds what the paper's experiments vary. The
+//! Table 1 values that every experiment shares are the constants below.
 
 use koc_core::{CheckpointPolicy, SliqConfig};
 use koc_mem::MemoryConfig;
+
+/// Instructions fetched, decoded and renamed per cycle (4 in Table 1).
+pub const FETCH_WIDTH: usize = 4;
+/// Instructions issued to the functional units per cycle (4 in Table 1).
+pub const ISSUE_WIDTH: usize = 4;
+/// Instructions the baseline ROB commits per cycle (4 in Table 1).
+pub const COMMIT_WIDTH: usize = 4;
+/// Cycles fetch stalls after a branch misprediction or an exception is
+/// resolved (10 in Table 1).
+pub const MISPREDICT_PENALTY: u64 = 10;
+/// Integer ALUs (4 in Table 1, latency/repeat 1/1).
+pub const INT_ALU_UNITS: usize = 4;
+/// Integer multiply/divide units (2 in Table 1).
+pub const INT_MUL_UNITS: usize = 2;
+/// Floating-point units (4 in Table 1, latency/repeat 2/1).
+pub const FP_UNITS: usize = 4;
+/// Memory ports, i.e. loads and stores issued per cycle (2 in Table 1).
+pub const MEM_PORTS: usize = 2;
+/// Load/store queue entries (4096 in Table 1, pseudo-perfect).
+pub const LSQ_SIZE: usize = 4096;
 
 /// Which branch predictor the front end uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -10,44 +33,6 @@ pub enum BranchPredictorKind {
     Gshare16k,
     /// A perfect predictor (limit studies).
     Perfect,
-}
-
-/// How destination registers are backed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegisterModel {
-    /// Conventional renaming: a physical register is allocated at rename and
-    /// the pool size bounds the number of in-flight definitions.
-    Conventional {
-        /// Number of physical registers (4096 in Table 1, "pseudo-perfect").
-        phys_regs: usize,
-    },
-    /// Ephemeral / virtual registers (Figure 14): rename only needs a virtual
-    /// tag. The write-back stage acquires a physical register when a
-    /// definition writes back (retrying next cycle if none is free), and
-    /// recycles one register at that same write-back when the definition
-    /// supersedes an earlier one of the same logical register. Nothing is
-    /// released at commit or squash. The paper's rule, holding a register
-    /// until the superseding definition's checkpoint commits, is not yet
-    /// modelled (ROADMAP item 4).
-    Virtual {
-        /// Number of virtual tags.
-        virtual_tags: usize,
-        /// Number of physical registers.
-        phys_regs: usize,
-    },
-}
-
-impl RegisterModel {
-    /// The size of the underlying physical register pool used for renaming
-    /// bookkeeping.
-    pub fn rename_pool_size(&self) -> usize {
-        match *self {
-            RegisterModel::Conventional { phys_regs } => phys_regs,
-            // Virtual tags are what rename consumes; the rename pool must be
-            // able to name every in-flight definition.
-            RegisterModel::Virtual { virtual_tags, .. } => virtual_tags,
-        }
-    }
 }
 
 /// The commit engine: conventional in-order ROB commit, or the paper's
@@ -89,28 +74,12 @@ impl CommitConfig {
 /// Full processor configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessorConfig {
-    /// Instructions fetched/decoded/renamed per cycle (4 in Table 1).
-    pub fetch_width: usize,
-    /// Instructions issued to functional units per cycle (4 in Table 1).
-    pub issue_width: usize,
-    /// Instructions committed per cycle in the baseline ROB (4 in Table 1).
-    pub commit_width: usize,
-    /// Branch misprediction redirect penalty in cycles (10 in Table 1).
-    pub mispredict_penalty: u32,
-    /// Integer ALU units (4).
-    pub int_alu_units: usize,
-    /// Integer multiply/divide units (2).
-    pub int_mul_units: usize,
-    /// Floating-point units (4).
-    pub fp_units: usize,
-    /// Memory ports (2).
-    pub mem_ports: usize,
     /// Entries in each general-purpose instruction queue (integer and FP).
     pub iq_size: usize,
-    /// Load/store queue entries (4096, pseudo-perfect).
-    pub lsq_size: usize,
-    /// Register model (4096 conventional physical registers in Table 1).
-    pub registers: RegisterModel,
+    /// Physical registers (4096 in Table 1, "pseudo-perfect"). Renaming
+    /// allocates one per destination, so the pool bounds the number of
+    /// in-flight definitions.
+    pub phys_regs: usize,
     /// Branch predictor.
     pub predictor: BranchPredictorKind,
     /// Memory hierarchy.
@@ -134,17 +103,8 @@ impl ProcessorConfig {
     /// LSQ and physical registers at 4096.
     pub fn baseline(window: usize, memory_latency: u32) -> Self {
         ProcessorConfig {
-            fetch_width: 4,
-            issue_width: 4,
-            commit_width: 4,
-            mispredict_penalty: 10,
-            int_alu_units: 4,
-            int_mul_units: 2,
-            fp_units: 4,
-            mem_ports: 2,
             iq_size: window,
-            lsq_size: 4096,
-            registers: RegisterModel::Conventional { phys_regs: 4096 },
+            phys_regs: 4096,
             predictor: BranchPredictorKind::Gshare16k,
             memory: MemoryConfig::table1(memory_latency),
             commit: CommitConfig::InOrderRob { rob_size: window },
@@ -233,9 +193,9 @@ impl ProcessorConfig {
         self
     }
 
-    /// Overrides the register model (Figures 13 and 14).
-    pub fn with_registers(mut self, registers: RegisterModel) -> Self {
-        self.registers = registers;
+    /// Overrides the number of physical registers (Figures 13 and 14).
+    pub fn with_phys_regs(mut self, phys_regs: usize) -> Self {
+        self.phys_regs = phys_regs;
         self
     }
 
@@ -263,34 +223,11 @@ impl ProcessorConfig {
     /// # Errors
     /// Returns a description of the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
-        if self.fetch_width == 0 || self.issue_width == 0 || self.commit_width == 0 {
-            return Err("pipeline widths must be non-zero".into());
-        }
-        for (field, units) in [
-            ("int_alu_units", self.int_alu_units),
-            ("int_mul_units", self.int_mul_units),
-            ("fp_units", self.fp_units),
-            ("mem_ports", self.mem_ports),
-        ] {
-            if units == 0 {
-                return Err(format!("{field} must be non-zero"));
-            }
-        }
         if self.iq_size == 0 {
             return Err("instruction queues must have at least one entry".into());
         }
-        if self.lsq_size == 0 {
-            return Err("load/store queue must have at least one entry".into());
-        }
-        if self.registers.rename_pool_size() < 64 {
+        if self.phys_regs < 64 {
             return Err("register pool must cover at least the 64 logical registers".into());
-        }
-        if let RegisterModel::Virtual { phys_regs, .. } = self.registers {
-            if phys_regs < 64 {
-                return Err(
-                    "physical register pool must cover at least the 64 logical registers".into(),
-                );
-            }
         }
         if let CommitConfig::Checkpointed {
             checkpoint_entries,
@@ -305,8 +242,8 @@ impl ProcessorConfig {
             if *pseudo_rob_size == 0 {
                 return Err("pseudo-ROB must have at least one entry".into());
             }
-            if sliq.capacity == 0 || sliq.wake_width == 0 {
-                return Err("SLIQ capacity and wake width must be non-zero".into());
+            if sliq.capacity == 0 {
+                return Err("SLIQ must have at least one entry".into());
             }
         }
         if let CommitConfig::InOrderRob { rob_size } = &self.commit {
@@ -331,16 +268,13 @@ mod tests {
     #[test]
     fn table1_matches_the_paper() {
         let c = ProcessorConfig::table1();
-        assert_eq!(c.fetch_width, 4);
-        assert_eq!(c.commit_width, 4);
-        assert_eq!(c.mispredict_penalty, 10);
-        assert_eq!(c.int_alu_units, 4);
-        assert_eq!(c.int_mul_units, 2);
-        assert_eq!(c.fp_units, 4);
-        assert_eq!(c.mem_ports, 2);
+        assert_eq!((FETCH_WIDTH, ISSUE_WIDTH, COMMIT_WIDTH), (4, 4, 4));
+        assert_eq!(MISPREDICT_PENALTY, 10);
+        assert_eq!((INT_ALU_UNITS, INT_MUL_UNITS, FP_UNITS), (4, 2, 4));
+        assert_eq!(MEM_PORTS, 2);
+        assert_eq!(LSQ_SIZE, 4096);
         assert_eq!(c.iq_size, 4096);
-        assert_eq!(c.lsq_size, 4096);
-        assert_eq!(c.registers, RegisterModel::Conventional { phys_regs: 4096 });
+        assert_eq!(c.phys_regs, 4096);
         assert_eq!(c.memory.memory_latency, 1000);
         assert_eq!(c.commit, CommitConfig::InOrderRob { rob_size: 4096 });
         assert!(c.validate().is_ok());
@@ -387,11 +321,7 @@ mod tests {
             }
             _ => unreachable!(),
         }
-        let v = c.with_registers(RegisterModel::Virtual {
-            virtual_tags: 1024,
-            phys_regs: 256,
-        });
-        assert_eq!(v.registers.rename_pool_size(), 1024);
+        assert_eq!(c.with_phys_regs(1024).phys_regs, 1024);
     }
 
     #[test]
@@ -411,37 +341,6 @@ mod tests {
     fn perfect_l2_baseline_has_perfect_memory() {
         let c = ProcessorConfig::baseline_perfect_l2(2048);
         assert!(c.memory.perfect_l2);
-    }
-
-    #[test]
-    fn rename_pool_follows_the_register_model() {
-        // Conventional renaming consumes physical registers...
-        assert_eq!(
-            RegisterModel::Conventional { phys_regs: 4096 }.rename_pool_size(),
-            4096
-        );
-        assert_eq!(
-            RegisterModel::Conventional { phys_regs: 64 }.rename_pool_size(),
-            64
-        );
-        // ...while the ephemeral/virtual scheme renames onto virtual tags;
-        // the physical count only bounds post-write-back occupancy.
-        assert_eq!(
-            RegisterModel::Virtual {
-                virtual_tags: 1024,
-                phys_regs: 256
-            }
-            .rename_pool_size(),
-            1024
-        );
-        assert_eq!(
-            RegisterModel::Virtual {
-                virtual_tags: 512,
-                phys_regs: 4096
-            }
-            .rename_pool_size(),
-            512
-        );
     }
 
     #[test]
@@ -466,46 +365,19 @@ mod tests {
     }
 
     #[test]
-    fn virtual_physical_pool_must_cover_the_logical_registers() {
-        // Fewer physical registers than logical ones deadlocks write-back.
-        let virtual_regs = |phys_regs| {
-            ProcessorConfig::cooo(128, 2048, 1000).with_registers(RegisterModel::Virtual {
-                virtual_tags: 2048,
-                phys_regs,
-            })
-        };
-        for phys_regs in [16, 63] {
-            let err = virtual_regs(phys_regs).validate().unwrap_err();
-            assert!(err.contains("physical register pool"), "{err}");
-        }
-        assert!(virtual_regs(64).validate().is_ok());
-    }
-
-    #[test]
     fn invalid_configs_are_rejected() {
         let mut c = ProcessorConfig::table1();
         c.iq_size = 0;
         assert!(c.validate().is_err());
         let mut c = ProcessorConfig::table1();
-        c.registers = RegisterModel::Conventional { phys_regs: 32 };
+        c.phys_regs = 32;
         assert!(c.validate().is_err());
+        assert!(ProcessorConfig::table1()
+            .with_phys_regs(64)
+            .validate()
+            .is_ok());
         let mut c = ProcessorConfig::table1();
         c.commit = CommitConfig::InOrderRob { rob_size: 0 };
         assert!(c.validate().is_err(), "a zero-entry ROB never dispatches");
-        // A machine without some class of functional unit can never issue
-        // that class and deadlocks instead of failing validation.
-        type Zero = fn(&mut ProcessorConfig);
-        let zeroed: [(&str, Zero); 4] = [
-            ("int_alu_units", |c| c.int_alu_units = 0),
-            ("int_mul_units", |c| c.int_mul_units = 0),
-            ("fp_units", |c| c.fp_units = 0),
-            ("mem_ports", |c| c.mem_ports = 0),
-        ];
-        for (field, zero) in zeroed {
-            let mut c = ProcessorConfig::table1();
-            zero(&mut c);
-            let err = c.validate().expect_err(field);
-            assert!(err.contains(field), "{err} must name {field}");
-        }
     }
 }

@@ -7,6 +7,7 @@
 //! capacity check on the table, and commit retires from the table's head.
 
 use super::{CommitEngine, DispatchStall, Dispatched, EngineCtx, Writeback};
+use crate::config::COMMIT_WIDTH;
 use crate::stats::SimStats;
 use koc_core::CheckpointId;
 use koc_isa::{InstId, Instruction};
@@ -82,7 +83,7 @@ impl<O: Observer> CommitEngine<O> for InOrderEngine {
     fn commit(&mut self, ctx: &mut EngineCtx<'_, '_, O>) {
         let mut committed = 0u64;
         let mut frontier = 0;
-        while (committed as usize) < ctx.config.commit_width {
+        while (committed as usize) < COMMIT_WIDTH {
             let (inst, prev) = match ctx.inflight.values().next() {
                 Some(head) if head.is_done() => (head.inst, head.prev_phys),
                 _ => break,
@@ -124,6 +125,7 @@ impl<O: Observer> CommitEngine<O> for InOrderEngine {
 
 #[cfg(test)]
 mod tests {
+    use crate::config::COMMIT_WIDTH;
     use crate::{PipelineTracer, Processor, ProcessorConfig};
     use koc_isa::{ArchReg, TraceBuilder};
     use koc_obs::Event;
@@ -170,7 +172,7 @@ mod tests {
             "nothing passes the unfinished load at the head"
         );
         for group in commits.chunk_by(|a, b| a.0 == b.0) {
-            assert!(group.len() <= config.commit_width, "cycle {}", group[0].0);
+            assert!(group.len() <= COMMIT_WIDTH, "cycle {}", group[0].0);
         }
         assert_eq!(stats.peak_inflight, rob_size);
         assert!(stats.stalls.rob_full > 0, "the full window stalls dispatch");

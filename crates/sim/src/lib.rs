@@ -47,7 +47,7 @@ pub mod pipeline;
 pub mod stats;
 pub mod sweep;
 
-pub use config::{BranchPredictorKind, CommitConfig, ProcessorConfig, RegisterModel};
+pub use config::{BranchPredictorKind, CommitConfig, ProcessorConfig};
 pub use engine::{CommitEngine, DispatchStall, Dispatched, EngineCtx, Writeback};
 pub use inflight::{InFlight, InFlightTable, InstState};
 pub use pipeline::Processor;

@@ -27,13 +27,15 @@
 //! dead time. Results are bit-identical with
 //! [`ProcessorConfig::fast_forward`] off; only wall-clock changes.
 
-use crate::config::{BranchPredictorKind, CommitConfig, ProcessorConfig, RegisterModel};
+use crate::config::{
+    BranchPredictorKind, CommitConfig, ProcessorConfig, FETCH_WIDTH, FP_UNITS, INT_ALU_UNITS,
+    INT_MUL_UNITS, ISSUE_WIDTH, LSQ_SIZE, MEM_PORTS, MISPREDICT_PENALTY,
+};
 use crate::engine::{self, CommitEngine, DispatchStall, Dispatched, EngineCtx, Writeback};
 use crate::inflight::{InFlight, InFlightTable, InstState};
 use crate::stats::SimStats;
 use koc_core::{
     CamRenameMap, CheckpointId, InstructionQueue, IqEntry, LoadStoreQueue, LsqEntry, PhysRegFile,
-    VirtualRegisterFile,
 };
 use koc_frontend::{BranchPredictor, GsharePredictor, PerfectPredictor};
 use koc_isa::{
@@ -292,7 +294,6 @@ pub struct Processor<'a, O: Observer = NullObserver> {
 
     rename: CamRenameMap,
     regs: PhysRegFile,
-    vregs: Option<VirtualRegisterFile>,
     int_iq: InstructionQueue,
     fp_iq: InstructionQueue,
     lsq: LoadStoreQueue,
@@ -340,7 +341,7 @@ pub struct Processor<'a, O: Observer = NullObserver> {
 /// the checkpoint table is full.
 fn window_bound(config: &ProcessorConfig) -> usize {
     match config.commit {
-        CommitConfig::InOrderRob { rob_size } => rob_size.saturating_add(config.fetch_width),
+        CommitConfig::InOrderRob { rob_size } => rob_size.saturating_add(FETCH_WIDTH),
         CommitConfig::Checkpointed {
             checkpoint_entries,
             pseudo_rob_size,
@@ -403,11 +404,6 @@ impl<'a, O: Observer> Processor<'a, O> {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid processor configuration: {e}"));
-        let rename_pool = config.registers.rename_pool_size();
-        let vregs = match config.registers {
-            RegisterModel::Conventional { .. } => None,
-            RegisterModel::Virtual { phys_regs, .. } => Some(VirtualRegisterFile::new(phys_regs)),
-        };
         let predictor = match config.predictor {
             BranchPredictorKind::Gshare16k => {
                 PredictorImpl::Gshare(Box::new(GsharePredictor::table1()))
@@ -418,12 +414,11 @@ impl<'a, O: Observer> Processor<'a, O> {
         Processor {
             fetch: ReplayWindow::with_capacity(source, window),
             cycle: 0,
-            rename: CamRenameMap::new(rename_pool),
-            regs: PhysRegFile::new(rename_pool),
-            vregs,
+            rename: CamRenameMap::new(config.phys_regs),
+            regs: PhysRegFile::new(config.phys_regs),
             int_iq: InstructionQueue::new(config.iq_size),
             fp_iq: InstructionQueue::new(config.iq_size),
-            lsq: LoadStoreQueue::new(config.lsq_size),
+            lsq: LoadStoreQueue::new(LSQ_SIZE),
             mem: MemoryHierarchy::new(config.memory),
             predictor,
             engine,
@@ -754,24 +749,6 @@ impl<'a, O: Observer> Processor<'a, O> {
                     continue;
                 }
             }
-            // Ephemeral/virtual registers: a physical register is allocated
-            // late, at write-back, and the register holding the superseded
-            // value of the same logical register is recycled early, at the
-            // same moment (the ephemeral-registers scheme of [19]/[9]). If no
-            // physical register is free the write-back retries next cycle.
-            if let Some(v) = &mut self.vregs {
-                if let Some(f) = self.inflight.get(inst) {
-                    if f.dest_phys.is_some() {
-                        if f.prev_phys.is_some() {
-                            v.try_release_physical();
-                        }
-                        if !v.acquire_physical() {
-                            self.events.push(self.cycle + 1, (inst, seq));
-                            continue;
-                        }
-                    }
-                }
-            }
             let Some(fl) = self.inflight.get_mut(inst) else {
                 continue;
             };
@@ -795,7 +772,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             self.engine.completed(&wb, &mut engine_ctx!(self));
             if wb.kind == OpKind::Branch && mispredicted {
                 self.engine.recover_branch(inst, &mut engine_ctx!(self));
-                self.fetch_stall_until = self.cycle + self.config.mispredict_penalty as u64;
+                self.fetch_stall_until = self.cycle + MISPREDICT_PENALTY;
             }
         }
         self.events.recycle(finished);
@@ -809,7 +786,7 @@ impl<'a, O: Observer> Processor<'a, O> {
     fn handle_exception(&mut self, inst: InstId) -> bool {
         self.handled_exceptions.insert(inst);
         self.stats.recoveries.exceptions += 1;
-        self.fetch_stall_until = self.cycle + self.config.mispredict_penalty as u64;
+        self.fetch_stall_until = self.cycle + MISPREDICT_PENALTY;
         self.engine.recover_exception(inst, &mut engine_ctx!(self))
     }
 
@@ -822,13 +799,8 @@ impl<'a, O: Observer> Processor<'a, O> {
         if self.int_iq.ready_count() == 0 && self.fp_iq.ready_count() == 0 {
             return false;
         }
-        let mut fu = [
-            self.config.int_alu_units,
-            self.config.int_mul_units,
-            self.config.fp_units,
-            self.config.mem_ports,
-        ];
-        let budget = self.config.issue_width;
+        let mut fu = [INT_ALU_UNITS, INT_MUL_UNITS, FP_UNITS, MEM_PORTS];
+        let budget = ISSUE_WIDTH;
         // Alternate which queue gets first pick to avoid starving either.
         let int_first = self.cycle.is_multiple_of(2);
         let mut picked = std::mem::take(&mut self.issue_picked);
@@ -918,7 +890,7 @@ impl<'a, O: Observer> Processor<'a, O> {
         // finished, so classification and SLIQ moves keep happening for the
         // tail of the stream.
         if self.fetch.at_end() {
-            let budget = self.config.fetch_width;
+            let budget = FETCH_WIDTH;
             progressed |= self.engine.frontend_drain(budget, &mut engine_ctx!(self)) > 0;
         }
         if self.cycle < self.fetch_stall_until {
@@ -927,7 +899,7 @@ impl<'a, O: Observer> Processor<'a, O> {
         }
         let mut dispatched = 0;
         let mut stall = None;
-        while dispatched < self.config.fetch_width {
+        while dispatched < FETCH_WIDTH {
             let Some((id, inst)) = self.fetch.peek().map(|(id, inst)| (id, *inst)) else {
                 break;
             };
@@ -947,7 +919,7 @@ impl<'a, O: Observer> Processor<'a, O> {
                         // Make forward progress by letting the engine
                         // classify (and possibly move to the SLIQ) its
                         // oldest pseudo-ROB entries.
-                        let budget = self.config.fetch_width;
+                        let budget = FETCH_WIDTH;
                         progressed |=
                             self.engine.frontend_drain(budget, &mut engine_ctx!(self)) > 0;
                     }
@@ -1257,7 +1229,7 @@ mod tests {
                 p.lsq.reserved(),
             );
             assert!(reserved.0 >= window_bound(&config) && reserved.1 >= window_bound(&config));
-            assert!(reserved.2 >= window_bound(&config) && reserved.3 >= config.lsq_size);
+            assert!(reserved.2 >= window_bound(&config) && reserved.3 >= LSQ_SIZE);
             while !p.is_done() {
                 p.step();
             }

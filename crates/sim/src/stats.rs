@@ -115,7 +115,7 @@ pub struct StallStats {
     pub rob_full: u64,
     /// Stalled because the load/store queue was full.
     pub lsq_full: u64,
-    /// Stalled because no physical register / virtual tag was available.
+    /// Stalled because no physical register was free.
     pub regs_full: u64,
     /// Stalled waiting out a branch-misprediction redirect.
     pub redirect: u64,

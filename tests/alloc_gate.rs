@@ -7,7 +7,7 @@
 //! counting global allocator sees every allocation however it is spelled,
 //! in every crate the run reaches. It covers both commit engines, the flat
 //! and DRAM memory backends, the no-op and cycle-accounting observers, the
-//! virtual register model, exception recovery and the `&Trace` source.
+//! Figure 14 register pool, exception recovery and the `&Trace` source.
 //!
 //! The counting allocator is process-wide, so this binary holds exactly
 //! one test: no other test can run beside it and pollute the count.
@@ -17,7 +17,7 @@ use koc_bench::harness::{engines, specs, QUICK_TRACE_LEN};
 use koc_isa::{ArchReg, Trace, TraceBuilder};
 use koc_sim::{
     CycleAccounting, IntoInstructionSource, NullObserver, Observer, Processor, ProcessorConfig,
-    RegisterModel, SimStats,
+    SimStats,
 };
 use stats_alloc::{Region, StatsAlloc};
 use std::alloc::System;
@@ -77,7 +77,7 @@ fn excepting_trace() -> Trace {
 
 /// The quick suite (7 kernels, streamed) under both harness engines, on
 /// flat memory and on 16-bank 16-MSHR DRAM, with and without cycle
-/// accounting; the Figure 14 virtual-register machine on the quick suite;
+/// accounting; the Figure 14 machine with 2048 registers on the quick suite;
 /// and an excepting `&Trace` under both engines: 65 runs.
 #[test]
 fn dram_runs_allocate_per_checkpoint_not_per_cycle() {
@@ -96,10 +96,7 @@ fn dram_runs_allocate_per_checkpoint_not_per_cycle() {
             }
         }
     }
-    let fig14 = ProcessorConfig::cooo(128, 2048, 1000).with_registers(RegisterModel::Virtual {
-        virtual_tags: 2048,
-        phys_regs: 256,
-    });
+    let fig14 = ProcessorConfig::cooo(128, 2048, 1000).with_phys_regs(2048);
     for spec in &specs {
         let (a, e) = count(fig14, spec.source(), NullObserver);
         rows.push((format!("fig14/{}", spec.name()), a, e));

@@ -4,7 +4,8 @@
 use koc_bench::experiments;
 use koc_core::RetireClass;
 use koc_obs::BREAKDOWN_INTERVAL;
-use koc_sim::{Processor, ProcessorConfig, RegisterModel, SimStats, WindowStats};
+use koc_sim::config::{FETCH_WIDTH, LSQ_SIZE};
+use koc_sim::{Processor, ProcessorConfig, SimStats, WindowStats};
 use koc_workloads::{kernels, Workload};
 
 fn run_trace(config: ProcessorConfig, trace: &koc_isa::Trace) -> SimStats {
@@ -129,7 +130,7 @@ fn reduction_completes_on_the_figure13_grid_with_few_checkpoints() {
     for checkpoints in [4, 16] {
         let config = ProcessorConfig::cooo(2048, 2048, 1000)
             .with_checkpoints(checkpoints)
-            .with_registers(RegisterModel::Conventional { phys_regs: 2048 });
+            .with_phys_regs(2048);
         let stats = run_trace(config, &w.trace);
         assert_eq!(
             stats.committed_instructions as usize,
@@ -140,20 +141,14 @@ fn reduction_completes_on_the_figure13_grid_with_few_checkpoints() {
 }
 
 #[test]
-fn figure14_virtual_registers_run_and_constrain() {
+fn figure14_register_pool_runs_and_constrains() {
     let w = workload();
     let plenty = run_trace(
-        ProcessorConfig::cooo(128, 1024, 500).with_registers(RegisterModel::Virtual {
-            virtual_tags: 2048,
-            phys_regs: 512,
-        }),
+        ProcessorConfig::cooo(128, 1024, 500).with_phys_regs(2048),
         &w.trace,
     );
     let scarce = run_trace(
-        ProcessorConfig::cooo(128, 1024, 500).with_registers(RegisterModel::Virtual {
-            virtual_tags: 512,
-            phys_regs: 256,
-        }),
+        ProcessorConfig::cooo(128, 1024, 500).with_phys_regs(512),
         &w.trace,
     );
     assert_eq!(plenty.committed_instructions as usize, w.trace.len());
@@ -169,8 +164,8 @@ fn figure14_virtual_registers_run_and_constrain() {
 #[test]
 fn table1_constructor_reports_the_paper_parameters() {
     let c = ProcessorConfig::table1();
-    assert_eq!(c.fetch_width, 4);
+    assert_eq!(FETCH_WIDTH, 4);
     assert_eq!(c.iq_size, 4096);
-    assert_eq!(c.lsq_size, 4096);
+    assert_eq!(LSQ_SIZE, 4096);
     assert_eq!(c.memory.memory_latency, 1000);
 }
