@@ -11,8 +11,9 @@
 //! * [`FlatLatency`] — the paper's model and the default: every request
 //!   completes a fixed `memory_latency` cycles after it arrives, with
 //!   unlimited outstanding misses.
-//! * [`crate::DramBackend`] — N banks with open-row buffers, per-bank FIFO
-//!   queues and a finite MSHR file that back-pressures the core when full.
+//! * [`crate::DramBackend`] — N banks with open-row buffers, in-order
+//!   service per bank and a finite MSHR file that back-pressures the core
+//!   when full. It fixes each request's schedule when it accepts it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,14 +63,14 @@ pub enum Admit {
     /// contention): the caller schedules the completion itself and the
     /// backend retains nothing.
     At(u64),
-    /// Accepted into the backend's queues; the completion will surface from
-    /// [`MemoryBackend::drain`] when the request is serviced.
+    /// Accepted and scheduled inside the backend; the completion will
+    /// surface from [`MemoryBackend::drain`] when the request completes.
     Queued,
     /// Rejected: no MSHR is free. The caller must retry on a later cycle.
     Reject,
 }
 
-/// A serviced request surfacing from [`MemoryBackend::drain`].
+/// A completed request surfacing from [`MemoryBackend::drain`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Completion {
     /// The token of the originating [`MemReq`].
@@ -98,35 +99,35 @@ pub struct BackendStats {
 /// A timed model of everything beyond the L2.
 ///
 /// Call protocol, per simulated cycle `now` (monotonically non-decreasing):
-/// [`tick`](Self::tick) first, then [`drain`](Self::drain), then any number
-/// of [`request`](Self::request)s. Requests may carry an arrival cycle in
-/// the future (the hierarchy adds its own lookup latency); the backend must
-/// not service a request before it arrives.
+/// [`drain`](Self::drain) first, then any number of
+/// [`request`](Self::request)s. A request offered during cycle `now`
+/// arrives after it, at `at > now`: that cycle's drain has passed, so the
+/// backend could not deliver anything served at `now`. Arrivals may lie
+/// further in the future (the hierarchy adds its own lookup latency); the
+/// backend must not serve a request before it arrives.
 pub trait MemoryBackend: std::fmt::Debug + Send {
     /// Offers a request arriving at cycle `at`.
     fn request(&mut self, req: MemReq, at: u64) -> Admit;
 
-    /// Advances internal state (bank service, MSHR release) to cycle `now`.
-    fn tick(&mut self, now: u64);
-
-    /// Appends every request serviced at or before `now` to `out`.
+    /// Appends every request completed at or before `now` to `out`, freeing
+    /// the MSHRs of the reads among them.
     fn drain(&mut self, now: u64, out: &mut Vec<Completion>);
 
     /// The earliest future cycle at which this backend's externally visible
-    /// state can change *on its own* — a queued request starting service, a
-    /// completion becoming drainable, an MSHR freeing. `None` means the
-    /// backend holds no self-scheduled work (always true for backends that
-    /// only ever answer [`Admit::At`], like [`FlatLatency`], whose
-    /// completions are caller-scheduled).
+    /// state can change *on its own*: a completion becoming drainable, which
+    /// is also when an MSHR frees. `None` means the backend holds no
+    /// self-scheduled work (always true for backends that only ever answer
+    /// [`Admit::At`], like [`FlatLatency`], whose completions are
+    /// caller-scheduled).
     ///
     /// This is the event-driven fast-forward hook: when the core is fully
     /// stalled on memory, the simulator jumps straight to this cycle instead
-    /// of ticking through the dead time. The answer **must be exact**, not
+    /// of stepping through the dead time. The answer **must be exact**, not
     /// merely a lower bound that is safe to wake early at: the hierarchy
-    /// also skips [`tick`](Self::tick) and [`drain`](Self::drain) on every
-    /// stepped cycle before it, so work due earlier than the answer (or
-    /// `None` with work pending) is serviced late or never. Backends that
-    /// queue work internally must implement it.
+    /// also skips [`drain`](Self::drain) on every stepped cycle before it,
+    /// so a completion due earlier than the answer (or `None` with work
+    /// pending) is delivered late or never. Backends that queue work
+    /// internally must implement it.
     fn next_event(&self) -> Option<u64> {
         None
     }
@@ -137,8 +138,12 @@ pub trait MemoryBackend: std::fmt::Debug + Send {
     /// Number of reads currently occupying MSHRs.
     fn in_flight(&self) -> usize;
 
-    /// Accumulated counters.
-    fn stats(&self) -> BackendStats;
+    /// Accumulated counters as of the end of cycle `now`. A request counts
+    /// towards [`BackendStats::demand_reads`] and [`BackendStats::writes`]
+    /// when it is accepted, and towards the row-buffer counters when it
+    /// starts service, so one scheduled to start after `now` is left out
+    /// of those.
+    fn stats(&self, now: u64) -> BackendStats;
 }
 
 /// The paper's memory model: a fixed latency with unlimited outstanding
@@ -160,11 +165,6 @@ impl FlatLatency {
             stats: BackendStats::default(),
         }
     }
-
-    /// The fixed latency in cycles.
-    pub fn latency(&self) -> u32 {
-        self.latency
-    }
 }
 
 impl MemoryBackend for FlatLatency {
@@ -177,8 +177,6 @@ impl MemoryBackend for FlatLatency {
         Admit::At(at + self.latency as u64)
     }
 
-    fn tick(&mut self, _now: u64) {}
-
     fn drain(&mut self, _now: u64, _out: &mut Vec<Completion>) {}
 
     fn can_accept(&self) -> bool {
@@ -189,16 +187,16 @@ impl MemoryBackend for FlatLatency {
         0
     }
 
-    fn stats(&self) -> BackendStats {
+    fn stats(&self, _now: u64) -> BackendStats {
         self.stats
     }
 }
 
-/// Completions waiting for their cycle: the DRAM backend's serviced
-/// requests, and the hierarchy's own schedule for [`Admit::At`] answers
-/// that cannot be consumed immediately (its retry queue). A min-heap on
-/// (cycle, push order), so same-cycle completions drain in push order, the
-/// earliest cycle is a peek, and the steady state allocates nothing.
+/// Completions waiting for their cycle: the hierarchy's own schedule for
+/// [`Admit::At`] answers that cannot be consumed immediately (its retry
+/// queue). A min-heap on (cycle, push order), so same-cycle completions
+/// drain in push order, the earliest cycle is a peek, and the steady state
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SelfSchedule {
     due: BinaryHeap<Reverse<(u64, u64, Completion)>>,
@@ -240,10 +238,10 @@ mod tests {
         assert_eq!(b.in_flight(), 0);
         assert!(b.can_accept());
         let mut out = Vec::new();
-        b.tick(600);
         b.drain(600, &mut out);
         assert!(out.is_empty(), "flat completions are caller-scheduled");
-        assert_eq!(b.stats().demand_reads, 1);
+        assert_eq!(b.next_event(), None);
+        assert_eq!(b.stats(600).demand_reads, 1);
     }
 
     #[test]
@@ -251,7 +249,7 @@ mod tests {
         let mut b = FlatLatency::new(100);
         b.request(MemReq::read(1, 0), 0);
         b.request(MemReq::write(64), 0);
-        let s = b.stats();
+        let s = b.stats(0);
         assert_eq!((s.demand_reads, s.writes), (1, 1));
     }
 

@@ -25,27 +25,40 @@ impl CacheConfig {
     /// Creates a cache configuration.
     ///
     /// # Panics
-    /// Panics if the geometry is inconsistent (zero sizes, capacity not a
-    /// multiple of `ways * line_bytes`, or non-power-of-two line size).
+    /// Panics if the geometry fails [`CacheConfig::validate`].
     pub fn new(size_bytes: u64, ways: usize, line_bytes: u64, latency: u32) -> Self {
-        assert!(
-            size_bytes > 0 && ways > 0 && line_bytes > 0,
-            "cache geometry must be non-zero"
-        );
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert_eq!(
-            size_bytes % (ways as u64 * line_bytes),
-            0,
-            "capacity must be a whole number of sets"
-        );
-        CacheConfig {
+        let config = CacheConfig {
             size_bytes,
             ways,
             line_bytes,
             latency,
+        };
+        #[expect(
+            clippy::panic,
+            reason = "invalid geometry is a caller bug; validate() names the problem"
+        )]
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid cache geometry: {e}"));
+        config
+    }
+
+    /// Validates the geometry.
+    ///
+    /// # Errors
+    /// Returns a description of the first inconsistency: a zero size, way
+    /// count or line size, a line size that is not a power of two, or a
+    /// capacity that is not a whole number of sets.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.size_bytes == 0 || self.ways == 0 || self.line_bytes == 0 {
+            return Err("cache geometry must be non-zero".into());
+        }
+        if !self.line_bytes.is_power_of_two() {
+            return Err("line size must be a power of two".into());
+        }
+        match (self.ways as u64).checked_mul(self.line_bytes) {
+            Some(set_bytes) if self.size_bytes.is_multiple_of(set_bytes) => Ok(()),
+            _ => Err("capacity must be a whole number of sets".into()),
         }
     }
 
@@ -139,11 +152,6 @@ impl Cache {
                 line / self.num_sets as u64,
             ),
         }
-    }
-
-    /// The cache geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Accesses byte address `addr`, updating LRU state and fill state.

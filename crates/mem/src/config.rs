@@ -121,6 +121,8 @@ impl MemoryConfig {
     /// # Errors
     /// Returns a description of the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
+        self.dl1.validate().map_err(|e| format!("DL1: {e}"))?;
+        self.l2.validate().map_err(|e| format!("L2: {e}"))?;
         if let BackendKind::Dram(d) = self.backend {
             d.validate()?;
         }
@@ -219,5 +221,27 @@ mod tests {
             ..DramConfig::table1_like()
         });
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn invalid_cache_geometry_is_rejected() {
+        let mut m = MemoryConfig::table1(100);
+        m.dl1.ways = 0;
+        assert_eq!(
+            m.validate(),
+            Err("DL1: cache geometry must be non-zero".into())
+        );
+        let mut m = MemoryConfig::table1(100);
+        m.l2.line_bytes = 48;
+        assert_eq!(
+            m.validate(),
+            Err("L2: line size must be a power of two".into())
+        );
+        let mut m = MemoryConfig::table1(100);
+        m.dl1.size_bytes = 1000;
+        assert_eq!(
+            m.validate(),
+            Err("DL1: capacity must be a whole number of sets".into())
+        );
     }
 }

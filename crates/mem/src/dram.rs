@@ -1,5 +1,5 @@
-//! A banked main-memory model: per-bank open-row buffers and FIFO queues,
-//! plus a finite MSHR file that bounds outstanding reads.
+//! A banked main-memory model: per-bank open-row buffers and in-order
+//! service, plus a finite MSHR file that bounds outstanding reads.
 //!
 //! Timing is layered on top of the hierarchy's `memory_latency` (the flat
 //! DRAM access time): a row-buffer hit costs exactly `memory_latency`, a
@@ -9,9 +9,19 @@
 //! bank. Setting every penalty to zero and the MSHR file to
 //! [`DramConfig::UNLIMITED_MSHRS`] makes the model cycle-equivalent to
 //! [`crate::FlatLatency`] — the conformance anchor the tests pin down.
+//!
+//! A bank serves its requests in the order it accepts them and nothing
+//! overtakes, so a request's whole schedule is known the moment it is
+//! accepted: it starts at the later of its arrival and the cycle its bank
+//! frees up, the bank's open row fixes its penalty, and it completes
+//! `memory_latency` plus that penalty after it starts.
+//! [`DramBackend::request`] computes all of this at once and queues only the
+//! completion. Nothing else happens inside the backend, so its next event
+//! is its earliest completion.
 
-use crate::backend::{Admit, BackendStats, Completion, MemReq, MemoryBackend, SelfSchedule};
-use std::collections::VecDeque;
+use crate::backend::{Admit, BackendStats, Completion, MemReq, MemoryBackend};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Geometry and timing of the banked DRAM backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,22 +124,45 @@ impl Default for DramConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Pending {
-    req: MemReq,
-    /// Decoded row tag (the global row number).
-    row: u64,
-    arrival: u64,
+/// How a request found its bank's row buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum RowOutcome {
+    Hit,
+    Miss,
+    Conflict,
 }
 
-#[derive(Debug, Clone, Default)]
+impl RowOutcome {
+    /// The counter this outcome adds to.
+    fn counter(self, stats: &mut BackendStats) -> &mut u64 {
+        match self {
+            RowOutcome::Hit => &mut stats.row_buffer_hits,
+            RowOutcome::Miss => &mut stats.row_buffer_misses,
+            RowOutcome::Conflict => &mut stats.row_buffer_conflicts,
+        }
+    }
+}
+
+/// An accepted request with its schedule fixed. The derived order is
+/// completion cycle, then start cycle, bank and acceptance order: the order
+/// in which a model that starts banks in index order, cycle by cycle, would
+/// drain completions due in the same cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Scheduled {
+    done: u64,
+    start: u64,
+    bank: usize,
+    seq: u64,
+    completion: Completion,
+    outcome: RowOutcome,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
 struct Bank {
-    /// The row held in the open row buffer, if any.
+    /// The row the last scheduled request leaves open.
     open_row: Option<u64>,
-    /// The bank services no new request before this cycle.
+    /// The bank starts no further request before this cycle.
     busy_until: u64,
-    /// FIFO of requests waiting for the bank.
-    queue: VecDeque<Pending>,
 }
 
 /// The banked DRAM backend. See the module docs for the timing model.
@@ -139,14 +172,13 @@ pub struct DramBackend {
     /// Base access latency (the hierarchy's `memory_latency`).
     base_latency: u32,
     banks: Vec<Bank>,
-    /// The earliest cycle any bank can start servicing its queue head:
-    /// `max(head.arrival, busy_until)` over the non-empty queues, or
-    /// `u64::MAX` when every queue is empty. `tick` does nothing before it.
-    next_start: u64,
-    /// Serviced requests waiting to be drained.
-    done: SelfSchedule,
+    /// Accepted requests waiting to be drained, earliest completion first.
+    scheduled: BinaryHeap<Reverse<Scheduled>>,
+    /// Requests accepted so far: the acceptance order of the next one.
+    accepted: u64,
     /// Reads holding an MSHR (freed when the completion drains).
     reads_in_flight: usize,
+    /// Counters, with every accepted request's row outcome included.
     stats: BackendStats,
 }
 
@@ -167,16 +199,11 @@ impl DramBackend {
             banks: vec![Bank::default(); config.banks],
             config,
             base_latency,
-            next_start: u64::MAX,
-            done: SelfSchedule::default(),
+            scheduled: BinaryHeap::new(),
+            accepted: 0,
             reads_in_flight: 0,
             stats: BackendStats::default(),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DramConfig {
-        &self.config
     }
 
     /// Decodes an address into `(bank index, row tag)`. The bank index
@@ -194,41 +221,6 @@ impl DramBackend {
         hashed ^= hashed >> 4;
         ((hashed % self.config.banks as u64) as usize, global_row)
     }
-
-    /// Row-management latency for accessing `row` in `bank`, updating the
-    /// open-row state and the row-buffer counters.
-    fn row_latency(
-        stats: &mut BackendStats,
-        bank: &mut Bank,
-        row: u64,
-        config: &DramConfig,
-    ) -> u32 {
-        let extra = match bank.open_row {
-            Some(open) if open == row => {
-                stats.row_buffer_hits += 1;
-                0
-            }
-            None => {
-                stats.row_buffer_misses += 1;
-                config.act_latency
-            }
-            Some(_) => {
-                stats.row_buffer_conflicts += 1;
-                config.act_latency + config.precharge_latency
-            }
-        };
-        bank.open_row = Some(row);
-        extra
-    }
-
-    /// [`next_start`](Self::next_start) recomputed from the banks.
-    fn scan_next_start(&self) -> u64 {
-        self.banks
-            .iter()
-            .filter_map(|b| b.queue.front().map(|head| head.arrival.max(b.busy_until)))
-            .min()
-            .unwrap_or(u64::MAX)
-    }
 }
 
 impl MemoryBackend for DramBackend {
@@ -243,72 +235,50 @@ impl MemoryBackend for DramBackend {
         } else {
             self.stats.writes += 1;
         }
-        let (bank, row) = self.decode(req.addr);
-        let bank = &mut self.banks[bank];
-        if bank.queue.is_empty() {
-            // The request becomes its bank's head.
-            self.next_start = self.next_start.min(at.max(bank.busy_until));
-        }
-        bank.queue.push_back(Pending {
-            req,
-            row,
-            arrival: at,
-        });
+        let (index, row) = self.decode(req.addr);
+        let bank = &mut self.banks[index];
+        // The bank serves its requests in acceptance order, so this one
+        // starts once it has arrived and its predecessor has let go.
+        let start = at.max(bank.busy_until);
+        bank.busy_until = start + self.config.bank_busy as u64;
+        let (outcome, extra) = match bank.open_row {
+            Some(open) if open == row => (RowOutcome::Hit, 0),
+            None => (RowOutcome::Miss, self.config.act_latency),
+            Some(_) => (RowOutcome::Conflict, self.config.worst_row_penalty()),
+        };
+        bank.open_row = Some(row);
+        *outcome.counter(&mut self.stats) += 1;
+        self.scheduled.push(Reverse(Scheduled {
+            done: start + self.base_latency as u64 + extra as u64,
+            start,
+            bank: index,
+            seq: self.accepted,
+            completion: Completion {
+                token: req.token,
+                is_write: req.is_write,
+            },
+            outcome,
+        }));
+        self.accepted += 1;
         Admit::Queued
     }
 
-    fn tick(&mut self, now: u64) {
-        if now < self.next_start {
-            return;
-        }
-        for bank in &mut self.banks {
-            while bank.busy_until <= now {
-                let Some(head) = bank.queue.front() else {
-                    break;
-                };
-                if head.arrival > now {
-                    break;
-                }
-                #[expect(clippy::expect_used, reason = "pop follows a non-empty check")]
-                let p = bank.queue.pop_front().expect("checked non-empty");
-                let extra = Self::row_latency(&mut self.stats, bank, p.row, &self.config);
-                let latency = self.base_latency as u64 + extra as u64;
-                bank.busy_until = now + self.config.bank_busy as u64;
-                self.done.push(
-                    now + latency,
-                    Completion {
-                        token: p.req.token,
-                        is_write: p.req.is_write,
-                    },
-                );
-                if self.config.bank_busy > 0 {
-                    // The bank is occupied; younger requests wait for a
-                    // later tick.
-                    break;
-                }
-            }
-        }
-        self.next_start = self.scan_next_start();
-    }
-
     fn next_event(&self) -> Option<u64> {
-        debug_assert_eq!(self.next_start, self.scan_next_start());
-        // Either a bank can start servicing the head of its queue (exactly
-        // the condition `tick` checks, so jumping to this cycle and ticking
-        // once is equivalent to ticking every intermediate cycle)...
-        let start = (self.next_start != u64::MAX).then_some(self.next_start);
-        // ...or a serviced request becomes drainable.
-        match (start, self.done.next_due()) {
-            (Some(s), Some(d)) => Some(s.min(d)),
-            (s, d) => s.or(d),
-        }
+        self.scheduled.peek().map(|Reverse(s)| s.done)
     }
 
     fn drain(&mut self, now: u64, out: &mut Vec<Completion>) {
-        let from = out.len();
-        self.done.drain(now, out);
-        // Each drained read frees its MSHR.
-        self.reads_in_flight -= out[from..].iter().filter(|c| !c.is_write).count();
+        while let Some(&Reverse(s)) = self.scheduled.peek() {
+            if s.done > now {
+                break;
+            }
+            self.scheduled.pop();
+            // Each drained read frees its MSHR.
+            if !s.completion.is_write {
+                self.reads_in_flight -= 1;
+            }
+            out.push(s.completion);
+        }
     }
 
     fn can_accept(&self) -> bool {
@@ -319,8 +289,15 @@ impl MemoryBackend for DramBackend {
         self.reads_in_flight
     }
 
-    fn stats(&self) -> BackendStats {
-        self.stats
+    fn stats(&self, now: u64) -> BackendStats {
+        // A request that starts after `now` has not reached its bank yet.
+        let mut stats = self.stats;
+        for Reverse(s) in &self.scheduled {
+            if s.start > now {
+                *s.outcome.counter(&mut stats) -= 1;
+            }
+        }
+        stats
     }
 }
 
@@ -334,7 +311,6 @@ mod tests {
         out: &mut Vec<Completion>,
     ) {
         for now in cycles {
-            b.tick(now);
             b.drain(now, out);
         }
     }
@@ -371,7 +347,7 @@ mod tests {
         b.request(MemReq::read(3, 8192), 232);
         drive(&mut b, 232..=382, &mut out);
         assert_eq!(out.len(), 3);
-        let s = b.stats();
+        let s = b.stats(382);
         assert_eq!(
             (
                 s.row_buffer_misses,
@@ -391,7 +367,7 @@ mod tests {
         assert!(!b.can_accept());
         assert_eq!(b.request(MemReq::read(9, 0x9000), 0), Admit::Reject);
         assert_eq!(b.request(MemReq::read(9, 0x9000), 1), Admit::Reject);
-        assert_eq!(b.stats().demand_reads, 4, "a rejected read is not counted");
+        assert_eq!(b.stats(1).demand_reads, 4, "a rejected read is not counted");
         assert_eq!(b.in_flight(), 4);
         // Writes are posted: they bypass the MSHR file.
         assert_eq!(b.request(MemReq::write(0x4000), 0), Admit::Queued);
@@ -459,7 +435,7 @@ mod tests {
         b.request(MemReq::read(2, 20 * 4096), 0);
         let mut out = Vec::new();
         drive(&mut b, 0..=200, &mut out);
-        let s = b.stats();
+        let s = b.stats(200);
         assert_eq!(s.row_buffer_hits, 0, "{s:?}");
         assert_eq!(s.row_buffer_misses, 1);
         assert_eq!(s.row_buffer_conflicts, 1);
@@ -483,10 +459,11 @@ mod tests {
         let mut b = one_bank(); // base 100, act 30
         assert_eq!(b.next_event(), None, "idle backend has no events");
         b.request(MemReq::read(1, 0), 7);
-        assert_eq!(b.next_event(), Some(7), "head can start at its arrival");
-        b.tick(7);
-        // Serviced at 7, row miss: completes at 7 + 130.
+        // Serviced from its arrival at 7, row miss: completes at 7 + 130.
+        // Starting service is not an event.
         assert_eq!(b.next_event(), Some(137));
+        assert_eq!(b.stats(6).row_buffer_misses, 0, "not started by 6");
+        assert_eq!(b.stats(7).row_buffer_misses, 1, "started at 7");
         let mut out = Vec::new();
         b.drain(136, &mut out);
         assert!(out.is_empty());
@@ -496,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn ticking_only_at_next_event_matches_per_cycle_ticking() {
+    fn draining_only_at_next_event_matches_per_cycle_draining() {
         let requests = [(1u64, 0u64, 0u64), (2, 64, 3), (3, 8192, 5), (4, 128, 9)];
         let mut dense = one_bank();
         let mut sparse = one_bank();
@@ -507,7 +484,6 @@ mod tests {
         let mut dense_out = Vec::new();
         let mut dense_times = Vec::new();
         for now in 0..=600 {
-            dense.tick(now);
             dense.drain(now, &mut dense_out);
             for c in dense_out.drain(..) {
                 dense_times.push((c.token, now));
@@ -516,7 +492,6 @@ mod tests {
         let mut sparse_out = Vec::new();
         let mut sparse_times = Vec::new();
         while let Some(now) = sparse.next_event() {
-            sparse.tick(now);
             sparse.drain(now, &mut sparse_out);
             for c in sparse_out.drain(..) {
                 sparse_times.push((c.token, now));

@@ -104,11 +104,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &MemoryConfig {
-        &self.config
-    }
-
     /// Number of reads currently holding backend MSHRs.
     pub fn backend_in_flight(&self) -> usize {
         self.backend.in_flight()
@@ -121,9 +116,10 @@ impl MemoryHierarchy {
         self.waiting.len()
     }
 
-    /// Accumulated statistics, with the backend's row-buffer counters.
-    pub fn stats(&self) -> MemoryStats {
-        let b = self.backend.stats();
+    /// Accumulated statistics as of the end of cycle `now`, with the
+    /// backend's row-buffer counters for the requests started by then.
+    pub fn stats(&self, now: u64) -> MemoryStats {
+        let b = self.backend.stats(now);
         MemoryStats {
             row_buffer_hits: b.row_buffer_hits,
             row_buffer_misses: b.row_buffer_misses,
@@ -168,7 +164,7 @@ impl MemoryHierarchy {
             Some(result) => result,
             None => {
                 let lookup = (self.config.dl1.latency + self.config.l2.latency) as u64;
-                self.backend.request(MemReq::write(addr), now + lookup);
+                self.offer(MemReq::write(addr), now + lookup, now);
                 DataAccessResult {
                     level: MemLevel::Memory,
                     latency: self.config.dl1.latency
@@ -218,7 +214,7 @@ impl MemoryHierarchy {
             self.waiting.push_back((req, arrival));
             return TimedAccess::InFlight;
         }
-        match self.backend.request(req, arrival) {
+        match self.offer(req, arrival, now) {
             Admit::At(done) => TimedAccess::Ready {
                 level: MemLevel::Memory,
                 latency: (done - now) as u32,
@@ -236,9 +232,10 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Advances the backend to cycle `now`, retries waiting demand misses,
-    /// and appends the tokens of completed demand reads to `completed`.
-    /// Call once per cycle, before issuing new accesses for that cycle.
+    /// Drains the backend's completions due by cycle `now`, retries waiting
+    /// demand misses, and appends the tokens of completed demand reads to
+    /// `completed`. Call once per cycle, before issuing new accesses for
+    /// that cycle.
     pub fn tick(&mut self, now: u64, completed: &mut Vec<u64>) {
         self.tick_obs(now, completed, &mut NullObserver);
     }
@@ -253,7 +250,6 @@ impl MemoryHierarchy {
             self.account_idle_ticks(1);
             return;
         }
-        self.backend.tick(now);
         self.drained.clear();
         let mut drained = std::mem::take(&mut self.drained);
         self.backend.drain(now, &mut drained);
@@ -271,7 +267,7 @@ impl MemoryHierarchy {
         self.drained = drained;
         // Retry demand misses that were waiting for an MSHR, oldest first.
         while let Some(&(req, arrival)) = self.waiting.front() {
-            match self.backend.request(req, arrival.max(now)) {
+            match self.offer(req, arrival, now) {
                 Admit::At(done) => {
                     self.waiting.pop_front();
                     self.self_scheduled.push(
@@ -300,6 +296,13 @@ impl MemoryHierarchy {
         self.stats.mshr_full_stalls += self.waiting.len() as u64;
     }
 
+    /// Offers `req`, arriving at `at`, to the backend during cycle `now`.
+    /// That cycle's completions have drained, so the request arrives at
+    /// `now + 1` at the earliest (see [`MemoryBackend`]'s protocol).
+    fn offer(&mut self, req: MemReq, at: u64, now: u64) -> Admit {
+        self.backend.request(req, at.max(now + 1))
+    }
+
     /// The earliest future cycle at which the memory system can deliver a
     /// completion or otherwise change state on its own: the backend's next
     /// event or the hierarchy's own retry schedule. `None` when nothing is
@@ -307,8 +310,8 @@ impl MemoryHierarchy {
     ///
     /// Used by the pipeline's event-driven fast-forward, and by
     /// [`tick`](Self::tick) itself: before this cycle a tick is idle.
-    /// Nothing can be serviced or drained, and demand misses waiting for an
-    /// MSHR cannot be admitted before a drain frees one, which is a backend
+    /// Nothing can be drained, and demand misses waiting for an MSHR
+    /// cannot be admitted before a drain frees one, which is a backend
     /// event.
     pub fn next_event(&self) -> Option<u64> {
         match (self.backend.next_event(), self.self_scheduled.next_due()) {
@@ -366,16 +369,6 @@ impl MemoryHierarchy {
         }
         !self.dl1.contains(addr) && !self.l2.contains(addr)
     }
-
-    /// The L1 data cache (for inspection in tests).
-    pub fn dl1(&self) -> &Cache {
-        &self.dl1
-    }
-
-    /// The unified L2 cache (for inspection in tests).
-    pub fn l2(&self) -> &Cache {
-        &self.l2
-    }
 }
 
 #[cfg(test)]
@@ -431,7 +424,7 @@ mod tests {
         let mut m = MemoryHierarchy::new(MemoryConfig::table1(100));
         m.access_data(0x1000, false);
         m.access_data(0x1000, true);
-        let s = m.stats();
+        let s = m.stats(0);
         assert_eq!(s.data_accesses, 2);
         assert_eq!(s.store_accesses, 1);
         assert_eq!(s.dl1_hits, 1);
@@ -509,7 +502,7 @@ mod tests {
             finished[1].1 > finished[0].1 + 90,
             "the second miss serialized behind the only MSHR: {finished:?}"
         );
-        assert!(m.stats().mshr_full_stalls > 0);
+        assert!(m.stats(300).mshr_full_stalls > 0);
     }
 
     #[test]
@@ -564,8 +557,8 @@ mod tests {
         m.access_data_timed(0x90_0000, 2, 0); // waits for the only MSHR
         let mut done = Vec::new();
         m.tick(1, &mut done);
-        let before = m.stats().mshr_full_stalls;
+        let before = m.stats(1).mshr_full_stalls;
         m.account_idle_ticks(10);
-        assert_eq!(m.stats().mshr_full_stalls, before + 10);
+        assert_eq!(m.stats(11).mshr_full_stalls, before + 10);
     }
 }

@@ -17,9 +17,11 @@
 //!   `memory_latency` with unlimited outstanding misses, so memory-level
 //!   parallelism is bounded only by the instruction window.
 //! * [`DramBackend`] — N banks with open-row buffers (hit / miss /
-//!   conflict timing), per-bank FIFO queues, and a finite MSHR file that
-//!   back-pressures the core when it fills. This bounds the MLP a
-//!   kilo-instruction window can actually expose.
+//!   conflict timing), in-order service per bank, and a finite MSHR file
+//!   that back-pressures the core when it fills. This bounds the MLP a
+//!   kilo-instruction window can actually expose. Because nothing
+//!   overtakes within a bank, each request's schedule is fixed when the
+//!   backend accepts it, and the backend's only events are completions.
 //!
 //! The backend is selected by [`MemoryConfig::backend`]; the default is
 //! `FlatLatency`, which reproduces the paper's figures cycle for cycle.

@@ -59,7 +59,7 @@ proptest! {
             };
             prop_assert_eq!(r.latency, expected);
         }
-        let s = mem.stats();
+        let s = mem.stats(0);
         prop_assert_eq!(s.dl1_hits + s.dl1_misses, s.data_accesses);
     }
 
@@ -143,7 +143,7 @@ proptest! {
                 TimedAccess::InFlight => prop_assert!(false, "perfect L2 never goes to memory"),
             }
         }
-        prop_assert_eq!(mem.stats().l2_misses, 0);
+        prop_assert_eq!(mem.stats(0).l2_misses, 0);
     }
 }
 
@@ -163,21 +163,19 @@ fn offers(raw: &[(u64, u64, u64, bool)]) -> Vec<Offer> {
         .collect()
 }
 
-/// The next cycle a test loop ticks after `now`: the next one when `dense`,
-/// else the sooner of the next offer and the memory system's next event.
-/// An event can fall on `now` itself (a request that arrives the cycle it
-/// is offered, after that cycle's tick); it is serviced on the next tick.
-/// `None` once nothing is left to offer or to finish.
+/// The next cycle a test loop visits after `now`: the next one when
+/// `dense`, else the sooner of the next offer and the memory system's next
+/// event. `None` once nothing is left to offer or to finish.
 fn next_cycle(offer: Option<u64>, event: Option<u64>, now: u64, dense: bool) -> Option<u64> {
     let soonest = match (offer, event) {
         (Some(a), Some(e)) => a.min(e),
         (a, e) => a.or(e)?,
     };
     assert!(
-        soonest >= now,
-        "events never lie in the past: {soonest} at {now}"
+        soonest > now,
+        "events never lie in the past or the present: {soonest} at {now}"
     );
-    Some(if dense { now + 1 } else { soonest.max(now + 1) })
+    Some(if dense { now + 1 } else { soonest })
 }
 
 /// What a backend run produced: admission answers in offer order, every
@@ -185,9 +183,9 @@ fn next_cycle(offer: Option<u64>, event: Option<u64>, now: u64, dense: bool) -> 
 type BackendRun = (Vec<Admit>, Vec<(Completion, u64)>, koc_mem::BackendStats);
 
 /// Offers each request on its cycle (arriving `delay` cycles later), after
-/// that cycle's tick and drain. With `dense`, ticks every cycle up to a
-/// horizon past the last completion; otherwise only on offer cycles and at
-/// `next_event()`, the way the simulator's fast-forward drives it.
+/// that cycle's drain. With `dense`, drains every cycle up to the last
+/// completion; otherwise only on offer cycles and at `next_event()`, the
+/// way the simulator's fast-forward drives it.
 fn drive_backend(b: &mut DramBackend, offers: &[Offer], delay: u64, dense: bool) -> BackendRun {
     let mut admits = Vec::new();
     let mut done = Vec::new();
@@ -195,7 +193,6 @@ fn drive_backend(b: &mut DramBackend, offers: &[Offer], delay: u64, dense: bool)
     let mut next_offer = 0;
     let mut now = 0;
     loop {
-        b.tick(now);
         b.drain(now, &mut out);
         done.extend(out.drain(..).map(|c| (c, now)));
         while next_offer < offers.len() && offers[next_offer].0 == now {
@@ -218,14 +215,19 @@ fn drive_backend(b: &mut DramBackend, offers: &[Offer], delay: u64, dense: bool)
             None => break,
         }
     }
-    (admits, done, b.stats())
+    (admits, done, b.stats(now))
 }
 
 /// Offers each demand load on its cycle after that cycle's tick, like the
 /// pipeline's memory stage. Sparse driving ticks only on offer cycles and
 /// at `next_event()`, and accounts the cycles between with
-/// `account_idle_ticks`, exactly as fast-forward does.
-fn drive_hierarchy(m: &mut MemoryHierarchy, offers: &[Offer], dense: bool) -> Vec<(u64, u64)> {
+/// `account_idle_ticks`, exactly as fast-forward does. Returns every
+/// completed `(token, cycle)` and the last cycle ticked.
+fn drive_hierarchy(
+    m: &mut MemoryHierarchy,
+    offers: &[Offer],
+    dense: bool,
+) -> (Vec<(u64, u64)>, u64) {
     let mut done = Vec::new();
     let mut completed = Vec::new();
     let mut next_offer = 0;
@@ -253,22 +255,22 @@ fn drive_hierarchy(m: &mut MemoryHierarchy, offers: &[Offer], dense: bool) -> Ve
         m.account_idle_ticks(next - now - 1);
         now = next;
     }
-    done
+    (done, now)
 }
 
 proptest! {
-    /// Ticking a DRAM backend only at `next_event()` and on request cycles
+    /// Draining a DRAM backend only at `next_event()` and on request cycles
     /// gives the same admissions, the same `(token, cycle)` completions and
-    /// the same counters as ticking it every cycle, across bank counts,
+    /// the same counters as draining it every cycle, across bank counts,
     /// bank occupancies, MSHR files and row-buffer behaviour.
     #[test]
-    fn dram_ticked_at_next_event_matches_every_cycle(
+    fn dram_drained_at_next_event_matches_every_cycle(
         banks in 1usize..17,
         bank_busy in 0u32..17,
         mshrs in 1usize..17,
         act in 0u32..40,
         precharge in 0u32..40,
-        delay in 0u64..13,
+        delay in 1u64..13,
         raw in proptest::collection::vec((0u64..10, 0u64..40, 0u64..4, proptest::strategy::any::<bool>()), 1..120),
     ) {
         let config = DramConfig {
@@ -320,10 +322,10 @@ proptest! {
             .collect();
         let mut dense = MemoryHierarchy::new(config);
         let mut sparse = MemoryHierarchy::new(config);
-        let dense_done = drive_hierarchy(&mut dense, &offers, true);
-        let sparse_done = drive_hierarchy(&mut sparse, &offers, false);
-        prop_assert_eq!(&dense_done, &sparse_done);
-        prop_assert_eq!(dense.stats(), sparse.stats());
+        let (dense_done, end) = drive_hierarchy(&mut dense, &offers, true);
+        let sparse_run = drive_hierarchy(&mut sparse, &offers, false);
+        prop_assert_eq!(&(dense_done.clone(), end), &sparse_run);
+        prop_assert_eq!(dense.stats(end), sparse.stats(end));
         let loads = offers.iter().filter(|o| !o.2).count();
         prop_assert!(dense_done.len() <= loads);
     }

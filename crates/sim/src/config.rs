@@ -251,7 +251,7 @@ impl ProcessorConfig {
                 return Err("reorder buffer must have at least one entry".into());
             }
         }
-        Ok(())
+        self.memory.validate()
     }
 }
 
@@ -379,5 +379,8 @@ mod tests {
         let mut c = ProcessorConfig::table1();
         c.commit = CommitConfig::InOrderRob { rob_size: 0 };
         assert!(c.validate().is_err(), "a zero-entry ROB never dispatches");
+        let mut c = ProcessorConfig::table1();
+        c.memory.dl1.ways = 0;
+        assert!(c.validate().is_err(), "a zero-way DL1 has no sets");
     }
 }

@@ -550,7 +550,7 @@ impl<'a, O: Observer> Processor<'a, O> {
     }
 
     fn finalize(&mut self) {
-        self.stats.memory = self.mem.stats();
+        self.stats.memory = self.mem.stats(self.cycle);
         self.stats.replay_window_peak = self.fetch.peak_occupancy();
         self.engine.finalize(&mut self.stats);
         if !self.stats.budget_exhausted {
