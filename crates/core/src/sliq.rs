@@ -22,7 +22,9 @@
 //! age stack from the young end, with generation stamps marking records
 //! whose node has since been woken (freed), so `squash_from` is
 //! O(squashed), never O(entries). The slab and the age stack are reserved
-//! for the configured capacity at construction.
+//! for the configured capacity at construction. A produced register with
+//! nothing parked on it schedules no walker, so the pipeline never wakes
+//! for a re-insertion step that would move nothing.
 //!
 //! [`DependenceTracker`] implements the classification: the logical-register
 //! bit mask of [`crate::depmask`] plus a per-register record of *which* load
@@ -296,18 +298,21 @@ impl SliqBuffer {
         true
     }
 
-    /// Notifies the SLIQ that `trigger` (a long-latency load destination) has
-    /// been produced at cycle `now`. Its dependents become eligible for
-    /// re-insertion after the configured re-insertion delay (the delay models
-    /// re-computing source availability and overlaps across triggers).
+    /// Notifies the SLIQ that register `trigger` has been produced at cycle
+    /// `now`. Its dependents become eligible for re-insertion after the
+    /// configured re-insertion delay (the delay models re-computing source
+    /// availability and overlaps across triggers). A register with nothing
+    /// parked on it (none ever was, or every entry was squashed) schedules
+    /// no walker, so any register may be reported.
     pub fn on_trigger_ready(&mut self, trigger: PhysReg, now: u64) {
-        let delay = self.config.reinsert_delay as u64;
-        let bucket = self.bucket_mut(trigger);
-        if !bucket.pending {
+        let Some(bucket) = self.buckets.get_mut(trigger.index()) else {
+            return;
+        };
+        if bucket.head != NIL && !bucket.pending {
             bucket.pending = true;
             self.pending_triggers.push_back(WakeupWalker {
                 trigger,
-                ready_at: now + delay,
+                ready_at: now + self.config.reinsert_delay as u64,
             });
         }
     }
@@ -609,6 +614,29 @@ mod tests {
         );
         assert_eq!(woken[0].inst, 0);
         assert_eq!(woken[1].inst, 1);
+    }
+
+    #[test]
+    fn a_register_with_nothing_parked_schedules_no_walker() {
+        let mut s = SliqBuffer::new(cfg(16, 4));
+        s.insert(iq_entry(0), PhysReg(9));
+        // Below and beyond the highest register that ever had a bucket.
+        s.on_trigger_ready(PhysReg(7), 10);
+        s.on_trigger_ready(PhysReg(500), 10);
+        assert_eq!(s.next_pending_ready_at(), None);
+        s.on_trigger_ready(PhysReg(9), 10);
+        assert_eq!(s.next_pending_ready_at(), Some(14));
+    }
+
+    #[test]
+    fn a_register_whose_entries_were_squashed_schedules_no_walker() {
+        let mut s = SliqBuffer::new(cfg(16, 4));
+        for i in 0..3 {
+            s.insert(iq_entry(i), PhysReg(7));
+        }
+        assert_eq!(s.squash_from(0), 3);
+        s.on_trigger_ready(PhysReg(7), 10);
+        assert_eq!(s.next_pending_ready_at(), None);
     }
 
     #[test]

@@ -15,9 +15,6 @@
 //!   service per bank and a finite MSHR file that back-pressures the core
 //!   when full. It fixes each request's schedule when it accepts it.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 /// Tokens with this bit set are internal to the memory system (posted
 /// writes) and are never returned to the core as demand completions.
 pub const INTERNAL_TOKEN_BIT: u64 = 1 << 63;
@@ -61,7 +58,9 @@ impl MemReq {
 pub enum Admit {
     /// Accepted, and the completion cycle is already known (no queueing
     /// contention): the caller schedules the completion itself and the
-    /// backend retains nothing.
+    /// backend retains nothing. Only a backend that never answers
+    /// [`Admit::Reject`] may answer `At`: the hierarchy's MSHR retry path
+    /// has no schedule of its own to hold the completion.
     At(u64),
     /// Accepted and scheduled inside the backend; the completion will
     /// surface from [`MemoryBackend::drain`] when the request completes.
@@ -192,41 +191,6 @@ impl MemoryBackend for FlatLatency {
     }
 }
 
-/// Completions waiting for their cycle: the hierarchy's own schedule for
-/// [`Admit::At`] answers that cannot be consumed immediately (its retry
-/// queue). A min-heap on (cycle, push order), so same-cycle completions
-/// drain in push order, the earliest cycle is a peek, and the steady state
-/// allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SelfSchedule {
-    due: BinaryHeap<Reverse<(u64, u64, Completion)>>,
-    pushed: u64,
-}
-
-impl SelfSchedule {
-    pub(crate) fn push(&mut self, at: u64, c: Completion) {
-        self.due.push(Reverse((at, self.pushed, c)));
-        self.pushed += 1;
-    }
-
-    /// Appends every completion due at or before `now` to `out`, in
-    /// (cycle, push order).
-    pub(crate) fn drain(&mut self, now: u64, out: &mut Vec<Completion>) {
-        while let Some(&Reverse((cycle, _, c))) = self.due.peek() {
-            if cycle > now {
-                break;
-            }
-            self.due.pop();
-            out.push(c);
-        }
-    }
-
-    /// The earliest scheduled completion cycle, if any.
-    pub(crate) fn next_due(&self) -> Option<u64> {
-        self.due.peek().map(|&Reverse((cycle, _, _))| cycle)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,27 +215,5 @@ mod tests {
         b.request(MemReq::write(64), 0);
         let s = b.stats(0);
         assert_eq!((s.demand_reads, s.writes), (1, 1));
-    }
-
-    #[test]
-    fn self_schedule_releases_in_cycle_order() {
-        let mut s = SelfSchedule::default();
-        let c = |t| Completion {
-            token: t,
-            is_write: false,
-        };
-        // Same-cycle completions keep push order, not token order.
-        s.push(20, c(3));
-        s.push(10, c(1));
-        s.push(20, c(2));
-        let mut out = Vec::new();
-        s.drain(15, &mut out);
-        assert_eq!(out.iter().map(|c| c.token).collect::<Vec<_>>(), vec![1]);
-        s.drain(25, &mut out);
-        assert_eq!(
-            out.iter().map(|c| c.token).collect::<Vec<_>>(),
-            vec![1, 3, 2]
-        );
-        assert_eq!(s.next_due(), None);
     }
 }

@@ -109,10 +109,9 @@ pub struct Cache {
     num_sets: usize,
     /// `num_sets × ways` tags, each set MRU first, empty ways `INVALID`.
     tags: Vec<u64>,
-    /// `log2(line_bytes)` when the line size is a power of two — the common
-    /// geometry — so the per-access address split is a shift/mask instead
-    /// of two 64-bit divisions.
-    line_shift: Option<u32>,
+    /// `log2(line_bytes)`: [`CacheConfig::validate`] requires a
+    /// power-of-two line, so the per-access line split is a shift.
+    line_shift: u32,
     /// `num_sets - 1` when the set count is a power of two.
     set_mask: Option<u64>,
     hits: u64,
@@ -121,12 +120,20 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    /// Panics if the geometry fails [`CacheConfig::validate`] (a struct
+    /// literal bypasses [`CacheConfig::new`]'s check).
     pub fn new(config: CacheConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "invalid geometry is a caller bug; validate() names the problem"
+        )]
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid cache geometry: {e}"));
         let num_sets = config.num_sets();
-        let line_shift = config
-            .line_bytes
-            .is_power_of_two()
-            .then(|| config.line_bytes.trailing_zeros());
+        let line_shift = config.line_bytes.trailing_zeros();
         let set_mask = num_sets.is_power_of_two().then(|| num_sets as u64 - 1);
         Cache {
             config,
@@ -141,10 +148,7 @@ impl Cache {
 
     #[inline]
     fn split(&self, addr: u64) -> (usize, u64) {
-        let line = match self.line_shift {
-            Some(shift) => addr >> shift,
-            None => addr / self.config.line_bytes,
-        };
+        let line = addr >> self.line_shift;
         match self.set_mask {
             Some(mask) => ((line & mask) as usize, line >> mask.count_ones()),
             None => (
@@ -223,6 +227,17 @@ mod tests {
     #[should_panic(expected = "whole number of sets")]
     fn inconsistent_geometry_panics() {
         let _ = CacheConfig::new(100, 3, 32, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn cache_refuses_an_unvalidated_geometry() {
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 48 * 4 * 2,
+            ways: 2,
+            line_bytes: 48,
+            latency: 1,
+        });
     }
 
     #[test]

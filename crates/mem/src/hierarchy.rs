@@ -1,7 +1,7 @@
 //! The multi-level data memory hierarchy: DL1, unified L2, and a pluggable
 //! timed main-memory backend.
 
-use crate::backend::{Admit, Completion, FlatLatency, MemReq, MemoryBackend, SelfSchedule};
+use crate::backend::{Admit, Completion, FlatLatency, MemReq, MemoryBackend};
 use crate::cache::Cache;
 use crate::config::{BackendKind, MemoryConfig};
 use crate::dram::DramBackend;
@@ -63,9 +63,6 @@ pub struct MemoryHierarchy {
     /// Demand misses waiting for an MSHR (FIFO), with their original
     /// arrival cycle at the backend.
     waiting: VecDeque<(MemReq, u64)>,
-    /// Completions the hierarchy must deliver itself (an [`Admit::At`]
-    /// answer to a retried request).
-    self_scheduled: SelfSchedule,
     /// Scratch buffer for backend completions.
     drained: Vec<Completion>,
     stats: MemoryStats,
@@ -97,7 +94,6 @@ impl MemoryHierarchy {
             l2: Cache::new(config.l2),
             backend: backend_from_config(&config),
             waiting: VecDeque::new(),
-            self_scheduled: SelfSchedule::default(),
             drained: Vec::new(),
             config,
             stats: MemoryStats::default(),
@@ -253,7 +249,6 @@ impl MemoryHierarchy {
         self.drained.clear();
         let mut drained = std::mem::take(&mut self.drained);
         self.backend.drain(now, &mut drained);
-        self.self_scheduled.drain(now, &mut drained);
         for c in &drained {
             if c.is_write {
                 continue;
@@ -268,15 +263,8 @@ impl MemoryHierarchy {
         // Retry demand misses that were waiting for an MSHR, oldest first.
         while let Some(&(req, arrival)) = self.waiting.front() {
             match self.offer(req, arrival, now) {
-                Admit::At(done) => {
-                    self.waiting.pop_front();
-                    self.self_scheduled.push(
-                        done.max(now),
-                        Completion {
-                            token: req.token,
-                            is_write: false,
-                        },
-                    );
+                Admit::At(_) => {
+                    unreachable!("a backend that rejects requests never answers Admit::At")
                 }
                 Admit::Queued => {
                     if O::ENABLED {
@@ -305,8 +293,7 @@ impl MemoryHierarchy {
 
     /// The earliest future cycle at which the memory system can deliver a
     /// completion or otherwise change state on its own: the backend's next
-    /// event or the hierarchy's own retry schedule. `None` when nothing is
-    /// in flight beyond the L2.
+    /// event. `None` when nothing is in flight beyond the L2.
     ///
     /// Used by the pipeline's event-driven fast-forward, and by
     /// [`tick`](Self::tick) itself: before this cycle a tick is idle.
@@ -314,10 +301,7 @@ impl MemoryHierarchy {
     /// cannot be admitted before a drain frees one, which is a backend
     /// event.
     pub fn next_event(&self) -> Option<u64> {
-        match (self.backend.next_event(), self.self_scheduled.next_due()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.backend.next_event()
     }
 
     /// Accounts for `cycles` skipped ticks during which the memory system

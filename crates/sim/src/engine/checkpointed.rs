@@ -9,34 +9,8 @@ use koc_core::{
     CheckpointId, CheckpointPolicy, CheckpointTable, DependenceTracker, PseudoRob, RetireClass,
     SliqBuffer, SliqConfig,
 };
-use koc_isa::{FuClass, InstId, Instruction, OpKind, PhysReg};
+use koc_isa::{FuClass, InstId, Instruction, OpKind};
 use koc_obs::{Event, Observer};
-
-/// Membership marks for the physical registers currently armed as SLIQ
-/// wake-up triggers: a dense flag vector keyed by [`PhysReg::index`], so
-/// the per-completion membership test is an array load instead of a hash.
-#[derive(Debug, Default)]
-struct TriggerMarks {
-    marks: Vec<bool>,
-}
-
-impl TriggerMarks {
-    fn insert(&mut self, p: PhysReg) {
-        let i = p.index();
-        if i >= self.marks.len() {
-            self.marks.resize(i + 1, false);
-        }
-        self.marks[i] = true;
-    }
-
-    /// Clears the mark for `p`, returning whether it was set.
-    fn remove(&mut self, p: PhysReg) -> bool {
-        match self.marks.get_mut(p.index()) {
-            Some(m) => std::mem::replace(m, false),
-            None => false,
-        }
-    }
-}
 
 /// Checkpointed out-of-order commit: retirement happens a whole checkpoint
 /// at a time, as soon as every instruction in the checkpoint's window has
@@ -47,7 +21,6 @@ pub struct CheckpointedEngine {
     pseudo_rob: PseudoRob,
     sliq: SliqBuffer,
     dep: DependenceTracker,
-    sliq_triggers: TriggerMarks,
     /// Reused by [`wake`](CommitEngine::wake) so the per-cycle SLIQ walk
     /// allocates nothing.
     wake_scratch: Vec<koc_core::IqEntry>,
@@ -71,7 +44,6 @@ impl CheckpointedEngine {
             pseudo_rob: PseudoRob::new(pseudo_rob_size),
             sliq: SliqBuffer::new(sliq),
             dep: DependenceTracker::new(),
-            sliq_triggers: TriggerMarks::default(),
             wake_scratch: Vec::new(),
             force_checkpoint_at: None,
         }
@@ -101,7 +73,6 @@ impl CheckpointedEngine {
                     // Still outstanding: the paper treats it as long latency.
                     if let (Some(dest), Some(phys)) = (trace_inst.dest, fl.dest_phys) {
                         self.dep.add_long_latency_load(dest, phys);
-                        self.sliq_triggers.insert(phys);
                     }
                     RetireClass::LongLatLoad
                 }
@@ -136,7 +107,6 @@ impl CheckpointedEngine {
                             if O::ENABLED {
                                 ctx.obs.event(ctx.cycle, Event::SliqMove { inst });
                             }
-                            self.sliq_triggers.insert(trigger);
                             if !trace_inst.is_store() && trace_inst.kind != OpKind::Load {
                                 final_class = RetireClass::Moved;
                             }
@@ -342,16 +312,16 @@ impl<O: Observer> CommitEngine<O> for CheckpointedEngine {
         // front (minimum, by monotonicity) `ready_at` is exact, so the
         // shell's fast-forward can jump a stalled window straight to the
         // next re-insertion burst under `cooo` just as it jumps to the next
-        // memory completion under the baseline.
+        // memory completion under the baseline. A produced register with
+        // nothing parked on it schedules no walker, so every cycle reported
+        // here re-inserts something unless a squash emptied the bucket.
         self.sliq.next_pending_ready_at()
     }
 
     fn completed(&mut self, wb: &Writeback, ctx: &mut EngineCtx<'_, '_, O>) {
         self.table.on_complete(wb.ckpt);
         if let Some(p) = wb.dest_phys {
-            if self.sliq_triggers.remove(p) {
-                self.sliq.on_trigger_ready(p, ctx.cycle);
-            }
+            self.sliq.on_trigger_ready(p, ctx.cycle);
             if wb.kind == OpKind::Load {
                 self.dep.clear_if_trigger(p);
             }

@@ -4,7 +4,10 @@
 
 use koc_bench::experiments::mlp_sensitivity;
 use koc_mem::MemoryStats;
-use koc_sim::{sweep, BackendKind, CommitConfig, DramConfig, MemoryConfig, ProcessorConfig, Suite};
+use koc_sim::{
+    sweep, BackendKind, CommitConfig, CycleSample, DramConfig, MemoryConfig, Observer, Processor,
+    ProcessorConfig, Suite,
+};
 use koc_workloads::kernels;
 
 /// Cycle counts recorded from the pre-backend hierarchy (the seed code) on
@@ -217,4 +220,41 @@ fn memory_bound_jobs_keep_their_dram_timing() {
         ),
     ];
     assert_eq!(got, expected);
+}
+
+/// Counts fast-forward jumps: one `skip` call each.
+#[derive(Default)]
+struct JumpCounter {
+    jumps: u64,
+}
+
+impl Observer for JumpCounter {
+    fn skip(&mut self, _: &CycleSample, _: u64) {
+        self.jumps += 1;
+    }
+}
+
+/// On `pointer_chase` every load's dependent is the next load of the chain,
+/// itself a long-latency load that stays in the instruction queue, so the
+/// checkpointed engine parks nothing in the SLIQ. A completing load must
+/// then schedule no wake-up walker: the pipeline has no more to wake up for
+/// than the baseline does, and fast-forward makes about as many jumps (one
+/// per memory completion). A walker per completion would double them.
+#[test]
+fn pointer_chase_wakes_the_checkpointed_engine_no_more_than_the_baseline() {
+    let workload = &Suite::kernel("pointer_chase", kernels::pointer_chase()).generate(2_000)[0];
+    let jumps = |mut config: ProcessorConfig| {
+        config.memory = config.memory.with_dram(mlp_sensitivity::dram(16));
+        let (stats, counter) =
+            Processor::with_observer(config, &workload.trace, JumpCounter::default())
+                .run_observed();
+        assert_eq!(stats.sliq_moved, 0, "nothing is parked on pointer_chase");
+        counter.jumps
+    };
+    let baseline = jumps(ProcessorConfig::baseline(32, 1000));
+    let cooo = jumps(ProcessorConfig::cooo(32, 2048, 1000));
+    assert!(
+        cooo * 100 <= baseline * 101,
+        "cooo makes {cooo} fast-forward jumps, baseline-32 {baseline}"
+    );
 }
