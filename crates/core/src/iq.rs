@@ -376,18 +376,17 @@ impl InstructionQueue {
 
     /// Removes every instruction at or after trace position `from`
     /// (squash on rollback or branch recovery), returning their slots to the
-    /// free list. Returns the removed entries in program order.
-    pub fn squash_from(&mut self, from: InstId) -> Vec<IqEntry> {
-        // Allocates on a branch-recovery squash, not per cycle.
-        let mut out = Vec::new();
+    /// free list. Returns how many were removed.
+    pub fn squash_from(&mut self, from: InstId) -> usize {
+        let mut removed = 0;
         for slot in 0..self.slots.len() {
             let s = &self.slots[slot];
             if s.token != VACANT && s.entry.inst >= from {
-                out.push(self.vacate(slot as IqSlot));
+                self.vacate(slot as IqSlot);
+                removed += 1;
             }
         }
-        out.sort_unstable_by_key(|e| e.inst);
-        out
+        removed
     }
 
     /// Whether the queue currently holds `inst` (a slab scan, for tests and
@@ -576,13 +575,9 @@ mod tests {
         for i in 0..6 {
             iq.insert(entry(i, &[], FuClass::IntAlu), |_| true).unwrap();
         }
-        let squashed = iq.squash_from(3);
-        assert_eq!(
-            squashed.iter().map(|e| e.inst).collect::<Vec<_>>(),
-            vec![3, 4, 5]
-        );
+        assert_eq!(iq.squash_from(3), 3);
         assert!(iq.contains(2));
-        assert!(!iq.contains(3));
+        assert!((3..6).all(|i| !iq.contains(i)));
         assert_eq!(iq.ready_count(), 3);
         // The squashed slots are free again: refilling to capacity does not
         // grow the slab.

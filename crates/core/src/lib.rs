@@ -11,8 +11,9 @@
 //! * [`pseudo_rob::PseudoRob`] — the small FIFO that delays the
 //!   long-latency-instruction decision and recovers nearby branches, kept
 //!   as a band of trace positions over the pipeline's in-flight table,
-//! * [`sliq`] — Slow Lane Instruction Queuing: the dependence-mask detector
-//!   and the secondary buffer with its wake-up walker (Figure 8).
+//! * [`sliq`] — Slow Lane Instruction Queuing: the dependence tracker (the
+//!   Section 3 register mask, each entry naming its load) and the secondary
+//!   buffer with its wake-up walker (Figure 8).
 //!
 //! **Conventional structures** (shared by both machines):
 //! [`iq::InstructionQueue`], [`lsq::LoadStoreQueue`],
@@ -28,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod depmask;
 pub mod iq;
 pub mod lsq;
 pub mod pseudo_rob;
@@ -37,7 +37,6 @@ pub mod rename;
 pub mod sliq;
 
 pub use checkpoint::{Checkpoint, CheckpointId, CheckpointPolicy, CheckpointTable};
-pub use depmask::DependenceMask;
 pub use iq::{InstructionQueue, IqEntry, IqFull, IqSlot};
 pub use lsq::{LoadStoreQueue, LsqEntry, LsqFull};
 pub use pseudo_rob::{PseudoRob, RetireClass};

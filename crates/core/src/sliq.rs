@@ -26,13 +26,12 @@
 //! nothing parked on it schedules no walker, so the pipeline never wakes
 //! for a re-insertion step that would move nothing.
 //!
-//! [`DependenceTracker`] implements the classification: the logical-register
-//! bit mask of [`crate::depmask`] plus a per-register record of *which* load
-//! the dependence chains back to.
+//! [`DependenceTracker`] implements the classification: the Section 3
+//! logical-register dependence mask, kept as a per-register record of
+//! *which* load the dependence chains back to.
 
-use crate::depmask::DependenceMask;
 use crate::iq::IqEntry;
-use koc_isa::{ArchReg, InstId, Instruction, PhysReg};
+use koc_isa::{ArchReg, InstId, Instruction, PhysReg, NUM_ARCH_REGS};
 use std::collections::VecDeque;
 
 /// Instructions the wake-up walker re-inserts per cycle (4 in the paper).
@@ -317,28 +316,14 @@ impl SliqBuffer {
         }
     }
 
-    /// Advances the wake-up machinery by one cycle and returns the entries to
-    /// re-insert into the instruction queues this cycle: at most [`SLIQ_WAKE_WIDTH`]
-    /// in total, and never more than the free space of each target queue
-    /// (`int_space` for integer/memory entries, `fp_space` for floating-point
-    /// entries). Entries of one trigger re-insert oldest first; re-insertion
-    /// stops at the first entry whose queue is full to preserve order.
-    pub fn step(&mut self, now: u64, int_space: usize, fp_space: usize) -> Vec<IqEntry> {
-        let mut out = Vec::new();
-        self.step_into(now, int_space, fp_space, &mut out);
-        out
-    }
-
-    /// [`step`](Self::step) into a caller-owned buffer (appended, not
-    /// cleared) — the per-cycle wake path reuses one buffer for the whole
-    /// run, and the walk touches only the entries it re-inserts.
-    pub fn step_into(
-        &mut self,
-        now: u64,
-        mut int_space: usize,
-        mut fp_space: usize,
-        out: &mut Vec<IqEntry>,
-    ) {
+    /// Advances the wake-up machinery by one cycle, appending to `out` the
+    /// entries to re-insert into the instruction queues this cycle: at most
+    /// [`SLIQ_WAKE_WIDTH`] in total, each trigger's oldest first. Queue
+    /// occupancy never blocks a wake-up: the engine lets a re-insertion
+    /// overshoot a full queue rather than wait on it. The walk touches only
+    /// the entries it re-inserts, and the caller reuses one buffer for the
+    /// whole run.
+    pub fn step_into(&mut self, now: u64, out: &mut Vec<IqEntry>) {
         let mut budget = SLIQ_WAKE_WIDTH;
         while budget > 0 {
             let Some(front) = self.pending_triggers.front().copied() else {
@@ -348,31 +333,22 @@ impl SliqBuffer {
                 break;
             }
             // Re-insert this trigger's entries, oldest first (bucket order).
-            let mut blocked = false;
             while budget > 0 {
                 let head = self.bucket(front.trigger).head;
                 if head == NIL {
                     break;
                 }
-                let is_fp = self.nodes[head as usize].entry.fu == koc_isa::FuClass::Fp;
-                let space = if is_fp { &mut fp_space } else { &mut int_space };
-                if *space == 0 {
-                    blocked = true;
-                    break;
-                }
-                *space -= 1;
                 budget -= 1;
                 out.push(self.unlink_and_free(head));
             }
-            if self.bucket(front.trigger).head == NIL {
-                // Walk complete: retire the walker and let the next trigger
-                // use whatever budget remains this cycle.
-                self.pending_triggers.pop_front();
-                self.bucket_mut(front.trigger).pending = false;
-            } else {
-                debug_assert!(blocked || budget == 0);
+            if self.bucket(front.trigger).head != NIL {
+                // Out of budget mid-walk: resume next cycle.
                 break;
             }
+            // Walk complete: retire the walker and let the next trigger use
+            // whatever budget remains this cycle.
+            self.pending_triggers.pop_front();
+            self.bucket_mut(front.trigger).pending = false;
         }
     }
 
@@ -417,20 +393,29 @@ impl SliqBuffer {
 }
 
 /// Tracks which in-flight long-latency load every logical register's value
-/// (transitively) depends on. This is the pseudo-ROB extraction logic's
-/// dependence computation: the bit mask of Section 3 plus the trigger
-/// association needed to tag SLIQ entries.
+/// (transitively) depends on: the pseudo-ROB extraction logic's dependence
+/// computation (Section 3).
+///
+/// When a long-latency load leaves the pseudo-ROB, the paper starts a
+/// forward dependence computation over a bit mask of logical registers,
+/// initially only the load's destination. Every later instruction extracted
+/// from the pseudo-ROB joins the dependent set (its destination joins the
+/// mask) if it reads a masked register, and clears its destination bit
+/// otherwise: an independent redefinition kills the dependence, the
+/// reaching-definitions trick of compiler construction. Here a register is
+/// in the mask exactly when it records a trigger, the load's destination
+/// physical register that SLIQ entries are tagged with. The paper's mask
+/// covers the 32 integer registers; we track all 64 (32 INT + 32 FP),
+/// since FP codes chain through FP registers.
 #[derive(Debug, Clone)]
 pub struct DependenceTracker {
-    mask: DependenceMask,
-    trigger_of: Vec<Option<PhysReg>>,
+    trigger_of: [Option<PhysReg>; NUM_ARCH_REGS],
 }
 
 impl Default for DependenceTracker {
     fn default() -> Self {
         DependenceTracker {
-            mask: DependenceMask::new(),
-            trigger_of: vec![None; koc_isa::NUM_ARCH_REGS],
+            trigger_of: [None; NUM_ARCH_REGS],
         }
     }
 }
@@ -444,35 +429,26 @@ impl DependenceTracker {
     /// Registers a long-latency load: its destination becomes a dependence
     /// source, triggered by the load's destination physical register.
     pub fn add_long_latency_load(&mut self, dest: ArchReg, dest_phys: PhysReg) {
-        self.mask.set(dest);
         self.trigger_of[dest.flat_index()] = Some(dest_phys);
     }
 
     /// Classifies an instruction extracted from the pseudo-ROB.
     ///
-    /// Returns the trigger register if the instruction depends on an
-    /// outstanding long-latency load (it should be moved to the SLIQ), or
-    /// `None` if it is independent. The tracker state is updated either way.
+    /// Returns the trigger of its first source in the mask if it depends on
+    /// an outstanding long-latency load (it should be moved to the SLIQ),
+    /// or `None` if it is independent. Either way its destination, if any,
+    /// takes that answer as its own trigger.
     pub fn classify(&mut self, inst: &Instruction) -> Option<PhysReg> {
-        let trigger = inst
-            .sources()
-            .find(|s| self.mask.contains(*s))
-            .and_then(|s| self.trigger_of[s.flat_index()]);
-        let dependent = self.mask.classify_and_update(inst);
+        let trigger = inst.sources().find_map(|s| self.trigger_of[s.flat_index()]);
         if let Some(dest) = inst.dest {
-            self.trigger_of[dest.flat_index()] = if dependent { trigger } else { None };
+            self.trigger_of[dest.flat_index()] = trigger;
         }
-        if dependent {
-            trigger
-        } else {
-            None
-        }
+        trigger
     }
 
     /// Clears the dependence of `reg` (its long-latency producer completed
     /// before the dependents were extracted, so they are no longer "slow").
     pub fn clear_register(&mut self, reg: ArchReg) {
-        self.mask.clear(reg);
         self.trigger_of[reg.flat_index()] = None;
     }
 
@@ -486,10 +462,9 @@ impl DependenceTracker {
     /// `phys`, dependents classified later would be parked in the SLIQ on a
     /// register nothing writes again.
     pub fn clear_if_trigger(&mut self, phys: PhysReg) {
-        // Only registers in the mask carry a trigger.
-        for reg in self.mask.regs() {
-            if self.trigger_of[reg.flat_index()] == Some(phys) {
-                self.clear_register(reg);
+        for trigger in &mut self.trigger_of {
+            if *trigger == Some(phys) {
+                *trigger = None;
             }
         }
     }
@@ -502,7 +477,7 @@ impl DependenceTracker {
 
     /// Whether any dependence is currently tracked.
     pub fn is_empty(&self) -> bool {
-        self.mask.is_empty()
+        self.trigger_of.iter().all(Option::is_none)
     }
 
     /// Resets all tracked state (pipeline flush or rollback).
@@ -522,6 +497,13 @@ mod tests {
             srcs: koc_isa::RegList::new(),
             fu: FuClass::Fp,
         }
+    }
+
+    /// One wake-up step's re-insertions.
+    fn step(s: &mut SliqBuffer, now: u64) -> Vec<IqEntry> {
+        let mut out = Vec::new();
+        s.step_into(now, &mut out);
+        out
     }
 
     fn cfg(capacity: usize, delay: u32) -> SliqConfig {
@@ -557,9 +539,9 @@ mod tests {
             s.insert(iq_entry(i), PhysReg(7));
         }
         s.on_trigger_ready(PhysReg(7), 10);
-        assert!(s.step(10, 16, 16).is_empty(), "delay cycle 1");
-        assert!(s.step(11, 16, 16).is_empty(), "delay cycle 2");
-        let woken = s.step(12, 16, 16);
+        assert!(step(&mut s, 10).is_empty(), "delay cycle 1");
+        assert!(step(&mut s, 11).is_empty(), "delay cycle 2");
+        let woken = step(&mut s, 12);
         assert_eq!(woken.len(), 3);
         assert!(s.is_empty());
     }
@@ -571,10 +553,10 @@ mod tests {
             s.insert(iq_entry(i), PhysReg(7));
         }
         s.on_trigger_ready(PhysReg(7), 0);
-        let first = s.step(0, 16, 16);
+        let first = step(&mut s, 0);
         assert_eq!(first.len(), 4);
         assert_eq!(first[0].inst, 0, "oldest first");
-        let second = s.step(1, 16, 16);
+        let second = step(&mut s, 1);
         assert_eq!(second.len(), 2);
         assert_eq!(
             s.pending_triggers().count(),
@@ -584,29 +566,13 @@ mod tests {
     }
 
     #[test]
-    fn wakeup_stalls_when_the_target_queue_is_full() {
-        let mut s = SliqBuffer::new(cfg(16, 0));
-        for i in 0..4 {
-            s.insert(iq_entry(i), PhysReg(7)); // all FP entries
-        }
-        s.on_trigger_ready(PhysReg(7), 0);
-        assert!(
-            s.step(0, 16, 0).is_empty(),
-            "no FP queue space, nothing re-inserted"
-        );
-        assert_eq!(s.step(1, 16, 2).len(), 2);
-        assert_eq!(s.step(2, 16, 16).len(), 2);
-        assert!(s.is_empty());
-    }
-
-    #[test]
     fn multiple_triggers_share_the_per_cycle_budget() {
         let mut s = SliqBuffer::new(cfg(16, 0));
         s.insert(iq_entry(0), PhysReg(7));
         s.insert(iq_entry(1), PhysReg(9));
         s.on_trigger_ready(PhysReg(7), 0);
         s.on_trigger_ready(PhysReg(9), 0);
-        let woken = s.step(0, 16, 16);
+        let woken = step(&mut s, 0);
         assert_eq!(
             woken.len(),
             2,
@@ -645,9 +611,9 @@ mod tests {
         s.insert(iq_entry(0), PhysReg(7));
         s.on_trigger_ready(PhysReg(7), 0);
         s.on_trigger_ready(PhysReg(7), 0);
-        assert_eq!(s.step(0, 16, 16).len(), 1);
-        assert!(s.step(1, 16, 16).is_empty());
-        assert!(s.step(2, 16, 16).is_empty());
+        assert_eq!(step(&mut s, 0).len(), 1);
+        assert!(step(&mut s, 1).is_empty());
+        assert!(step(&mut s, 2).is_empty());
     }
 
     #[test]
@@ -669,7 +635,7 @@ mod tests {
             s.insert(iq_entry(i), PhysReg(7));
         }
         s.on_trigger_ready(PhysReg(7), 0);
-        assert_eq!(s.step(0, 16, 16).len(), 4); // wakes 0..4, frees their nodes
+        assert_eq!(step(&mut s, 0).len(), 4); // wakes 0..4, frees their nodes
         assert_eq!(s.squash_from(6), 2, "squashes 6 and 7");
         assert_eq!(s.len(), 2, "4 and 5 survive");
         // Re-dispatch after the squash reuses freed nodes for ids >= 6.
@@ -678,7 +644,7 @@ mod tests {
         assert_eq!(s.squash_from(0), 4, "everything live is squashed");
         assert!(s.is_empty());
         // A stale walker for an emptied trigger retires without output.
-        assert!(s.step(1, 16, 16).is_empty());
+        assert!(step(&mut s, 1).is_empty());
         assert_eq!(s.pending_triggers().count(), 0);
     }
 
@@ -687,11 +653,11 @@ mod tests {
         let mut s = SliqBuffer::new(cfg(16, 0));
         s.insert(iq_entry(0), PhysReg(7));
         s.on_trigger_ready(PhysReg(7), 0);
-        assert_eq!(s.step(0, 16, 16).len(), 1);
+        assert_eq!(step(&mut s, 0).len(), 1);
         // A later (re-executed) producer of the same register wakes again.
         s.insert(iq_entry(1), PhysReg(7));
         s.on_trigger_ready(PhysReg(7), 5);
-        assert_eq!(s.step(5, 16, 16).len(), 1);
+        assert_eq!(step(&mut s, 5).len(), 1);
         assert!(s.is_empty());
     }
 
@@ -705,7 +671,7 @@ mod tests {
                 s.insert(iq_entry((round * 4 + k) as InstId), PhysReg(7));
             }
             s.on_trigger_ready(PhysReg(7), round);
-            assert_eq!(s.step(round, 16, 16).len(), 4);
+            assert_eq!(step(&mut s, round).len(), 4);
         }
         assert!(s.is_empty());
         assert_eq!(s.total_moved(), 4_000);
@@ -716,32 +682,51 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_blocked_entry_preserves_order_within_its_trigger() {
-        let mut s = SliqBuffer::new(cfg(16, 0));
-        // Entry 0 targets the integer queue, entry 1 the FP queue.
-        let mut int_entry = iq_entry(0);
-        int_entry.fu = FuClass::IntAlu;
-        s.insert(int_entry, PhysReg(7));
-        s.insert(iq_entry(1), PhysReg(7));
-        s.on_trigger_ready(PhysReg(7), 0);
-        // No integer-queue space: nothing moves (order preserved).
-        assert!(s.step(0, 0, 16).is_empty());
-        let woken = s.step(1, 16, 16);
-        assert_eq!(woken.len(), 2);
-        assert_eq!(woken[0].inst, 0);
-    }
-
     // --- DependenceTracker -------------------------------------------------
+
+    #[test]
+    fn a_load_seeds_only_its_destination() {
+        let mut t = DependenceTracker::new();
+        assert!(t.is_empty());
+        t.add_long_latency_load(ArchReg::fp(3), PhysReg(41));
+        assert_eq!(t.trigger_for(ArchReg::fp(3)), Some(PhysReg(41)));
+        assert_eq!(t.trigger_for(ArchReg::fp(4)), None);
+        assert_eq!(
+            t.trigger_for(ArchReg::int(3)),
+            None,
+            "INT and FP never alias"
+        );
+        assert!(!t.is_empty());
+    }
 
     #[test]
     fn tracker_tags_direct_and_transitive_dependents_with_the_load_trigger() {
         let mut t = DependenceTracker::new();
         t.add_long_latency_load(ArchReg::fp(1), PhysReg(41));
-        let direct = Instruction::op(0, OpKind::FpAlu, Some(ArchReg::fp(2)), &[ArchReg::fp(1)]);
+        // The masked source need not come first.
+        let direct = Instruction::op(
+            0,
+            OpKind::FpAlu,
+            Some(ArchReg::fp(2)),
+            &[ArchReg::fp(5), ArchReg::fp(1)],
+        );
         let transitive = Instruction::op(4, OpKind::FpAlu, Some(ArchReg::fp(3)), &[ArchReg::fp(2)]);
         assert_eq!(t.classify(&direct), Some(PhysReg(41)));
         assert_eq!(t.classify(&transitive), Some(PhysReg(41)));
+        // Both destinations joined the mask.
+        assert_eq!(t.trigger_for(ArchReg::fp(2)), Some(PhysReg(41)));
+        assert_eq!(t.trigger_for(ArchReg::fp(3)), Some(PhysReg(41)));
+    }
+
+    #[test]
+    fn stores_and_branches_are_tagged_without_destinations() {
+        let mut t = DependenceTracker::new();
+        t.add_long_latency_load(ArchReg::fp(1), PhysReg(41));
+        let st = Instruction::store(0, ArchReg::fp(1), ArchReg::int(2), 0x100);
+        assert_eq!(t.classify(&st), Some(PhysReg(41)));
+        let br = Instruction::branch(4, ArchReg::int(9), true, 0);
+        assert_eq!(t.classify(&br), None);
+        assert_eq!(t.trigger_for(ArchReg::fp(1)), Some(PhysReg(41)));
     }
 
     #[test]
@@ -770,9 +755,15 @@ mod tests {
     fn clear_register_stops_tracking_a_completed_load() {
         let mut t = DependenceTracker::new();
         t.add_long_latency_load(ArchReg::fp(1), PhysReg(41));
+        t.add_long_latency_load(ArchReg::fp(2), PhysReg(42));
         t.clear_register(ArchReg::fp(1));
-        let reader = Instruction::op(0, OpKind::FpAlu, Some(ArchReg::fp(2)), &[ArchReg::fp(1)]);
+        let reader = Instruction::op(0, OpKind::FpAlu, Some(ArchReg::fp(3)), &[ArchReg::fp(1)]);
         assert_eq!(t.classify(&reader), None);
+        assert_eq!(
+            t.trigger_for(ArchReg::fp(2)),
+            Some(PhysReg(42)),
+            "only the named register is cleared"
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based tests for the core mechanisms: rename/free-list
-//! consistency, checkpoint accounting, dependence-mask propagation and SLIQ
+//! consistency, checkpoint accounting, dependence tracking and SLIQ
 //! conservation.
 
 use koc_core::{
-    CamRenameMap, CheckpointPolicy, CheckpointTable, DependenceMask, InstructionQueue, IqEntry,
+    CamRenameMap, CheckpointPolicy, CheckpointTable, DependenceTracker, InstructionQueue, IqEntry,
     PhysRegFile, SliqBuffer, SliqConfig,
 };
 use koc_isa::{ArchReg, FuClass, Instruction, OpKind, PhysReg, NUM_ARCH_REGS};
@@ -150,21 +150,31 @@ proptest! {
         prop_assert!(table.is_empty());
     }
 
-    /// Dependence-mask propagation: an instruction is dependent iff at least
-    /// one of its sources is currently masked.
+    /// Dependence tracking against a map of register -> trigger, fed by two
+    /// long-latency loads: an instruction is dependent iff one of its
+    /// sources is tracked, it is tagged with the first such source's
+    /// trigger, and its destination takes that tag (or loses its own).
     #[test]
-    fn dependence_mask_matches_reference(seed in arb_reg(), ops in proptest::collection::vec((arb_reg(), arb_reg(), arb_reg()), 1..100)) {
-        let mut mask = DependenceMask::seeded(seed);
-        let mut reference: std::collections::BTreeSet<ArchReg> = [seed].into_iter().collect();
+    fn dependence_mask_matches_reference(
+        loads in (arb_reg(), arb_reg()),
+        ops in proptest::collection::vec((arb_reg(), arb_reg(), arb_reg()), 1..100),
+    ) {
+        let mut tracker = DependenceTracker::new();
+        let mut reference: std::collections::BTreeMap<ArchReg, PhysReg> = Default::default();
+        for (dest, phys) in [(loads.0, PhysReg(100)), (loads.1, PhysReg(200))] {
+            tracker.add_long_latency_load(dest, phys);
+            reference.insert(dest, phys);
+        }
         for (dest, s1, s2) in ops {
             let inst = Instruction::op(0, OpKind::FpAlu, Some(dest), &[s1, s2]);
-            let dependent = mask.classify_and_update(&inst);
-            let expected = reference.contains(&s1) || reference.contains(&s2);
-            prop_assert_eq!(dependent, expected);
-            if expected {
-                reference.insert(dest);
-            } else {
-                reference.remove(&dest);
+            let expected = reference.get(&s1).or(reference.get(&s2)).copied();
+            prop_assert_eq!(tracker.classify(&inst), expected);
+            match expected {
+                Some(phys) => reference.insert(dest, phys),
+                None => reference.remove(&dest),
+            };
+            for r in ArchReg::all() {
+                prop_assert_eq!(tracker.trigger_for(r), reference.get(&r).copied());
             }
         }
     }
@@ -188,13 +198,13 @@ proptest! {
         let mut woken = Vec::new();
         let mut cycle = 0u64;
         while !sliq.is_empty() && cycle < 10_000 {
-            woken.extend(sliq.step(cycle, 4, 4).into_iter().map(|e| e.inst));
+            sliq.step_into(cycle, &mut woken);
             cycle += 1;
         }
         prop_assert_eq!(woken.len(), count, "every entry is returned exactly once");
         let mut seen = std::collections::BTreeSet::new();
         for w in &woken {
-            prop_assert!(seen.insert(*w), "duplicate wake-up for {}", w);
+            prop_assert!(seen.insert(w.inst), "duplicate wake-up for {}", w.inst);
         }
     }
 

@@ -26,15 +26,6 @@ pub const MEM_PORTS: usize = 2;
 /// Load/store queue entries (4096 in Table 1, pseudo-perfect).
 pub const LSQ_SIZE: usize = 4096;
 
-/// Which branch predictor the front end uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchPredictorKind {
-    /// The Table 1 predictor: 16K-entry gshare.
-    Gshare16k,
-    /// A perfect predictor (limit studies).
-    Perfect,
-}
-
 /// The commit engine: conventional in-order ROB commit, or the paper's
 /// checkpointed out-of-order commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,8 +71,6 @@ pub struct ProcessorConfig {
     /// allocates one per destination, so the pool bounds the number of
     /// in-flight definitions.
     pub phys_regs: usize,
-    /// Branch predictor.
-    pub predictor: BranchPredictorKind,
     /// Memory hierarchy.
     pub memory: MemoryConfig,
     /// Commit engine.
@@ -105,7 +94,6 @@ impl ProcessorConfig {
         ProcessorConfig {
             iq_size: window,
             phys_regs: 4096,
-            predictor: BranchPredictorKind::Gshare16k,
             memory: MemoryConfig::table1(memory_latency),
             commit: CommitConfig::InOrderRob { rob_size: window },
             fast_forward: true,
@@ -196,12 +184,6 @@ impl ProcessorConfig {
     /// Overrides the number of physical registers (Figures 13 and 14).
     pub fn with_phys_regs(mut self, phys_regs: usize) -> Self {
         self.phys_regs = phys_regs;
-        self
-    }
-
-    /// Overrides the branch predictor.
-    pub fn with_predictor(mut self, predictor: BranchPredictorKind) -> Self {
-        self.predictor = predictor;
         self
     }
 

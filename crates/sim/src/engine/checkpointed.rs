@@ -286,8 +286,7 @@ impl<O: Observer> CommitEngine<O> for CheckpointedEngine {
         }
         let mut woken = std::mem::take(&mut self.wake_scratch);
         woken.clear();
-        self.sliq
-            .step_into(ctx.cycle, usize::MAX, usize::MAX, &mut woken);
+        self.sliq.step_into(ctx.cycle, &mut woken);
         let n = woken.len();
         for entry in woken.drain(..) {
             let inst = entry.inst;

@@ -42,16 +42,18 @@
 
 pub mod config;
 pub mod engine;
+pub mod gshare;
 pub mod inflight;
 pub mod pipeline;
 pub mod stats;
 pub mod sweep;
 
-pub use config::{BranchPredictorKind, CommitConfig, ProcessorConfig};
+pub use config::{CommitConfig, ProcessorConfig};
 pub use engine::{CommitEngine, DispatchStall, Dispatched, EngineCtx, Writeback};
+pub use gshare::Gshare;
 pub use inflight::{InFlight, InFlightTable, InstState};
 pub use pipeline::Processor;
-pub use stats::{RecoveryStats, RetireBreakdown, SimStats, StallStats};
+pub use stats::{BranchStats, RecoveryStats, RetireBreakdown, SimStats, StallStats};
 pub use sweep::{sweep, GridWorkload, SuiteResult, WorkloadResult};
 
 // Re-exported so sweeps can name their workloads without importing
@@ -75,5 +77,4 @@ pub use koc_obs::{
 pub use koc_mem::{BackendKind, DramConfig, MemoryConfig};
 
 // Re-exported so every group nested in `SimStats` can be named from here.
-pub use koc_frontend::BranchStats;
 pub use koc_mem::MemoryStats;

@@ -28,22 +28,22 @@
 //! [`ProcessorConfig::fast_forward`] off; only wall-clock changes.
 
 use crate::config::{
-    BranchPredictorKind, CommitConfig, ProcessorConfig, FETCH_WIDTH, FP_UNITS, INT_ALU_UNITS,
-    INT_MUL_UNITS, ISSUE_WIDTH, LSQ_SIZE, MEM_PORTS, MISPREDICT_PENALTY,
+    CommitConfig, ProcessorConfig, FETCH_WIDTH, FP_UNITS, INT_ALU_UNITS, INT_MUL_UNITS,
+    ISSUE_WIDTH, LSQ_SIZE, MEM_PORTS, MISPREDICT_PENALTY,
 };
 use crate::engine::{self, CommitEngine, DispatchStall, Dispatched, EngineCtx, Writeback};
+use crate::gshare::Gshare;
 use crate::inflight::{InFlight, InFlightTable, InstState};
 use crate::stats::SimStats;
 use koc_core::{
     CamRenameMap, CheckpointId, InstructionQueue, IqEntry, LoadStoreQueue, LsqEntry, PhysRegFile,
 };
-use koc_frontend::{BranchPredictor, GsharePredictor, PerfectPredictor};
 use koc_isa::{
     ArchReg, InstId, Instruction, IntoInstructionSource, OpKind, PhysReg, RegList, ReplayWindow,
 };
 use koc_mem::{MemLevel, MemoryHierarchy, TimedAccess};
 use koc_obs::{CycleBucket, CycleSample, Event, NullObserver, Observer};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Why dispatch stopped this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +87,9 @@ struct CycleActivity {
 /// occupancy bitmap (one bit per slot) answers `next_cycle` for the
 /// fast-forward path in a scan of its words, which a count of wheel events
 /// skips outright when the wheel is empty, as it mostly is while loads wait
-/// on a queueing memory backend. Anything past the horizon (never hit by
-/// the built-in backends) falls back to an ordered map.
+/// on a queueing memory backend. The wheel's clock follows the shell's
+/// cycle, fast-forward jumps included, so every push lies within the
+/// horizon; `push` asserts it.
 struct EventQueue {
     /// First and last node of each slot's FIFO (`NIL_EVENT` when empty).
     fifo: Vec<(u32, u32)>,
@@ -100,12 +101,12 @@ struct EventQueue {
     /// Bit per wheel slot; set iff the slot holds events. Its length is a
     /// power of two.
     occ: Vec<u64>,
-    /// Events on the wheel (not counting `overflow`).
+    /// Events on the wheel.
     len: usize,
     /// The buffer `take` hands out and `recycle` returns.
     batch: Vec<(InstId, u64)>,
-    overflow: BTreeMap<u64, Vec<(InstId, u64)>>,
-    /// The cycle of the last `take` — events are never scheduled below it.
+    /// The cycle of the last `take` or fast-forward jump — events are never
+    /// scheduled below it, nor more than `mask` cycles past it.
     cur: u64,
 }
 
@@ -126,17 +127,18 @@ impl EventQueue {
             occ: vec![0; slots.div_ceil(64)],
             len: 0,
             batch: Vec::new(),
-            overflow: BTreeMap::new(),
             cur: 0,
         }
     }
 
     fn push(&mut self, cycle: u64, event: (InstId, u64)) {
-        debug_assert!(cycle >= self.cur, "event scheduled in the past");
-        if cycle - self.cur > self.mask {
-            self.overflow.entry(cycle).or_default().push(event);
-            return;
-        }
+        // A wrapped slot would deliver the event on the wrong cycle.
+        assert!(
+            cycle > self.cur && cycle - self.cur <= self.mask,
+            "event for cycle {cycle} is outside the wheel's horizon ({}, {}]",
+            self.cur,
+            self.cur + self.mask
+        );
         let n = if self.free == NIL_EVENT {
             self.nodes.push((event, NIL_EVENT));
             (self.nodes.len() - 1) as u32
@@ -158,46 +160,40 @@ impl EventQueue {
         }
     }
 
-    /// Removes and returns the batch due at `cycle`, in push order (events
-    /// that overflowed the horizon last); return it with
-    /// [`recycle`](Self::recycle) after draining. `cycle` must advance
-    /// monotonically (the shell takes once per simulated cycle and
+    /// Removes and returns the batch due at `cycle`, in push order; return
+    /// it with [`recycle`](Self::recycle) after draining. `cycle` must
+    /// advance monotonically (the shell takes once per simulated cycle and
     /// fast-forward only skips provably event-free cycles).
     fn take(&mut self, cycle: u64) -> Option<Vec<(InstId, u64)>> {
         self.cur = cycle;
         let slot = (cycle & self.mask) as usize;
-        let on_wheel = self.occ[slot / 64] & (1u64 << (slot % 64)) != 0;
-        let overflowed = self
-            .overflow
-            .first_key_value()
-            .is_some_and(|(&c, _)| c == cycle);
-        if !on_wheel && !overflowed {
+        if self.occ[slot / 64] & (1u64 << (slot % 64)) == 0 {
             return None;
         }
         let mut due = std::mem::take(&mut self.batch);
-        if on_wheel {
-            self.occ[slot / 64] &= !(1u64 << (slot % 64));
-            let (head, tail) = std::mem::replace(&mut self.fifo[slot], (NIL_EVENT, NIL_EVENT));
-            let mut n = head;
-            while n != NIL_EVENT {
-                let (event, next) = self.nodes[n as usize];
-                due.push(event);
-                n = next;
-            }
-            // The drained chain joins the free list whole.
-            self.nodes[tail as usize].1 = self.free;
-            self.free = head;
-            self.len -= due.len();
+        self.occ[slot / 64] &= !(1u64 << (slot % 64));
+        let (head, tail) = std::mem::replace(&mut self.fifo[slot], (NIL_EVENT, NIL_EVENT));
+        let mut n = head;
+        while n != NIL_EVENT {
+            let (event, next) = self.nodes[n as usize];
+            due.push(event);
+            n = next;
         }
-        if overflowed {
-            #[expect(
-                clippy::expect_used,
-                reason = "key was just matched by first_key_value"
-            )]
-            let mut extra = self.overflow.remove(&cycle).expect("checked key");
-            due.append(&mut extra);
-        }
+        // The drained chain joins the free list whole.
+        self.nodes[tail as usize].1 = self.free;
+        self.free = head;
+        self.len -= due.len();
         Some(due)
+    }
+
+    /// Moves the clock to `cycle` across a fast-forward jump, so later
+    /// pushes are measured from it. Nothing may be due up to `cycle`.
+    fn advance_to(&mut self, cycle: u64) {
+        debug_assert!(
+            self.next_cycle().is_none_or(|next| next > cycle),
+            "jumping over a scheduled event"
+        );
+        self.cur = cycle;
     }
 
     fn recycle(&mut self, mut batch: Vec<(InstId, u64)>) {
@@ -207,13 +203,11 @@ impl EventQueue {
 
     /// The earliest cycle after `cur` with a scheduled event.
     fn next_cycle(&self) -> Option<u64> {
-        let overflow = self.overflow.first_key_value().map(|(&c, _)| c);
         if self.len == 0 {
-            return overflow;
+            return None;
         }
         let start_slot = (self.cur + 1) & self.mask;
         let words = self.occ.len();
-        let mut next = None;
         // Scan the occupancy bitmap cyclically from `start_slot`'s word; the
         // first set bit in cyclic order is the soonest wheel event (every
         // scheduled event lies within one horizon of `cur`, so the cyclic
@@ -231,33 +225,10 @@ impl EventQueue {
             if word != 0 {
                 let slot = (wi * 64 + word.trailing_zeros() as usize) as u64;
                 let delta = slot.wrapping_sub(start_slot) & self.mask;
-                next = Some(self.cur + 1 + delta);
-                break;
+                return Some(self.cur + 1 + delta);
             }
         }
-        match (next, overflow) {
-            (Some(w), Some(o)) => Some(w.min(o)),
-            (w, o) => w.or(o),
-        }
-    }
-}
-
-enum PredictorImpl {
-    Gshare(Box<GsharePredictor>),
-    Perfect(PerfectPredictor),
-}
-
-impl PredictorImpl {
-    fn predict_and_train(
-        &mut self,
-        pc: u64,
-        taken: bool,
-        stats: &mut koc_frontend::BranchStats,
-    ) -> bool {
-        match self {
-            PredictorImpl::Gshare(p) => p.predict_and_train(pc, taken, stats),
-            PredictorImpl::Perfect(p) => p.predict_and_train(pc, taken, stats),
-        }
+        None
     }
 }
 
@@ -298,7 +269,7 @@ pub struct Processor<'a, O: Observer = NullObserver> {
     fp_iq: InstructionQueue,
     lsq: LoadStoreQueue,
     mem: MemoryHierarchy,
-    predictor: PredictorImpl,
+    predictor: Gshare,
     engine: Box<dyn CommitEngine<O>>,
     /// The run's observer — [`NullObserver`] by default, in which case every
     /// hook monomorphizes to nothing (`O::ENABLED` is `false`).
@@ -404,12 +375,6 @@ impl<'a, O: Observer> Processor<'a, O> {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid processor configuration: {e}"));
-        let predictor = match config.predictor {
-            BranchPredictorKind::Gshare16k => {
-                PredictorImpl::Gshare(Box::new(GsharePredictor::table1()))
-            }
-            BranchPredictorKind::Perfect => PredictorImpl::Perfect(PerfectPredictor::new()),
-        };
         let window = window_bound(&config);
         Processor {
             fetch: ReplayWindow::with_capacity(source, window),
@@ -420,7 +385,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             fp_iq: InstructionQueue::new(config.iq_size),
             lsq: LoadStoreQueue::new(LSQ_SIZE),
             mem: MemoryHierarchy::new(config.memory),
-            predictor,
+            predictor: Gshare::new(),
             engine,
             inflight: InFlightTable::with_capacity(window),
             next_seq: 0,
@@ -699,6 +664,7 @@ impl<'a, O: Observer> Processor<'a, O> {
             let sample = self.cycle_sample(self.cycle + 1, skipped, 0, stall);
             self.obs.skip(&sample, skipped);
         }
+        self.events.advance_to(target);
         self.cycle = target;
         self.stats.cycles = target;
     }
@@ -1087,6 +1053,7 @@ mod tests {
     use super::*;
     use crate::config::ProcessorConfig;
     use koc_isa::{ArchReg, Trace, TraceBuilder};
+    use std::collections::BTreeMap;
 
     fn tiny_independent_trace(n: usize) -> Trace {
         let mut b = TraceBuilder::named("tiny");
@@ -1286,23 +1253,6 @@ mod tests {
     }
 
     #[test]
-    fn events_past_the_horizon_overflow_and_follow_the_wheel() {
-        let mut q = EventQueue::with_horizon(10, 4);
-        let horizon = q.mask + 1;
-        let far = horizon + 3;
-        q.push(far, (1, 0));
-        assert!(q.overflow.contains_key(&far));
-        // Advance until `far` is within the horizon, then schedule a wheel
-        // event for the same cycle: it is delivered first.
-        assert!(q.take(10).is_none());
-        q.push(far, (2, 0));
-        assert_eq!(q.next_cycle(), Some(far));
-        assert_eq!(take_all(&mut q, far), vec![(2, 0), (1, 0)]);
-        assert!(q.overflow.is_empty());
-        assert_eq!(q.next_cycle(), None);
-    }
-
-    #[test]
     fn next_cycle_finds_the_soonest_event_across_the_wrap() {
         let mut q = EventQueue::with_horizon(100, 4);
         let horizon = q.mask + 1;
@@ -1322,33 +1272,26 @@ mod tests {
 
     proptest::proptest! {
         /// The wheel against an ordered-map reference: `next_cycle`, the
-        /// batch `take` returns (wheel events in push order, then the ones
-        /// that were past the horizon when pushed), and empty cycles, under
-        /// random pushes that mix near events, far ones that overflow, and
-        /// gaps where only overflowed events remain.
+        /// batch `take` returns (in push order), and empty cycles, under
+        /// random pushes anywhere inside the horizon, single steps, and
+        /// fast-forward jumps that move the clock up to the next event.
         #[test]
         fn event_queue_matches_an_ordered_map(
-            ops in proptest::collection::vec((0u8..4, 1u64..700, 1usize..4), 1..300),
+            ops in proptest::collection::vec((0u8..5, 0u64..700, 1usize..4), 1..300),
         ) {
             let mut q = EventQueue::with_horizon(100, 4);
             let mask = q.mask;
-            // cycle -> (wheel events, overflowed events), each in push order.
-            type Due = (Vec<(InstId, u64)>, Vec<(InstId, u64)>);
-            let mut reference: BTreeMap<u64, Due> = BTreeMap::new();
+            // cycle -> events, in push order.
+            let mut reference: BTreeMap<u64, Vec<(InstId, u64)>> = BTreeMap::new();
             let mut cur = 0u64;
             let mut id = 0;
             for (op, delay, count) in ops {
                 match op {
-                    // Schedule `count` events `delay` cycles ahead.
+                    // Schedule `count` events 1..=mask cycles ahead.
                     0 | 1 => {
+                        let at = cur + 1 + delay % mask;
                         for _ in 0..count {
-                            let at = cur + delay;
-                            let entry = reference.entry(at).or_default();
-                            if delay > mask {
-                                entry.1.push((id, at));
-                            } else {
-                                entry.0.push((id, at));
-                            }
+                            reference.entry(at).or_default().push((id, at));
                             q.push(at, (id, at));
                             id += 1;
                         }
@@ -1356,41 +1299,32 @@ mod tests {
                     // Step one cycle.
                     2 => {
                         cur += 1;
-                        let (wheel, overflowed) = reference.remove(&cur).unwrap_or_default();
-                        let expected: Vec<_> = wheel.into_iter().chain(overflowed).collect();
+                        let expected = reference.remove(&cur).unwrap_or_default();
                         assert_eq!(take_all(&mut q, cur), expected, "step to {cur}");
                     }
                     // Jump to the next scheduled cycle.
-                    _ => {
+                    3 => {
                         let expected = reference.keys().next().copied();
                         assert_eq!(q.next_cycle(), expected, "at {cur}");
                         if let Some(at) = expected {
                             cur = at;
-                            let (wheel, overflowed) = reference.remove(&at).unwrap_or_default();
-                            let expected: Vec<_> = wheel.into_iter().chain(overflowed).collect();
+                            let expected = reference.remove(&at).unwrap_or_default();
                             assert_eq!(take_all(&mut q, at), expected, "jump to {at}");
+                        }
+                    }
+                    // Fast-forward: stop one short of the next event (or
+                    // `delay` cycles ahead when none is scheduled).
+                    _ => {
+                        let target = reference.keys().next().map_or(cur + delay, |&at| at - 1);
+                        if target > cur {
+                            q.advance_to(target);
+                            cur = target;
                         }
                     }
                 }
             }
             assert_eq!(q.next_cycle(), reference.keys().next().copied());
         }
-    }
-
-    #[test]
-    fn an_empty_wheel_answers_from_the_overflow_alone() {
-        let mut q = EventQueue::with_horizon(10, 4);
-        let far = q.mask + 50;
-        q.push(far, (1, 0));
-        q.push(3, (2, 0));
-        assert_eq!(q.next_cycle(), Some(3));
-        assert_eq!(take_all(&mut q, 3), vec![(2, 0)]);
-        // Only the overflowed event is left.
-        assert_eq!(q.next_cycle(), Some(far));
-        assert!(q.take(4).is_none());
-        assert_eq!(q.next_cycle(), Some(far));
-        assert_eq!(take_all(&mut q, far), vec![(1, 0)]);
-        assert_eq!(q.next_cycle(), None);
     }
 
     #[test]

@@ -1,8 +1,28 @@
 //! Simulation statistics: everything the paper's figures report.
 
 use koc_core::RetireClass;
-use koc_frontend::BranchStats;
 use koc_mem::MemoryStats;
+
+/// Prediction counters of the [`Gshare`](crate::Gshare), over conditional
+/// branches.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BranchStats {
+    /// Number of predicted conditional branches.
+    pub predicted: u64,
+    /// Number of mispredicted conditional branches.
+    pub mispredicted: u64,
+}
+
+impl BranchStats {
+    /// Misprediction rate in [0, 1].
+    pub fn misprediction_rate(&self) -> f64 {
+        if self.predicted == 0 {
+            0.0
+        } else {
+            self.mispredicted as f64 / self.predicted as f64
+        }
+    }
+}
 
 /// Counters for the pseudo-ROB retirement breakdown (Figure 12).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -158,6 +178,11 @@ mod tests {
         assert!((b.fraction(RetireClass::Moved) - 0.5).abs() < 1e-12);
         let sum: f64 = RetireClass::all().iter().map(|&c| b.fraction(c)).sum();
         assert!((sum - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stats_rate_is_zero_with_no_branches() {
+        assert_eq!(BranchStats::default().misprediction_rate(), 0.0);
     }
 
     #[test]

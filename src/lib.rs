@@ -5,12 +5,12 @@
 //! through one dependency:
 //!
 //! * [`isa`] — instruction set, traces and the trace builder,
-//! * [`frontend`] — branch predictors,
 //! * [`mem`] — the Table 1 cache hierarchy,
 //! * [`core`] — the paper's mechanisms (CAM rename, checkpoints, pseudo-ROB,
 //!   SLIQ) and the conventional window structures,
 //! * [`workloads`] — the synthetic SPEC2000fp-like suite,
-//! * [`sim`] — the pipeline ([`sim::Processor`]), the pluggable
+//! * [`sim`] — the pipeline ([`sim::Processor`]) with the Table 1 gshare
+//!   branch predictor ([`sim::Gshare`]), the pluggable
 //!   [`sim::CommitEngine`], the machine configuration
 //!   ([`sim::ProcessorConfig`]) and the [`sim::sweep()`] grid runner,
 //! * [`obs`] — the zero-perturbation observability layer: the
@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub use koc_core as core;
-pub use koc_frontend as frontend;
 pub use koc_isa as isa;
 pub use koc_mem as mem;
 pub use koc_obs as obs;
