@@ -1,177 +1,103 @@
-//! The logical-register dependence bit mask used by SLIQ (Section 3).
+//! Tests of the Section 3 logical-register dependence mask.
 //!
-//! When a long-latency load leaves the pseudo-ROB, the paper starts a simple
-//! forward dependence computation: a bit per logical register, initially only
-//! the load's destination. Every later instruction extracted from the
-//! pseudo-ROB *joins* the dependent set (and contributes its destination to
-//! the mask) if it reads a masked register, and *clears* its destination bit
-//! otherwise (an independent redefinition kills the dependence). The paper
-//! notes this is the classic reaching-definitions trick from compiler
-//! construction.
+//! The mask has no type of its own: [`DependenceTracker`] keeps it as one
+//! optional trigger per logical register, and a register is in the mask
+//! exactly when it names a trigger. These tests check the mask's rules
+//! through the tracker.
 //!
-//! The paper describes a 32-bit mask (integer registers); we track all 64
-//! logical registers (32 INT + 32 FP) in a `u64` since FP codes chain through
-//! FP registers.
-
-use koc_isa::{ArchReg, Instruction};
-
-/// A dependence mask over the 64 logical registers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DependenceMask {
-    bits: u64,
-}
-
-impl DependenceMask {
-    /// An empty mask (nothing is dependent).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a mask seeded with the destination of a long-latency load.
-    pub fn seeded(load_dest: ArchReg) -> Self {
-        let mut m = Self::new();
-        m.set(load_dest);
-        m
-    }
-
-    /// Marks `reg` as produced by a long-latency instruction.
-    pub fn set(&mut self, reg: ArchReg) {
-        self.bits |= 1 << reg.flat_index();
-    }
-
-    /// Clears `reg` (it has been redefined by an independent instruction).
-    pub fn clear(&mut self, reg: ArchReg) {
-        self.bits &= !(1 << reg.flat_index());
-    }
-
-    /// Whether `reg` currently carries a long-latency dependence.
-    pub fn contains(&self, reg: ArchReg) -> bool {
-        self.bits & (1 << reg.flat_index()) != 0
-    }
-
-    /// Whether the mask is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
-    }
-
-    /// Number of registers currently marked dependent.
-    pub fn len(&self) -> usize {
-        self.bits.count_ones() as usize
-    }
-
-    /// The registers currently marked dependent, lowest flat index first.
-    pub fn regs(self) -> impl Iterator<Item = ArchReg> {
-        let mut bits = self.bits;
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                return None;
-            }
-            let index = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            Some(ArchReg::from_flat_index(index))
-        })
-    }
-
-    /// Classifies `inst` against the mask and updates the mask, exactly as
-    /// the pseudo-ROB extraction logic does:
-    ///
-    /// * if any source of `inst` is marked, the instruction is **dependent**;
-    ///   its destination (if any) joins the mask and `true` is returned;
-    /// * otherwise the instruction is independent; its destination (if any)
-    ///   is cleared from the mask and `false` is returned.
-    pub fn classify_and_update(&mut self, inst: &Instruction) -> bool {
-        let dependent = inst.sources().any(|s| self.contains(s));
-        if let Some(dest) = inst.dest {
-            if dependent {
-                self.set(dest);
-            } else {
-                self.clear(dest);
-            }
-        }
-        dependent
-    }
-}
+//! [`DependenceTracker`]: crate::sliq::DependenceTracker
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use koc_isa::{Instruction, OpKind};
+    use crate::sliq::DependenceTracker;
+    use koc_isa::{ArchReg, Instruction, OpKind, PhysReg, NUM_ARCH_REGS};
 
-    #[test]
-    fn seeded_mask_contains_only_the_seed() {
-        let m = DependenceMask::seeded(ArchReg::fp(3));
-        assert!(m.contains(ArchReg::fp(3)));
-        assert!(!m.contains(ArchReg::fp(4)));
-        assert_eq!(m.len(), 1);
+    const LOAD: PhysReg = PhysReg(41);
+
+    /// A tracker whose mask holds only `reg`, triggered by [`LOAD`].
+    fn seeded(reg: ArchReg) -> DependenceTracker {
+        let mut t = DependenceTracker::new();
+        t.add_long_latency_load(reg, LOAD);
+        t
+    }
+
+    /// Number of registers in the mask.
+    fn len(t: &DependenceTracker) -> usize {
+        (0..NUM_ARCH_REGS)
+            .filter(|&i| t.trigger_for(ArchReg::from_flat_index(i)).is_some())
+            .count()
+    }
+
+    fn contains(t: &DependenceTracker, reg: ArchReg) -> bool {
+        t.trigger_for(reg).is_some()
     }
 
     #[test]
-    fn regs_lists_the_marked_registers_in_flat_order() {
-        let mut m = DependenceMask::seeded(ArchReg::fp(31));
-        m.set(ArchReg::int(0));
-        m.set(ArchReg::fp(2));
-        let regs: Vec<ArchReg> = m.regs().collect();
-        assert_eq!(regs, vec![ArchReg::int(0), ArchReg::fp(2), ArchReg::fp(31)]);
-        assert_eq!(DependenceMask::new().regs().count(), 0);
+    fn seeded_mask_contains_only_the_seed() {
+        let t = seeded(ArchReg::fp(3));
+        assert!(contains(&t, ArchReg::fp(3)));
+        assert!(!contains(&t, ArchReg::fp(4)));
+        assert_eq!(len(&t), 1);
     }
 
     #[test]
     fn consumer_of_masked_register_becomes_dependent() {
-        let mut m = DependenceMask::seeded(ArchReg::fp(1));
+        let mut t = seeded(ArchReg::fp(1));
         let consumer = Instruction::op(
             0,
             OpKind::FpAlu,
             Some(ArchReg::fp(2)),
             &[ArchReg::fp(1), ArchReg::fp(3)],
         );
-        assert!(m.classify_and_update(&consumer));
-        assert!(m.contains(ArchReg::fp(2)), "destination joined the mask");
+        assert_eq!(t.classify(&consumer), Some(LOAD));
+        assert!(contains(&t, ArchReg::fp(2)), "destination joined the mask");
     }
 
     #[test]
     fn transitive_dependences_propagate() {
-        let mut m = DependenceMask::seeded(ArchReg::fp(1));
+        let mut t = seeded(ArchReg::fp(1));
         let a = Instruction::op(0, OpKind::FpAlu, Some(ArchReg::fp(2)), &[ArchReg::fp(1)]);
         let b = Instruction::op(4, OpKind::FpAlu, Some(ArchReg::fp(3)), &[ArchReg::fp(2)]);
-        assert!(m.classify_and_update(&a));
-        assert!(m.classify_and_update(&b));
-        assert_eq!(m.len(), 3);
+        assert_eq!(t.classify(&a), Some(LOAD));
+        assert_eq!(t.classify(&b), Some(LOAD));
+        assert_eq!(len(&t), 3);
     }
 
     #[test]
     fn independent_redefinition_kills_the_dependence() {
-        let mut m = DependenceMask::seeded(ArchReg::fp(1));
+        let mut t = seeded(ArchReg::fp(1));
         // F1 is redefined from independent sources: later readers of F1 are
         // no longer dependent on the long-latency load.
         let redef = Instruction::op(0, OpKind::FpAlu, Some(ArchReg::fp(1)), &[ArchReg::fp(5)]);
-        assert!(!m.classify_and_update(&redef));
-        assert!(m.is_empty());
+        assert_eq!(t.classify(&redef), None);
+        assert!(t.is_empty());
         let reader = Instruction::op(4, OpKind::FpAlu, Some(ArchReg::fp(6)), &[ArchReg::fp(1)]);
-        assert!(!m.classify_and_update(&reader));
+        assert_eq!(t.classify(&reader), None);
     }
 
     #[test]
     fn stores_and_branches_can_be_dependent_without_destinations() {
-        let mut m = DependenceMask::seeded(ArchReg::fp(1));
+        let mut t = seeded(ArchReg::fp(1));
         let st = Instruction::store(0, ArchReg::fp(1), ArchReg::int(2), 0x100);
-        assert!(m.classify_and_update(&st));
+        assert_eq!(t.classify(&st), Some(LOAD));
         let br = Instruction::branch(4, ArchReg::int(9), true, 0);
-        assert!(!m.classify_and_update(&br));
+        assert_eq!(t.classify(&br), None);
+        assert_eq!(len(&t), 1, "neither has a destination to add or clear");
     }
 
     #[test]
     fn int_and_fp_registers_do_not_alias_in_the_mask() {
-        let mut m = DependenceMask::new();
-        m.set(ArchReg::int(5));
-        assert!(!m.contains(ArchReg::fp(5)));
+        let t = seeded(ArchReg::int(5));
+        assert!(contains(&t, ArchReg::int(5)));
+        assert!(!contains(&t, ArchReg::fp(5)));
     }
 
     #[test]
     fn clear_removes_a_single_register() {
-        let mut m = DependenceMask::seeded(ArchReg::fp(1));
-        m.set(ArchReg::fp(2));
-        m.clear(ArchReg::fp(1));
-        assert!(!m.contains(ArchReg::fp(1)));
-        assert!(m.contains(ArchReg::fp(2)));
+        let mut t = seeded(ArchReg::fp(1));
+        t.add_long_latency_load(ArchReg::fp(2), PhysReg(42));
+        t.clear_register(ArchReg::fp(1));
+        assert!(!contains(&t, ArchReg::fp(1)));
+        assert!(contains(&t, ArchReg::fp(2)));
     }
 }

@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+mod depmask;
 pub mod iq;
 pub mod lsq;
 pub mod pseudo_rob;

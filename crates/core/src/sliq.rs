@@ -685,21 +685,6 @@ mod tests {
     // --- DependenceTracker -------------------------------------------------
 
     #[test]
-    fn a_load_seeds_only_its_destination() {
-        let mut t = DependenceTracker::new();
-        assert!(t.is_empty());
-        t.add_long_latency_load(ArchReg::fp(3), PhysReg(41));
-        assert_eq!(t.trigger_for(ArchReg::fp(3)), Some(PhysReg(41)));
-        assert_eq!(t.trigger_for(ArchReg::fp(4)), None);
-        assert_eq!(
-            t.trigger_for(ArchReg::int(3)),
-            None,
-            "INT and FP never alias"
-        );
-        assert!(!t.is_empty());
-    }
-
-    #[test]
     fn tracker_tags_direct_and_transitive_dependents_with_the_load_trigger() {
         let mut t = DependenceTracker::new();
         t.add_long_latency_load(ArchReg::fp(1), PhysReg(41));
@@ -716,17 +701,6 @@ mod tests {
         // Both destinations joined the mask.
         assert_eq!(t.trigger_for(ArchReg::fp(2)), Some(PhysReg(41)));
         assert_eq!(t.trigger_for(ArchReg::fp(3)), Some(PhysReg(41)));
-    }
-
-    #[test]
-    fn stores_and_branches_are_tagged_without_destinations() {
-        let mut t = DependenceTracker::new();
-        t.add_long_latency_load(ArchReg::fp(1), PhysReg(41));
-        let st = Instruction::store(0, ArchReg::fp(1), ArchReg::int(2), 0x100);
-        assert_eq!(t.classify(&st), Some(PhysReg(41)));
-        let br = Instruction::branch(4, ArchReg::int(9), true, 0);
-        assert_eq!(t.classify(&br), None);
-        assert_eq!(t.trigger_for(ArchReg::fp(1)), Some(PhysReg(41)));
     }
 
     #[test]
