@@ -19,17 +19,10 @@ pub const MSHR_COUNTS: &[usize] = &[1, 2, 4, 8, 16, 32];
 /// Main-memory latencies swept (the paper's three machines).
 pub const MEMORY_LATENCIES: &[u32] = &[100, 500, 1000];
 
-/// The DRAM part used by the sweep, with the given MSHR file size: enough
-/// banks that the MSHR count is the binding limit.
+/// The DRAM part with the given MSHR file size. Its 16 banks are enough
+/// that the MSHR count is the binding limit.
 pub fn dram(mshr_entries: usize) -> DramConfig {
-    DramConfig {
-        mshr_entries,
-        banks: 16,
-        row_bytes: 4096,
-        act_latency: 40,
-        precharge_latency: 40,
-        bank_busy: 4,
-    }
+    DramConfig { mshr_entries }
 }
 
 /// The two machines compared at each grid point: both have 32-entry

@@ -1,14 +1,26 @@
 //! Table 1 — architectural parameters of the simulated baseline.
 
 use crate::Report;
+use koc_mem::{CacheConfig, DL1, L2};
 use koc_sim::config::{
     FETCH_WIDTH, FP_UNITS, INT_ALU_UNITS, INT_MUL_UNITS, LSQ_SIZE, MEM_PORTS, MISPREDICT_PENALTY,
 };
 use koc_sim::{CommitConfig, ProcessorConfig};
 
+/// A cache's size, associativity and line, as Table 1 lists them.
+fn geometry(c: &CacheConfig) -> String {
+    format!(
+        "{} KB {}-way, {}-byte lines",
+        c.size_bytes / 1024,
+        c.ways,
+        c.line_bytes
+    )
+}
+
 /// Prints the Table 1 parameters as encoded in
-/// [`ProcessorConfig::table1`] and the constants of [`koc_sim::config`], so
-/// a reader can diff them against the paper.
+/// [`ProcessorConfig::table1`], the constants of [`koc_sim::config`] and
+/// the cache constants of `koc_mem`, so a reader can diff them against the
+/// paper.
 pub fn run() -> Report {
     let c = ProcessorConfig::table1();
     let mut r = Report::new(
@@ -33,10 +45,10 @@ pub fn run() -> Report {
         ),
         ("I-L1 size", "not modelled: fetch is trace driven".into()),
         ("I-L1 latency", "not modelled: fetch is trace driven".into()),
-        ("D-L1 size", "32 KB 4-way, 32-byte lines".into()),
-        ("D-L1 latency", format!("{} cycles", c.memory.dl1.latency)),
-        ("L2 size", "512 KB 4-way, 64-byte lines".into()),
-        ("L2 latency", format!("{} cycles", c.memory.l2.latency)),
+        ("D-L1 size", geometry(&DL1)),
+        ("D-L1 latency", format!("{} cycles", DL1.latency)),
+        ("L2 size", geometry(&L2)),
+        ("L2 latency", format!("{} cycles", L2.latency)),
         (
             "Memory latency",
             format!("{} cycles", c.memory.memory_latency),

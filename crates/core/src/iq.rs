@@ -94,7 +94,7 @@ impl std::error::Error for IqFull {}
 /// * **Wake-up**: [`wakeup`](InstructionQueue::wakeup) broadcasts a produced
 ///   physical register; entries whose last outstanding source was produced
 ///   become ready.
-/// * **Select**: [`select_ready`](InstructionQueue::select_ready) picks the
+/// * **Select**: [`select_ready_into`](InstructionQueue::select_ready_into) picks the
 ///   oldest ready entries subject to per-functional-unit availability.
 #[derive(Debug, Clone)]
 pub struct InstructionQueue {
@@ -319,23 +319,13 @@ impl InstructionQueue {
 
     /// Selects up to `max_total` ready instructions, oldest first, consuming
     /// per-functional-unit availability from `fu_available` (indexed by
-    /// [`FuClass::index`]). Selected entries are removed from the queue.
-    pub fn select_ready(
-        &mut self,
-        fu_available: &mut [usize; FuClass::COUNT],
-        max_total: usize,
-    ) -> Vec<IqEntry> {
-        let mut picked = Vec::new();
-        self.select_ready_into(fu_available, max_total, &mut picked);
-        picked
-    }
-
-    /// [`select_ready`](Self::select_ready) into a caller-owned buffer
-    /// (appended, not cleared) — the per-cycle issue path reuses one buffer
-    /// across the whole run. The per-class ready minima are merged oldest
-    /// first (identical pick order to a single age-ordered scan with
-    /// functional-unit filtering), so the cost is O(picked), independent of
-    /// how many ready instructions are starved of their unit.
+    /// [`FuClass::index`]). Selected entries are removed from the queue and
+    /// appended to `picked` (not cleared): the per-cycle issue path reuses
+    /// one buffer across the whole run. The per-class ready minima are
+    /// merged oldest first (identical pick order to a single age-ordered
+    /// scan with functional-unit filtering), so the cost is O(picked),
+    /// independent of how many ready instructions are starved of their
+    /// unit.
     pub fn select_ready_into(
         &mut self,
         fu_available: &mut [usize; FuClass::COUNT],
@@ -414,13 +404,24 @@ mod tests {
         [4, 2, 4, 2]
     }
 
+    /// The entries `select_ready_into` picks, in pick order.
+    fn select(
+        iq: &mut InstructionQueue,
+        fu_available: &mut [usize; FuClass::COUNT],
+        max_total: usize,
+    ) -> Vec<IqEntry> {
+        let mut picked = Vec::new();
+        iq.select_ready_into(fu_available, max_total, &mut picked);
+        picked
+    }
+
     #[test]
     fn entry_with_ready_sources_is_immediately_ready() {
         let mut iq = InstructionQueue::new(4);
         iq.insert(entry(0, &[1, 2], FuClass::IntAlu), |_| true)
             .unwrap();
         assert_eq!(iq.ready_count(), 1);
-        let picked = iq.select_ready(&mut all_fus(), 4);
+        let picked = select(&mut iq, &mut all_fus(), 4);
         assert_eq!(picked.len(), 1);
         assert!(iq.is_empty());
     }
@@ -452,7 +453,7 @@ mod tests {
             iq.insert(entry(i, &[], FuClass::Fp), |_| true).unwrap();
         }
         let mut fus = [4, 2, 2, 2]; // only 2 FP units available
-        let picked = iq.select_ready(&mut fus, 8);
+        let picked = select(&mut iq, &mut fus, 8);
         let ids: Vec<_> = picked.iter().map(|e| e.inst).collect();
         assert_eq!(ids, vec![0, 1]);
         assert_eq!(fus[FuClass::Fp.index()], 0);
@@ -465,7 +466,7 @@ mod tests {
         for i in 0..6 {
             iq.insert(entry(i, &[], FuClass::IntAlu), |_| true).unwrap();
         }
-        let picked = iq.select_ready(&mut [8, 8, 8, 8], 4);
+        let picked = select(&mut iq, &mut [8, 8, 8, 8], 4);
         assert_eq!(picked.len(), 4);
     }
 
@@ -477,7 +478,7 @@ mod tests {
         iq.insert(entry(2, &[], FuClass::IntAlu), |_| true).unwrap();
         // One FP unit: the second FP entry is skipped, the younger integer
         // entry still issues.
-        let picked = iq.select_ready(&mut [4, 2, 1, 2], 4);
+        let picked = select(&mut iq, &mut [4, 2, 1, 2], 4);
         let ids: Vec<_> = picked.iter().map(|e| e.inst).collect();
         assert_eq!(ids, vec![0, 2]);
         assert!(iq.contains(1));
@@ -532,7 +533,7 @@ mod tests {
     fn a_recycled_slot_rejects_the_old_instruction() {
         let mut iq = InstructionQueue::new(4);
         let slot = iq.insert(entry(3, &[], FuClass::IntAlu), |_| true).unwrap();
-        assert_eq!(iq.select_ready(&mut all_fus(), 4).len(), 1);
+        assert_eq!(select(&mut iq, &mut all_fus(), 4).len(), 1);
         let recycled = iq
             .insert(entry(8, &[5], FuClass::IntAlu), |_| false)
             .unwrap();
@@ -557,7 +558,7 @@ mod tests {
         );
         iq.insert(entry(5, &[], FuClass::Fp), |_| true).unwrap();
         assert_eq!(iq.ready_count(), 1);
-        let picked = iq.select_ready(&mut all_fus(), 4);
+        let picked = select(&mut iq, &mut all_fus(), 4);
         assert_eq!(
             picked.iter().map(|e| e.inst).collect::<Vec<_>>(),
             vec![5],
@@ -565,7 +566,7 @@ mod tests {
         );
         assert!(iq.contains(2));
         iq.wakeup(PhysReg(6));
-        let picked = iq.select_ready(&mut all_fus(), 4);
+        let picked = select(&mut iq, &mut all_fus(), 4);
         assert_eq!(picked.iter().map(|e| e.inst).collect::<Vec<_>>(), vec![2]);
     }
 
@@ -613,7 +614,7 @@ mod tests {
             }
             iq.wakeup(PhysReg(5));
             iq.wakeup(PhysReg(6));
-            assert_eq!(iq.select_ready(&mut [8, 8, 8, 8], 8).len(), 4);
+            assert_eq!(select(&mut iq, &mut [8, 8, 8, 8], 8).len(), 4);
         }
         assert!(iq.is_empty());
         assert!(
@@ -644,7 +645,7 @@ mod tests {
                 next += 1;
             }
             iq.wakeup(PhysReg(round % 3));
-            iq.select_ready(&mut [8, 8, 8, 8], 6);
+            select(&mut iq, &mut [8, 8, 8, 8], 6);
             iq.squash_from(next - 2);
             assert!(iq.slots.len() <= capacity + overshoot);
         }

@@ -244,12 +244,13 @@ proptest! {
             iq.wakeup(PhysReg(s));
         }
         let mut issued = std::collections::BTreeSet::new();
+        let mut picked = Vec::new();
         loop {
-            let picked = iq.select_ready(&mut [4, 4, 4, 4], 4);
+            iq.select_ready_into(&mut [4, 4, 4, 4], 4, &mut picked);
             if picked.is_empty() {
                 break;
             }
-            for e in picked {
+            for e in picked.drain(..) {
                 prop_assert!(!removed.contains(&e.inst), "removed entry {} issued", e.inst);
                 prop_assert!(issued.insert(e.inst), "entry {} issued twice", e.inst);
             }

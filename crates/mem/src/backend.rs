@@ -11,9 +11,11 @@
 //! * [`FlatLatency`] — the paper's model and the default: every request
 //!   completes a fixed `memory_latency` cycles after it arrives, with
 //!   unlimited outstanding misses.
-//! * [`crate::DramBackend`] — N banks with open-row buffers, in-order
-//!   service per bank and a finite MSHR file that back-pressures the core
-//!   when full. It fixes each request's schedule when it accepts it.
+//! * [`crate::DramBackend`] — one fixed part ([`crate::dram`]: 16 banks
+//!   with 4 KiB open-row buffers, 40-cycle activate and precharge, a
+//!   4-cycle burst), in-order service per bank and a finite MSHR file that
+//!   back-pressures the core when full. It fixes each request's schedule
+//!   when it accepts it.
 
 /// Tokens with this bit set are internal to the memory system (posted
 /// writes) and are never returned to the core as demand completions.

@@ -66,17 +66,23 @@ impl CacheConfig {
     pub fn num_sets(&self) -> usize {
         (self.size_bytes / (self.ways as u64 * self.line_bytes)) as usize
     }
-
-    /// The paper's L1 configuration: 32 KB, 4-way, 32-byte lines, 2 cycles.
-    pub fn table1_l1() -> Self {
-        CacheConfig::new(32 * 1024, 4, 32, 2)
-    }
-
-    /// The paper's L2 configuration: 512 KB, 4-way, 64-byte lines, 10 cycles.
-    pub fn table1_l2() -> Self {
-        CacheConfig::new(512 * 1024, 4, 64, 10)
-    }
 }
+
+/// Table 1's data L1: 32 KB, 4-way, 32-byte lines, 2 cycles.
+pub const DL1: CacheConfig = CacheConfig {
+    size_bytes: 32 * 1024,
+    ways: 4,
+    line_bytes: 32,
+    latency: 2,
+};
+
+/// Table 1's unified L2: 512 KB, 4-way, 64-byte lines, 10 cycles.
+pub const L2: CacheConfig = CacheConfig {
+    size_bytes: 512 * 1024,
+    ways: 4,
+    line_bytes: 64,
+    latency: 10,
+};
 
 /// Whether an access hit or missed in a cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -217,10 +223,8 @@ mod tests {
 
     #[test]
     fn geometry_is_derived_correctly() {
-        let c = CacheConfig::table1_l1();
-        assert_eq!(c.num_sets(), 256);
-        let l2 = CacheConfig::table1_l2();
-        assert_eq!(l2.num_sets(), 2048);
+        assert_eq!(DL1.num_sets(), 256);
+        assert_eq!(L2.num_sets(), 2048);
     }
 
     #[test]
@@ -279,7 +283,7 @@ mod tests {
 
     #[test]
     fn miss_ratio_reflects_stream() {
-        let mut c = Cache::new(CacheConfig::table1_l1());
+        let mut c = Cache::new(DL1);
         // Touch 1024 distinct lines twice: first pass all miss, second pass all
         // hit (working set exactly equals capacity).
         for i in 0..1024u64 {

@@ -1,8 +1,10 @@
-//! Memory-hierarchy configuration (Table 1 plus the perfect-L2 variant),
-//! including the timed-backend knobs.
+//! Memory-hierarchy configuration: what a run varies about Table 1's
+//! memory system. The caches are the Table 1 constants [`DL1`] and [`L2`];
+//! a run sets the main-memory latency, the perfect-L2 switch and the
+//! backend (flat, or the one DRAM part with a chosen MSHR count).
 
-use crate::cache::CacheConfig;
-use crate::dram::DramConfig;
+use crate::cache::{DL1, L2};
+use crate::dram::{DramConfig, WORST_PENALTY};
 
 /// Which timed backend models main memory (everything beyond the L2).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -11,29 +13,14 @@ pub enum BackendKind {
     /// the paper's model and the default.
     #[default]
     Flat,
-    /// Banked DRAM with row buffers and a finite MSHR file.
+    /// The banked DRAM part ([`crate::dram`]) with a finite MSHR file.
     Dram(DramConfig),
-}
-
-impl BackendKind {
-    /// The DRAM configuration, defaulting when the backend is flat (used by
-    /// builder knobs that upgrade a flat backend to DRAM).
-    pub fn dram_or_default(self) -> DramConfig {
-        match self {
-            BackendKind::Flat => DramConfig::default(),
-            BackendKind::Dram(d) => d,
-        }
-    }
 }
 
 /// Configuration of the data memory hierarchy. Fetch reads the trace, so
 /// there is no instruction cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryConfig {
-    /// Data L1 cache.
-    pub dl1: CacheConfig,
-    /// Unified L2 cache.
-    pub l2: CacheConfig,
     /// Main-memory latency in cycles (the paper sweeps 100 / 500 / 1000).
     /// With a DRAM backend this is the row-buffer-hit access time; row
     /// management adds on top.
@@ -48,8 +35,6 @@ impl MemoryConfig {
     /// The Table 1 hierarchy with the given main-memory latency.
     pub fn table1(memory_latency: u32) -> Self {
         MemoryConfig {
-            dl1: CacheConfig::table1_l1(),
-            l2: CacheConfig::table1_l2(),
             memory_latency,
             perfect_l2: false,
             backend: BackendKind::Flat,
@@ -70,35 +55,9 @@ impl MemoryConfig {
         self
     }
 
-    /// Selects the timed memory backend (builder style).
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Switches to the banked DRAM backend with the given configuration.
-    pub fn with_dram(self, dram: DramConfig) -> Self {
-        self.with_backend(BackendKind::Dram(dram))
-    }
-
-    /// Sets the MSHR count, upgrading a flat backend to the default DRAM
-    /// part first.
-    pub fn with_mshr_entries(mut self, entries: usize) -> Self {
-        self.backend = BackendKind::Dram(self.backend.dram_or_default().with_mshr_entries(entries));
-        self
-    }
-
-    /// Sets the DRAM bank count, upgrading a flat backend to the default
-    /// DRAM part first.
-    pub fn with_dram_banks(mut self, banks: usize) -> Self {
-        self.backend = BackendKind::Dram(self.backend.dram_or_default().with_banks(banks));
-        self
-    }
-
-    /// Sets the per-bank row-buffer size, upgrading a flat backend to the
-    /// default DRAM part first.
-    pub fn with_row_buffer(mut self, bytes: u64) -> Self {
-        self.backend = BackendKind::Dram(self.backend.dram_or_default().with_row_bytes(bytes));
+    /// Switches to the banked DRAM backend with the given MSHR file.
+    pub fn with_dram(mut self, dram: DramConfig) -> Self {
+        self.backend = BackendKind::Dram(dram);
         self
     }
 
@@ -107,13 +66,13 @@ impl MemoryConfig {
     /// deadlock bounds, not for timing).
     pub fn worst_case_latency(&self) -> u32 {
         if self.perfect_l2 {
-            return self.dl1.latency + self.l2.latency;
+            return DL1.latency + L2.latency;
         }
         let row_penalty = match self.backend {
             BackendKind::Flat => 0,
-            BackendKind::Dram(d) => d.worst_row_penalty() + d.bank_busy,
+            BackendKind::Dram(_) => WORST_PENALTY,
         };
-        self.dl1.latency + self.l2.latency + self.memory_latency + row_penalty
+        DL1.latency + L2.latency + self.memory_latency + row_penalty
     }
 
     /// Validates internal consistency.
@@ -121,12 +80,10 @@ impl MemoryConfig {
     /// # Errors
     /// Returns a description of the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
-        self.dl1.validate().map_err(|e| format!("DL1: {e}"))?;
-        self.l2.validate().map_err(|e| format!("L2: {e}"))?;
-        if let BackendKind::Dram(d) = self.backend {
-            d.validate()?;
+        match self.backend {
+            BackendKind::Flat => Ok(()),
+            BackendKind::Dram(d) => d.validate(),
         }
-        Ok(())
     }
 }
 
@@ -140,17 +97,20 @@ impl Default for MemoryConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::{ACT_LATENCY, BANK_BUSY, PRECHARGE_LATENCY};
 
     #[test]
     fn table1_matches_the_paper() {
+        assert_eq!(DL1.size_bytes, 32 * 1024);
+        assert_eq!(DL1.ways, 4);
+        assert_eq!(DL1.line_bytes, 32);
+        assert_eq!(DL1.latency, 2);
+        assert_eq!(L2.size_bytes, 512 * 1024);
+        assert_eq!(L2.ways, 4);
+        assert_eq!(L2.line_bytes, 64);
+        assert_eq!(L2.latency, 10);
+        assert!(DL1.validate().is_ok() && L2.validate().is_ok());
         let m = MemoryConfig::table1(1000);
-        assert_eq!(m.dl1.size_bytes, 32 * 1024);
-        assert_eq!(m.dl1.ways, 4);
-        assert_eq!(m.dl1.line_bytes, 32);
-        assert_eq!(m.dl1.latency, 2);
-        assert_eq!(m.l2.size_bytes, 512 * 1024);
-        assert_eq!(m.l2.line_bytes, 64);
-        assert_eq!(m.l2.latency, 10);
         assert_eq!(m.memory_latency, 1000);
         assert!(!m.perfect_l2);
     }
@@ -182,66 +142,23 @@ mod tests {
     }
 
     #[test]
-    fn mshr_knob_upgrades_a_flat_backend_to_dram() {
-        let m = MemoryConfig::table1(1000).with_mshr_entries(4);
-        match m.backend {
-            BackendKind::Dram(d) => {
-                assert_eq!(d.mshr_entries, 4);
-                assert_eq!(d.banks, DramConfig::table1_like().banks);
-            }
-            BackendKind::Flat => panic!("expected a DRAM backend"),
-        }
-        // Later knobs refine the same DRAM config instead of resetting it.
-        let m = m.with_dram_banks(2).with_row_buffer(8192);
-        match m.backend {
-            BackendKind::Dram(d) => {
-                assert_eq!((d.mshr_entries, d.banks, d.row_bytes), (4, 2, 8192));
-            }
-            BackendKind::Flat => unreachable!(),
-        }
-    }
-
-    #[test]
     fn dram_worst_case_includes_row_penalties() {
         let flat = MemoryConfig::table1(1000);
-        let dram = flat.with_dram(DramConfig::table1_like());
-        let d = DramConfig::table1_like();
+        let dram = flat.with_dram(DramConfig { mshr_entries: 16 });
         assert_eq!(
             dram.worst_case_latency(),
-            flat.worst_case_latency() + d.act_latency + d.precharge_latency + d.bank_busy
+            flat.worst_case_latency() + ACT_LATENCY + PRECHARGE_LATENCY + BANK_BUSY
         );
     }
 
     #[test]
     fn invalid_backend_configs_are_rejected() {
-        let m = MemoryConfig::table1(100).with_mshr_entries(4);
+        let m = MemoryConfig::table1(100).with_dram(DramConfig { mshr_entries: 4 });
         assert!(m.validate().is_ok());
-        let bad = MemoryConfig::table1(100).with_dram(DramConfig {
-            banks: 0,
-            ..DramConfig::table1_like()
-        });
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn invalid_cache_geometry_is_rejected() {
-        let mut m = MemoryConfig::table1(100);
-        m.dl1.ways = 0;
+        let bad = MemoryConfig::table1(100).with_dram(DramConfig { mshr_entries: 0 });
         assert_eq!(
-            m.validate(),
-            Err("DL1: cache geometry must be non-zero".into())
-        );
-        let mut m = MemoryConfig::table1(100);
-        m.l2.line_bytes = 48;
-        assert_eq!(
-            m.validate(),
-            Err("L2: line size must be a power of two".into())
-        );
-        let mut m = MemoryConfig::table1(100);
-        m.dl1.size_bytes = 1000;
-        assert_eq!(
-            m.validate(),
-            Err("DL1: capacity must be a whole number of sets".into())
+            bad.validate(),
+            Err("DRAM backend needs at least one MSHR".into())
         );
     }
 }

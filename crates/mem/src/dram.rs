@@ -1,14 +1,15 @@
 //! A banked main-memory model: per-bank open-row buffers and in-order
 //! service, plus a finite MSHR file that bounds outstanding reads.
 //!
-//! Timing is layered on top of the hierarchy's `memory_latency` (the flat
-//! DRAM access time): a row-buffer hit costs exactly `memory_latency`, a
-//! closed bank adds `act_latency` (activate), and a conflicting open row
-//! adds `precharge_latency` on top of that. Each request also occupies its
-//! bank for `bank_busy` cycles, serialising accesses that collide on a
-//! bank. Setting every penalty to zero and the MSHR file to
-//! [`DramConfig::UNLIMITED_MSHRS`] makes the model cycle-equivalent to
-//! [`crate::FlatLatency`] — the conformance anchor the tests pin down.
+//! The part is fixed: [`BANKS`] banks of [`ROW_BYTES`]-byte rows, an
+//! [`ACT_LATENCY`]-cycle activate, a [`PRECHARGE_LATENCY`]-cycle precharge
+//! and a [`BANK_BUSY`]-cycle burst. Only the MSHR count varies
+//! ([`DramConfig`]). Timing is layered on top of the hierarchy's
+//! `memory_latency` (the flat DRAM access time): a row-buffer hit costs
+//! exactly `memory_latency`, a closed bank adds the activate, and a
+//! conflicting open row adds the precharge on top of that. Each request
+//! also occupies its bank for the burst, serialising accesses that collide
+//! on a bank.
 //!
 //! A bank serves its requests in the order it accepts them and nothing
 //! overtakes, so a request's whole schedule is known the moment it is
@@ -23,84 +24,33 @@ use crate::backend::{Admit, BackendStats, Completion, MemReq, MemoryBackend};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Geometry and timing of the banked DRAM backend.
+/// Number of independent DRAM banks.
+pub const BANKS: usize = 16;
+/// Row-buffer size per bank in bytes (consecutive rows interleave across
+/// banks).
+pub const ROW_BYTES: u64 = 4096;
+/// Extra cycles to activate (open) a row in a precharged bank.
+pub const ACT_LATENCY: u32 = 40;
+/// Extra cycles to precharge a bank whose open row conflicts, paid on top
+/// of [`ACT_LATENCY`].
+pub const PRECHARGE_LATENCY: u32 = 40;
+/// Cycles a request occupies its bank (data-burst occupancy); requests
+/// queued behind it wait this long per predecessor.
+pub const BANK_BUSY: u32 = 4;
+/// The worst-case extra latency (beyond the base access) one request can
+/// pay: a row conflict, plus the burst of the request ahead of it.
+pub(crate) const WORST_PENALTY: u32 = ACT_LATENCY + PRECHARGE_LATENCY + BANK_BUSY;
+
+/// What a run may vary about the DRAM backend: its MSHR file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Miss-status-holding registers: the maximum number of outstanding
-    /// reads. Use [`DramConfig::UNLIMITED_MSHRS`] for an
-    /// unbounded file. Posted writes bypass the MSHR file.
+    /// reads. Posted writes bypass the MSHR file.
     pub mshr_entries: usize,
-    /// Number of independent DRAM banks.
-    pub banks: usize,
-    /// Row-buffer size per bank in bytes (consecutive rows interleave
-    /// across banks).
-    pub row_bytes: u64,
-    /// Extra cycles to activate (open) a row in a precharged bank.
-    pub act_latency: u32,
-    /// Extra cycles to precharge a bank whose open row conflicts, paid on
-    /// top of `act_latency`.
-    pub precharge_latency: u32,
-    /// Cycles a request occupies its bank (data-burst occupancy); requests
-    /// queued behind it wait this long per predecessor.
-    pub bank_busy: u32,
 }
 
 impl DramConfig {
-    /// Sentinel MSHR count meaning "never back-pressure".
-    pub const UNLIMITED_MSHRS: usize = usize::MAX;
-
-    /// A small contemporary part: 16 MSHRs, 8 banks, 4 KB rows, activate
-    /// and precharge each at a tenth of the paper's 1000-cycle access, and
-    /// a 16-cycle burst.
-    pub fn table1_like() -> Self {
-        DramConfig {
-            mshr_entries: 16,
-            banks: 8,
-            row_bytes: 4096,
-            act_latency: 100,
-            precharge_latency: 100,
-            bank_busy: 16,
-        }
-    }
-
-    /// An idealized part: unlimited MSHRs, free row management and no bank
-    /// occupancy. Cycle-equivalent to [`crate::FlatLatency`].
-    pub fn ideal() -> Self {
-        DramConfig {
-            mshr_entries: Self::UNLIMITED_MSHRS,
-            banks: 1,
-            row_bytes: 4096,
-            act_latency: 0,
-            precharge_latency: 0,
-            bank_busy: 0,
-        }
-    }
-
-    /// Sets the MSHR count (builder style).
-    pub fn with_mshr_entries(mut self, entries: usize) -> Self {
-        self.mshr_entries = entries;
-        self
-    }
-
-    /// Sets the bank count (builder style).
-    pub fn with_banks(mut self, banks: usize) -> Self {
-        self.banks = banks;
-        self
-    }
-
-    /// Sets the row-buffer size (builder style).
-    pub fn with_row_bytes(mut self, bytes: u64) -> Self {
-        self.row_bytes = bytes;
-        self
-    }
-
-    /// The worst-case extra latency (beyond the base access) one request
-    /// can pay for row management: a row conflict.
-    pub fn worst_row_penalty(&self) -> u32 {
-        self.act_latency + self.precharge_latency
-    }
-
-    /// Validates the geometry.
+    /// Validates the configuration.
     ///
     /// # Errors
     /// Returns a description of the first inconsistency.
@@ -108,19 +58,7 @@ impl DramConfig {
         if self.mshr_entries == 0 {
             return Err("DRAM backend needs at least one MSHR".into());
         }
-        if self.banks == 0 {
-            return Err("DRAM backend needs at least one bank".into());
-        }
-        if self.row_bytes == 0 || !self.row_bytes.is_power_of_two() {
-            return Err("row-buffer size must be a non-zero power of two".into());
-        }
         Ok(())
-    }
-}
-
-impl Default for DramConfig {
-    fn default() -> Self {
-        Self::table1_like()
     }
 }
 
@@ -168,10 +106,10 @@ struct Bank {
 /// The banked DRAM backend. See the module docs for the timing model.
 #[derive(Debug, Clone)]
 pub struct DramBackend {
-    config: DramConfig,
+    mshr_entries: usize,
     /// Base access latency (the hierarchy's `memory_latency`).
     base_latency: u32,
-    banks: Vec<Bank>,
+    banks: [Bank; BANKS],
     /// Accepted requests waiting to be drained, earliest completion first.
     scheduled: BinaryHeap<Reverse<Scheduled>>,
     /// Requests accepted so far: the acceptance order of the next one.
@@ -196,9 +134,9 @@ impl DramBackend {
             .validate()
             .unwrap_or_else(|e| panic!("invalid DRAM configuration: {e}"));
         DramBackend {
-            banks: vec![Bank::default(); config.banks],
-            config,
+            mshr_entries: config.mshr_entries,
             base_latency,
+            banks: [Bank::default(); BANKS],
             scheduled: BinaryHeap::new(),
             accepted: 0,
             reads_in_flight: 0,
@@ -211,22 +149,22 @@ impl DramBackend {
     /// real controllers use) so that power-of-two-spaced streams do not
     /// alias onto one bank and ping-pong its row buffer. The row tag is the
     /// full global row number: two accesses share a bank's open row iff
-    /// they land in the same `row_bytes` window, regardless of how the
+    /// they land in the same [`ROW_BYTES`] window, regardless of how the
     /// bank hash distributed the rows.
-    fn decode(&self, addr: u64) -> (usize, u64) {
-        let global_row = addr / self.config.row_bytes;
+    fn decode(addr: u64) -> (usize, u64) {
+        let global_row = addr / ROW_BYTES;
         let mut hashed = global_row;
         hashed ^= hashed >> 16;
         hashed ^= hashed >> 8;
         hashed ^= hashed >> 4;
-        ((hashed % self.config.banks as u64) as usize, global_row)
+        ((hashed % BANKS as u64) as usize, global_row)
     }
 }
 
 impl MemoryBackend for DramBackend {
     fn request(&mut self, req: MemReq, at: u64) -> Admit {
         if !req.is_write {
-            if self.reads_in_flight >= self.config.mshr_entries {
+            if self.reads_in_flight >= self.mshr_entries {
                 return Admit::Reject;
             }
             self.reads_in_flight += 1;
@@ -235,16 +173,16 @@ impl MemoryBackend for DramBackend {
         } else {
             self.stats.writes += 1;
         }
-        let (index, row) = self.decode(req.addr);
+        let (index, row) = Self::decode(req.addr);
         let bank = &mut self.banks[index];
         // The bank serves its requests in acceptance order, so this one
         // starts once it has arrived and its predecessor has let go.
         let start = at.max(bank.busy_until);
-        bank.busy_until = start + self.config.bank_busy as u64;
+        bank.busy_until = start + BANK_BUSY as u64;
         let (outcome, extra) = match bank.open_row {
             Some(open) if open == row => (RowOutcome::Hit, 0),
-            None => (RowOutcome::Miss, self.config.act_latency),
-            Some(_) => (RowOutcome::Conflict, self.config.worst_row_penalty()),
+            None => (RowOutcome::Miss, ACT_LATENCY),
+            Some(_) => (RowOutcome::Conflict, ACT_LATENCY + PRECHARGE_LATENCY),
         };
         bank.open_row = Some(row);
         *outcome.counter(&mut self.stats) += 1;
@@ -282,7 +220,7 @@ impl MemoryBackend for DramBackend {
     }
 
     fn can_accept(&self) -> bool {
-        self.reads_in_flight < self.config.mshr_entries
+        self.reads_in_flight < self.mshr_entries
     }
 
     fn in_flight(&self) -> usize {
@@ -305,6 +243,10 @@ impl MemoryBackend for DramBackend {
 mod tests {
     use super::*;
 
+    /// Row 17 XOR-folds onto bank 0 (`17 ^ (17 >> 4) == 16`), the bank of
+    /// row 0: the two rows conflict in one row buffer.
+    const ROW_17: u64 = 17 * ROW_BYTES;
+
     fn drive(
         b: &mut DramBackend,
         cycles: std::ops::RangeInclusive<u64>,
@@ -315,39 +257,34 @@ mod tests {
         }
     }
 
-    fn one_bank() -> DramBackend {
-        DramBackend::new(
-            DramConfig {
-                mshr_entries: 4,
-                banks: 1,
-                row_bytes: 4096,
-                act_latency: 30,
-                precharge_latency: 20,
-                bank_busy: 10,
-            },
-            100,
-        )
+    /// The part with 4 MSHRs behind a 100-cycle access.
+    fn four_mshrs() -> DramBackend {
+        DramBackend::new(DramConfig { mshr_entries: 4 }, 100)
     }
 
     #[test]
     fn row_miss_hit_conflict_timing() {
-        let mut b = one_bank();
-        // Cold bank: row miss (activate) = 100 + 30.
+        let mut b = four_mshrs();
+        // Cold bank: row miss (activate) = 100 + 40.
         b.request(MemReq::read(1, 0), 0);
         let mut out = Vec::new();
-        drive(&mut b, 0..=129, &mut out);
+        drive(&mut b, 0..=139, &mut out);
         assert!(out.is_empty());
-        drive(&mut b, 130..=130, &mut out);
-        assert_eq!(out.len(), 1, "first access completes at 130");
+        drive(&mut b, 140..=140, &mut out);
+        assert_eq!(out.len(), 1, "first access completes at 140");
         // Same row: hit = 100.
-        b.request(MemReq::read(2, 64), 131);
-        drive(&mut b, 131..=231, &mut out);
+        b.request(MemReq::read(2, 64), 141);
+        drive(&mut b, 141..=240, &mut out);
+        assert_eq!(out.len(), 1);
+        drive(&mut b, 241..=241, &mut out);
         assert_eq!(out.len(), 2, "row hit completes 100 cycles after service");
-        // Different row: conflict = 100 + 30 + 20.
-        b.request(MemReq::read(3, 8192), 232);
-        drive(&mut b, 232..=382, &mut out);
-        assert_eq!(out.len(), 3);
-        let s = b.stats(382);
+        // Another row of the same bank: conflict = 100 + 40 + 40.
+        b.request(MemReq::read(3, ROW_17), 242);
+        drive(&mut b, 242..=421, &mut out);
+        assert_eq!(out.len(), 2);
+        drive(&mut b, 422..=422, &mut out);
+        assert_eq!(out.len(), 3, "row conflict completes at 242 + 180");
+        let s = b.stats(422);
         assert_eq!(
             (
                 s.row_buffer_misses,
@@ -360,7 +297,7 @@ mod tests {
 
     #[test]
     fn mshr_file_rejects_when_full() {
-        let mut b = one_bank(); // 4 MSHRs
+        let mut b = four_mshrs();
         for t in 0..4 {
             assert_eq!(b.request(MemReq::read(t, t * 64), 0), Admit::Queued);
         }
@@ -381,102 +318,84 @@ mod tests {
 
     #[test]
     fn bank_busy_serialises_a_bank() {
-        let mut b = one_bank();
-        // Two same-row requests arriving together: second starts 10 cycles
-        // (bank_busy) after the first.
+        let mut b = four_mshrs();
+        // Two same-row requests arriving together: the second queues behind
+        // the first and starts 4 cycles (the burst) after it.
         b.request(MemReq::read(1, 0), 5);
         b.request(MemReq::read(2, 64), 5);
         let mut out = Vec::new();
-        // First: service at 5, row miss, done 5+130=135. Second: service at
-        // 15 (10 cycles of bank occupancy later), row hit, done 15+100=115 —
-        // it completes *earlier* (pipelined burst); both drained by 135.
-        drive(&mut b, 0..=114, &mut out);
+        // First: service at 5, row miss, done 5+140=145. Second: service at
+        // 9, row hit, done 9+100=109 — it completes *earlier* (pipelined
+        // burst); both drained by 145.
+        drive(&mut b, 0..=108, &mut out);
         assert!(out.is_empty());
-        drive(&mut b, 115..=115, &mut out);
+        drive(&mut b, 109..=109, &mut out);
         assert_eq!(out.len(), 1, "the row hit overtakes the opener");
-        drive(&mut b, 116..=135, &mut out);
+        drive(&mut b, 110..=144, &mut out);
+        assert_eq!(out.len(), 1);
+        drive(&mut b, 145..=145, &mut out);
         assert_eq!(out.len(), 2);
     }
 
     #[test]
     fn banks_interleave_by_row() {
-        let b = DramBackend::new(DramConfig::table1_like(), 100);
-        let (bank0, row0) = b.decode(0);
-        let (bank1, _) = b.decode(4096);
-        let (bank8, row8) = b.decode(8 * 4096);
-        assert_eq!(bank0, 0);
-        assert_eq!(bank1, 1);
-        assert_eq!(bank8, 0, "wraps around the 8 banks");
-        assert_eq!(row0, 0, "the row tag is the global row number");
-        assert_eq!(row8, 8);
+        assert_eq!(DramBackend::decode(0), (0, 0));
+        assert_eq!(DramBackend::decode(ROW_BYTES), (1, 1));
+        assert_eq!(DramBackend::decode(15 * ROW_BYTES), (15, 15));
+        assert_eq!(
+            DramBackend::decode(16 * ROW_BYTES),
+            (1, 16),
+            "the hash folds row 16 onto bank 1, not back onto bank 0"
+        );
+        assert_eq!(
+            DramBackend::decode(ROW_17),
+            (0, 17),
+            "the row tag is the global row number"
+        );
     }
 
     #[test]
-    fn distinct_rows_in_one_bank_conflict_even_with_odd_bank_counts() {
-        // With 3 banks, global rows 19 and 20 both hash to bank 0; they are
-        // different physical rows and must be timed as a conflict, not a
-        // row-buffer hit.
-        let mut b = DramBackend::new(
-            DramConfig {
-                mshr_entries: 8,
-                banks: 3,
-                row_bytes: 4096,
-                act_latency: 10,
-                precharge_latency: 10,
-                bank_busy: 0,
-            },
-            100,
-        );
-        let (bank19, row19) = b.decode(19 * 4096);
-        let (bank20, row20) = b.decode(20 * 4096);
-        assert_eq!(bank19, bank20, "the aliasing premise holds");
-        assert_ne!(row19, row20, "distinct rows keep distinct tags");
-        b.request(MemReq::read(1, 19 * 4096), 0);
-        b.request(MemReq::read(2, 20 * 4096), 0);
+    fn distinct_rows_in_one_bank_conflict() {
+        // Rows 0 and 17 share bank 0; they are different physical rows and
+        // must be timed as a conflict, not a row-buffer hit.
+        let mut b = four_mshrs();
+        b.request(MemReq::read(1, 0), 0);
+        b.request(MemReq::read(2, ROW_17), 0);
         let mut out = Vec::new();
-        drive(&mut b, 0..=200, &mut out);
-        let s = b.stats(200);
+        // Miss from 0: done 140. Conflict from 4: done 4 + 180 = 184.
+        drive(&mut b, 0..=183, &mut out);
+        assert_eq!(out.len(), 1);
+        drive(&mut b, 184..=184, &mut out);
+        assert_eq!(out.len(), 2);
+        let s = b.stats(184);
         assert_eq!(s.row_buffer_hits, 0, "{s:?}");
         assert_eq!(s.row_buffer_misses, 1);
         assert_eq!(s.row_buffer_conflicts, 1);
     }
 
     #[test]
-    fn ideal_config_behaves_like_flat_latency() {
-        let mut b = DramBackend::new(DramConfig::ideal(), 250);
-        for t in 0..50 {
-            assert_eq!(b.request(MemReq::read(t, t * 64), 10), Admit::Queued);
-        }
-        let mut out = Vec::new();
-        drive(&mut b, 0..=259, &mut out);
-        assert!(out.is_empty(), "nothing completes before 10 + 250");
-        drive(&mut b, 260..=260, &mut out);
-        assert_eq!(out.len(), 50, "all 50 overlap fully and complete at 260");
-    }
-
-    #[test]
     fn next_event_tracks_service_and_completion() {
-        let mut b = one_bank(); // base 100, act 30
+        let mut b = four_mshrs();
         assert_eq!(b.next_event(), None, "idle backend has no events");
         b.request(MemReq::read(1, 0), 7);
-        // Serviced from its arrival at 7, row miss: completes at 7 + 130.
+        // Serviced from its arrival at 7, row miss: completes at 7 + 140.
         // Starting service is not an event.
-        assert_eq!(b.next_event(), Some(137));
+        assert_eq!(b.next_event(), Some(147));
         assert_eq!(b.stats(6).row_buffer_misses, 0, "not started by 6");
         assert_eq!(b.stats(7).row_buffer_misses, 1, "started at 7");
         let mut out = Vec::new();
-        b.drain(136, &mut out);
+        b.drain(146, &mut out);
         assert!(out.is_empty());
-        b.drain(137, &mut out);
+        b.drain(147, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(b.next_event(), None);
     }
 
     #[test]
     fn draining_only_at_next_event_matches_per_cycle_draining() {
-        let requests = [(1u64, 0u64, 0u64), (2, 64, 3), (3, 8192, 5), (4, 128, 9)];
-        let mut dense = one_bank();
-        let mut sparse = one_bank();
+        let requests = [(1u64, 0u64, 0u64), (2, 64, 3), (3, ROW_17, 5), (4, 128, 9)];
+        let mut dense = four_mshrs();
+        let mut sparse = four_mshrs();
         for &(t, addr, at) in &requests {
             dense.request(MemReq::read(t, addr), at);
             sparse.request(MemReq::read(t, addr), at);
@@ -502,13 +421,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "invalid DRAM configuration")]
-    fn zero_banks_panic() {
-        let _ = DramBackend::new(
-            DramConfig {
-                banks: 0,
-                ..DramConfig::table1_like()
-            },
-            100,
-        );
+    fn zero_mshrs_panic() {
+        let _ = DramBackend::new(DramConfig { mshr_entries: 0 }, 100);
     }
 }

@@ -6,6 +6,7 @@
 //! completions on the same cycles in the same order, and report the same
 //! counters on every cycle.
 
+use koc_mem::dram::{ACT_LATENCY, BANKS, BANK_BUSY, PRECHARGE_LATENCY, ROW_BYTES};
 use koc_mem::{Admit, BackendStats, Completion, DramBackend, DramConfig, MemReq, MemoryBackend};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -26,7 +27,7 @@ struct Bank {
 }
 
 /// The per-cycle reference: each `tick(now)` starts, bank by bank in index
-/// order, every queue head that has arrived and whose bank is free.
+/// order, the queue head if it has arrived and its bank is free.
 struct TickedDram {
     config: DramConfig,
     base_latency: u32,
@@ -43,7 +44,7 @@ impl TickedDram {
         TickedDram {
             config,
             base_latency,
-            banks: (0..config.banks).map(|_| Bank::default()).collect(),
+            banks: (0..BANKS).map(|_| Bank::default()).collect(),
             done: BinaryHeap::new(),
             started: 0,
             reads_in_flight: 0,
@@ -53,11 +54,11 @@ impl TickedDram {
 
     /// The same XOR-folded bank hash as `DramBackend`.
     fn decode(&self, addr: u64) -> (usize, u64) {
-        let row = addr / self.config.row_bytes;
+        let row = addr / ROW_BYTES;
         let hashed = row ^ (row >> 16);
         let hashed = hashed ^ (hashed >> 8);
         let hashed = hashed ^ (hashed >> 4);
-        ((hashed % self.config.banks as u64) as usize, row)
+        ((hashed % BANKS as u64) as usize, row)
     }
 
     fn request(&mut self, req: MemReq, at: u64) -> Admit {
@@ -81,39 +82,37 @@ impl TickedDram {
     }
 
     fn tick(&mut self, now: u64) {
-        let c = self.config;
         for bank in &mut self.banks {
-            while bank.busy_until <= now && bank.queue.front().is_some_and(|w| w.arrival <= now) {
-                let Some(w) = bank.queue.pop_front() else {
-                    break;
-                };
-                let extra = match bank.open_row {
-                    Some(open) if open == w.row => {
-                        self.stats.row_buffer_hits += 1;
-                        0
-                    }
-                    None => {
-                        self.stats.row_buffer_misses += 1;
-                        c.act_latency
-                    }
-                    Some(_) => {
-                        self.stats.row_buffer_conflicts += 1;
-                        c.act_latency + c.precharge_latency
-                    }
-                };
-                bank.open_row = Some(w.row);
-                bank.busy_until = now + c.bank_busy as u64;
-                let completion = Completion {
-                    token: w.req.token,
-                    is_write: w.req.is_write,
-                };
-                let done = now + self.base_latency as u64 + extra as u64;
-                self.done.push(Reverse((done, self.started, completion)));
-                self.started += 1;
-                if c.bank_busy > 0 {
-                    break;
-                }
+            if bank.busy_until > now || bank.queue.front().is_none_or(|w| w.arrival > now) {
+                continue;
             }
+            let Some(w) = bank.queue.pop_front() else {
+                continue;
+            };
+            let extra = match bank.open_row {
+                Some(open) if open == w.row => {
+                    self.stats.row_buffer_hits += 1;
+                    0
+                }
+                None => {
+                    self.stats.row_buffer_misses += 1;
+                    ACT_LATENCY
+                }
+                Some(_) => {
+                    self.stats.row_buffer_conflicts += 1;
+                    ACT_LATENCY + PRECHARGE_LATENCY
+                }
+            };
+            bank.open_row = Some(w.row);
+            // The burst keeps the bank busy: one start per bank per tick.
+            bank.busy_until = now + BANK_BUSY as u64;
+            let completion = Completion {
+                token: w.req.token,
+                is_write: w.req.is_write,
+            };
+            let done = now + self.base_latency as u64 + extra as u64;
+            self.done.push(Reverse((done, self.started, completion)));
+            self.started += 1;
         }
     }
 
@@ -207,31 +206,21 @@ fn run_sparse(config: DramConfig, offers: &[Offer]) -> (Vec<Admit>, Drained) {
 }
 
 fn dram_config() -> impl Strategy<Value = DramConfig> {
-    (
-        prop_oneof![1usize..=8, Just(DramConfig::UNLIMITED_MSHRS)],
-        1usize..=5,
-        0u32..=50,
-        0u32..=50,
-        prop_oneof![Just(0u32), 1u32..=20],
-    )
-        .prop_map(
-            |(mshr_entries, banks, act_latency, precharge_latency, bank_busy)| DramConfig {
-                mshr_entries,
-                banks,
-                row_bytes: 4096,
-                act_latency,
-                precharge_latency,
-                bank_busy,
-            },
-        )
+    (1usize..=8).prop_map(|mshr_entries| DramConfig { mshr_entries })
 }
 
 /// Offers on non-decreasing cycles: a gap of 0 extends a same-cycle burst.
-/// Rows come from a set larger than the bank count, so banks alias and see
-/// row-buffer hits, misses and conflicts.
+/// Rows come from a set three times the bank count, so banks alias under
+/// the XOR hash and see row-buffer hits, misses and conflicts.
 fn offer_stream() -> impl Strategy<Value = Vec<Offer>> {
     proptest::collection::vec(
-        (0u64..6, 0u64..12, 0u64..4, any::<bool>(), 1u64..=15),
+        (
+            0u64..6,
+            0u64..3 * BANKS as u64,
+            0u64..4,
+            any::<bool>(),
+            1u64..=15,
+        ),
         1..100,
     )
     .prop_map(|raw| {
@@ -239,7 +228,7 @@ fn offer_stream() -> impl Strategy<Value = Vec<Offer>> {
         raw.into_iter()
             .map(|(gap, row, line, is_write, delay)| {
                 cycle += gap;
-                (cycle, row * 4096 + line * 64, is_write, delay)
+                (cycle, row * ROW_BYTES + line * 64, is_write, delay)
             })
             .collect()
     })

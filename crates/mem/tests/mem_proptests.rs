@@ -2,15 +2,16 @@
 
 use koc_mem::{
     Admit, Cache, CacheConfig, Completion, DramBackend, DramConfig, MemLevel, MemReq,
-    MemoryBackend, MemoryConfig, MemoryHierarchy, TimedAccess,
+    MemoryBackend, MemoryConfig, MemoryHierarchy, TimedAccess, DL1, L2,
 };
+use koc_obs::NullObserver;
 use proptest::prelude::*;
 
 proptest! {
     /// An LRU cache always hits on an address that was just accessed.
     #[test]
     fn immediate_reuse_always_hits(addrs in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut cache = Cache::new(CacheConfig::table1_l1());
+        let mut cache = Cache::new(DL1);
         for a in addrs {
             cache.access(a);
             prop_assert!(cache.contains(a));
@@ -21,7 +22,7 @@ proptest! {
     /// Hits plus misses always equals the number of accesses.
     #[test]
     fn hit_miss_accounting(addrs in proptest::collection::vec(0u64..1u64 << 24, 1..500)) {
-        let mut cache = Cache::new(CacheConfig::table1_l2());
+        let mut cache = Cache::new(L2);
         for a in &addrs {
             cache.access(*a);
         }
@@ -32,7 +33,7 @@ proptest! {
     /// A working set that fits in the cache never misses after the first pass.
     #[test]
     fn resident_working_set_stops_missing(lines in 1u64..256) {
-        let mut cache = Cache::new(CacheConfig::table1_l1());
+        let mut cache = Cache::new(DL1);
         // 256 lines of 32 bytes = 8 KB, always within the 32 KB capacity.
         for pass in 0..3 {
             for i in 0..lines {
@@ -44,34 +45,28 @@ proptest! {
         }
     }
 
-    /// The hierarchy's reported latency always matches the level that served
-    /// the access, and levels only get slower.
+    /// On flat memory the latency of every timed load matches the level
+    /// that served it, and levels only get slower.
     #[test]
     fn latency_matches_level(addrs in proptest::collection::vec(0u64..1u64 << 30, 1..300), latency in 50u32..2000) {
-        let config = MemoryConfig::table1(latency);
-        let mut mem = MemoryHierarchy::new(config);
-        for a in addrs {
-            let r = mem.access_data(a, false);
-            let expected = match r.level {
-                MemLevel::L1 => config.dl1.latency,
-                MemLevel::L2 => config.dl1.latency + config.l2.latency,
-                MemLevel::Memory => config.dl1.latency + config.l2.latency + latency,
-            };
-            prop_assert_eq!(r.latency, expected);
+        let mut mem = MemoryHierarchy::new(MemoryConfig::table1(latency));
+        for (i, a) in addrs.into_iter().enumerate() {
+            match mem.access_data_timed(a, i as u64, i as u64, &mut NullObserver) {
+                TimedAccess::Ready { level, latency: got } => {
+                    let expected = match level {
+                        MemLevel::L1 => DL1.latency,
+                        MemLevel::L2 => DL1.latency + L2.latency,
+                        MemLevel::Memory => DL1.latency + L2.latency + latency,
+                    };
+                    prop_assert_eq!(got, expected);
+                }
+                TimedAccess::InFlight => {
+                    prop_assert!(false, "flat memory answers every load at once")
+                }
+            }
         }
         let s = mem.stats(0);
         prop_assert_eq!(s.dl1_hits + s.dl1_misses, s.data_accesses);
-    }
-
-    /// `would_miss_l2` is a sound predictor of the next access's level.
-    #[test]
-    fn would_miss_l2_is_consistent(addrs in proptest::collection::vec(0u64..1u64 << 26, 1..200)) {
-        let mut mem = MemoryHierarchy::new(MemoryConfig::table1(500));
-        for a in addrs {
-            let predicted_miss = mem.would_miss_l2(a);
-            let r = mem.access_data(a, false);
-            prop_assert_eq!(predicted_miss, r.level == MemLevel::Memory);
-        }
     }
 
     /// Filling a set up to its associativity keeps every filled line
@@ -125,20 +120,15 @@ proptest! {
     }
 
     /// Under `perfect_l2`, no data access ever reaches main memory, no
-    /// matter the access pattern, and the timed path agrees.
+    /// matter the access pattern.
     #[test]
     fn perfect_l2_never_misses(addrs in proptest::collection::vec(0u64..1u64 << 40, 1..300)) {
         let mut mem = MemoryHierarchy::new(MemoryConfig::table1_perfect_l2());
-        let mut timed = MemoryHierarchy::new(MemoryConfig::table1_perfect_l2());
         for (i, a) in addrs.iter().enumerate() {
-            prop_assert!(!mem.would_miss_l2(*a));
-            let r = mem.access_data(*a, false);
-            prop_assert_ne!(r.level, MemLevel::Memory);
-            prop_assert!(r.latency <= 12);
-            match timed.access_data_timed(*a, i as u64, i as u64) {
+            match mem.access_data_timed(*a, i as u64, i as u64, &mut NullObserver) {
                 TimedAccess::Ready { level, latency } => {
-                    prop_assert_eq!(level, r.level);
-                    prop_assert_eq!(latency, r.latency);
+                    prop_assert_ne!(level, MemLevel::Memory);
+                    prop_assert!(latency <= 12);
                 }
                 TimedAccess::InFlight => prop_assert!(false, "perfect L2 never goes to memory"),
             }
@@ -233,14 +223,14 @@ fn drive_hierarchy(
     let mut next_offer = 0;
     let mut now = 0;
     loop {
-        m.tick(now, &mut completed);
+        m.tick(now, &mut completed, &mut NullObserver);
         done.extend(completed.drain(..).map(|t| (t, now)));
         while next_offer < offers.len() && offers[next_offer].0 == now {
             let (_, addr, is_store) = offers[next_offer];
             if is_store {
                 m.drain_store(addr, now);
             } else {
-                m.access_data_timed(addr, next_offer as u64, now);
+                m.access_data_timed(addr, next_offer as u64, now, &mut NullObserver);
             }
             next_offer += 1;
         }
@@ -261,26 +251,15 @@ fn drive_hierarchy(
 proptest! {
     /// Draining a DRAM backend only at `next_event()` and on request cycles
     /// gives the same admissions, the same `(token, cycle)` completions and
-    /// the same counters as draining it every cycle, across bank counts,
-    /// bank occupancies, MSHR files and row-buffer behaviour.
+    /// the same counters as draining it every cycle, across MSHR files,
+    /// arrival delays and row-buffer behaviour.
     #[test]
     fn dram_drained_at_next_event_matches_every_cycle(
-        banks in 1usize..17,
-        bank_busy in 0u32..17,
-        mshrs in 1usize..17,
-        act in 0u32..40,
-        precharge in 0u32..40,
+        mshrs in 1usize..=8,
         delay in 1u64..13,
         raw in proptest::collection::vec((0u64..10, 0u64..40, 0u64..4, proptest::strategy::any::<bool>()), 1..120),
     ) {
-        let config = DramConfig {
-            mshr_entries: mshrs,
-            banks,
-            row_bytes: 4096,
-            act_latency: act,
-            precharge_latency: precharge,
-            bank_busy,
-        };
+        let config = DramConfig { mshr_entries: mshrs };
         let offers = offers(&raw);
         let mut dense = DramBackend::new(config, 100);
         let mut sparse = DramBackend::new(config, 100);
@@ -304,17 +283,9 @@ proptest! {
     #[test]
     fn starved_hierarchy_ticked_at_next_event_matches_every_cycle(
         mshrs in 1usize..4,
-        banks in 1usize..5,
         raw in proptest::collection::vec((0u64..6, 0u64..4096, 0u64..64, proptest::strategy::any::<bool>()), 1..60),
     ) {
-        let config = MemoryConfig::table1(200).with_dram(DramConfig {
-            mshr_entries: mshrs,
-            banks,
-            row_bytes: 4096,
-            act_latency: 20,
-            precharge_latency: 20,
-            bank_busy: 4,
-        });
+        let config = MemoryConfig::table1(200).with_dram(DramConfig { mshr_entries: mshrs });
         // Spread lines over many rows so that almost every access misses L2.
         let offers: Vec<Offer> = offers(&raw)
             .into_iter()

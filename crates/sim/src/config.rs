@@ -246,6 +246,7 @@ impl Default for ProcessorConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use koc_mem::DramConfig;
 
     #[test]
     fn table1_matches_the_paper() {
@@ -362,7 +363,10 @@ mod tests {
         c.commit = CommitConfig::InOrderRob { rob_size: 0 };
         assert!(c.validate().is_err(), "a zero-entry ROB never dispatches");
         let mut c = ProcessorConfig::table1();
-        c.memory.dl1.ways = 0;
-        assert!(c.validate().is_err(), "a zero-way DL1 has no sets");
+        c.memory = c.memory.with_dram(DramConfig { mshr_entries: 0 });
+        assert!(
+            c.validate().is_err(),
+            "a DRAM part with no MSHR never loads"
+        );
     }
 }

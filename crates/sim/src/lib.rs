@@ -72,8 +72,8 @@ pub use koc_obs::{
     NullObserver, Observer, PipelineTracer, TimelineRecorder, WindowStats,
 };
 
-// Re-exported so the memory-backend knobs (`MemoryConfig::with_dram`,
-// `with_mshr_entries`, …) can be used without importing `koc_mem`.
+// Re-exported so the memory backend (`MemoryConfig::with_dram` and its
+// `DramConfig`) can be chosen without importing `koc_mem`.
 pub use koc_mem::{BackendKind, DramConfig, MemoryConfig};
 
 // Re-exported so every group nested in `SimStats` can be named from here.

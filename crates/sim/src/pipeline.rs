@@ -676,7 +676,7 @@ impl<'a, O: Observer> Processor<'a, O> {
     fn memory_stage(&mut self) {
         let mut completed = std::mem::take(&mut self.mem_completed);
         completed.clear();
-        self.mem.tick_obs(self.cycle, &mut completed, &mut self.obs);
+        self.mem.tick(self.cycle, &mut completed, &mut self.obs);
         for token in completed.drain(..) {
             // The token is the load instance's `seq`; stale tokens (the
             // instance was squashed) simply no longer map to a waiter, and
@@ -809,7 +809,7 @@ impl<'a, O: Observer> Processor<'a, O> {
                 let addr = trace_inst.mem.expect("load has address").addr;
                 match self
                     .mem
-                    .access_data_timed_obs(addr, seq, self.cycle, &mut self.obs)
+                    .access_data_timed(addr, seq, self.cycle, &mut self.obs)
                 {
                     TimedAccess::Ready { level, latency } => (Some(latency), Some(level)),
                     TimedAccess::InFlight => {

@@ -3,8 +3,9 @@
 //!
 //! The paper models main memory as a flat latency with unlimited
 //! outstanding misses, so a large window always finds memory-level
-//! parallelism. This example swaps in the banked DRAM backend and sweeps
-//! the MSHR file on the two MLP-contrast workloads.
+//! parallelism. This example swaps in the banked DRAM backend (one fixed
+//! 16-bank part) and sweeps its MSHR file on the two MLP-contrast
+//! workloads.
 //!
 //! ```text
 //! cargo run --release --example memory_backend
@@ -26,11 +27,9 @@ fn main() {
     // One grid: a DRAM machine per MSHR count, then the paper's flat model
     // (unlimited outstanding misses).
     let dram = mshr_counts.iter().map(|&mshrs| ProcessorConfig {
-        memory: machine.memory.with_dram(
-            DramConfig::table1_like()
-                .with_mshr_entries(mshrs)
-                .with_banks(16),
-        ),
+        memory: machine.memory.with_dram(DramConfig {
+            mshr_entries: mshrs,
+        }),
         ..machine
     });
     let results = sweep(dram.chain([machine]), &workloads);

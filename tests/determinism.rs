@@ -25,9 +25,11 @@ use koc_workloads::kernels;
 /// (flat and banked DRAM).
 fn coverage_configs() -> Vec<ProcessorConfig> {
     let mut dram = ProcessorConfig::cooo(32, 512, 800);
-    dram.memory = dram.memory.with_dram(DramConfig::table1_like());
+    dram.memory = dram.memory.with_dram(DramConfig { mshr_entries: 16 });
     let mut dram_baseline = ProcessorConfig::baseline(64, 800);
-    dram_baseline.memory = dram_baseline.memory.with_dram(DramConfig::table1_like());
+    dram_baseline.memory = dram_baseline
+        .memory
+        .with_dram(DramConfig { mshr_entries: 16 });
     vec![
         ProcessorConfig::baseline(64, 800),
         ProcessorConfig::cooo(32, 512, 800),

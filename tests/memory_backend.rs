@@ -1,13 +1,10 @@
 //! Integration tests for the pluggable timed memory backend: parity with
 //! the paper's flat model, the DRAM/MSHR back-pressure axis, and the
-//! configuration plumbing through `MemoryConfig`.
+//! pinned DRAM timing of the `memory_bound` benchmark's jobs.
 
 use koc_bench::experiments::mlp_sensitivity;
 use koc_mem::MemoryStats;
-use koc_sim::{
-    sweep, BackendKind, CommitConfig, CycleSample, DramConfig, MemoryConfig, Observer, Processor,
-    ProcessorConfig, Suite,
-};
+use koc_sim::{sweep, CycleSample, DramConfig, Observer, Processor, ProcessorConfig, Suite};
 use koc_workloads::kernels;
 
 /// Cycle counts recorded from the pre-backend hierarchy (the seed code) on
@@ -50,42 +47,13 @@ fn flat_backend_reproduces_seed_cycle_counts_exactly() {
 }
 
 #[test]
-fn ideal_dram_matches_flat_latency_cycle_for_cycle() {
-    let workloads = Suite::paper().generate(2_000);
-    for commit in [
-        CommitConfig::InOrderRob { rob_size: 128 },
-        CommitConfig::cooo(32, 512),
-    ] {
-        let mut flat = ProcessorConfig::baseline(128, 1000);
-        flat.commit = commit;
-        let mut dram = flat;
-        dram.memory = dram.memory.with_dram(DramConfig::ideal());
-        let results = sweep([flat, dram], &workloads);
-        for (f, d) in results[0]
-            .per_workload
-            .iter()
-            .zip(results[1].per_workload.iter())
-        {
-            assert_eq!(
-                f.stats.committed_instructions, d.stats.committed_instructions,
-                "retired counts must match on {}",
-                f.workload
-            );
-            assert_eq!(
-                f.stats.cycles, d.stats.cycles,
-                "unlimited MSHRs + free rows must equal the flat model on {}",
-                f.workload
-            );
-        }
-    }
-}
-
-#[test]
 fn mshr_starvation_throttles_the_streaming_workload() {
     let machine = |mshrs: usize| {
         let c = ProcessorConfig::cooo(128, 2048, 500);
         ProcessorConfig {
-            memory: c.memory.with_mshr_entries(mshrs).with_dram_banks(16),
+            memory: c.memory.with_dram(DramConfig {
+                mshr_entries: mshrs,
+            }),
             ..c
         }
     };
@@ -120,7 +88,9 @@ fn pointer_chase_gains_nothing_from_mshrs() {
     let machine = |mshrs: usize| {
         let c = ProcessorConfig::cooo(128, 2048, 500);
         ProcessorConfig {
-            memory: c.memory.with_mshr_entries(mshrs),
+            memory: c.memory.with_dram(DramConfig {
+                mshr_entries: mshrs,
+            }),
             ..c
         }
     };
@@ -134,23 +104,6 @@ fn pointer_chase_gains_nothing_from_mshrs() {
         (0.95..=1.05).contains(&ratio),
         "a dependent chain has MLP 1: {one:.4} vs {many:.4}"
     );
-}
-
-#[test]
-fn backend_knobs_flow_through_the_builder() {
-    let mem = MemoryConfig::table1(1000)
-        .with_mshr_entries(8)
-        .with_dram_banks(4)
-        .with_row_buffer(8 * 1024);
-    match mem.backend {
-        BackendKind::Dram(d) => {
-            assert_eq!((d.mshr_entries, d.banks, d.row_bytes), (8, 4, 8 * 1024));
-        }
-        BackendKind::Flat => panic!("knobs must upgrade the backend to DRAM"),
-    }
-    // The whole-backend override wins over per-knob upgrades.
-    let flat_again = mem.with_backend(BackendKind::Flat);
-    assert_eq!(flat_again.backend, BackendKind::Flat);
 }
 
 /// The `memory_bound` benchmark's four jobs (baseline-32 and cooo 32/2048
